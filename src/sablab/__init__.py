@@ -6,7 +6,6 @@ adversary matrices, and simulate the weak/strong query procedures exactly
 on dense statevectors.
 """
 
-from ._kernels import backend as kernel_backend
 from .adversary import (
     AdversaryCertificate,
     AdversaryError,

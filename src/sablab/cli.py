@@ -24,11 +24,12 @@ class CliError(Exception):
     """Unresolvable function, algorithm, or argument combination."""
 
 
-def _default_seed() -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    text = os.environ.get("SABLAB_SEED", "0")
     try:
-        return int(os.environ.get("SABLAB_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        parser.error(f"SABLAB_SEED must be an integer, got {text!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -36,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--file", help="path to a function file (JSON)")
     parser.add_argument("--n", type=int, help="arity for --fn")
     parser.add_argument("--x", help="base point as a bit string")
-    parser.add_argument("--seed", type=int, default=_default_seed(), help="64-bit seed")
+    parser.add_argument("--seed", type=int, help="64-bit seed (default: $SABLAB_SEED or 0)")
     parser.add_argument("--tol", type=float, help="numeric tolerance override")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -327,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _default_seed(parser)
     try:
         return args.handler(args)
     except (CliError, BoolFnError, SabotageError, measures.MeasureError,

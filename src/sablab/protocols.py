@@ -214,11 +214,15 @@ class _BranchTraces:
         return (sum(self.p_x) + sum(self.p_y)) / (2.0 * self.t_count)
 
 
-def _interrupt_traces(alg: QueryAlgorithm, w: StrongInput) -> _BranchTraces:
+def _check_distinguisher(alg: QueryAlgorithm, w: StrongInput) -> None:
     if alg.query_count == 0:
         raise ProtocolError("distinguisher makes no queries")
     if alg.layout.n != len(w):
         raise ProtocolError("input length does not match the algorithm arity")
+
+
+def _interrupt_traces(alg: QueryAlgorithm, w: StrongInput) -> _BranchTraces:
+    _check_distinguisher(alg, w)
     block = tuple(sorted(valid_index_answers(w)))
     oracle = oracle_strong(w)
     per_branch: list[tuple[tuple[float, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = []
@@ -324,15 +328,17 @@ def find_index_amplified(
     one strong query checking for a star/dagger at the measured index.
     Reported query cost is (2 rounds + 1) * (2 T + 1) strong queries.
     """
-    traces = _interrupt_traces(alg, w)
-    t_count = traces.t_count
-    source_dim = traces.layout.total_dim
+    _check_distinguisher(alg, w)
+    # The dilation size follows from the layout alone: refuse before simulating.
+    t_count = alg.query_count
+    source_dim = _wrapped_layout(alg.layout).total_dim
     dims = (2, t_count + 1, source_dim, 2)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > DIM_CAP:
         raise ProtocolError(
             f"coherent dilation needs dimension {total} > {DIM_CAP}; use find_index_repeat"
         )
+    traces = _interrupt_traces(alg, w)
 
     n = traces.layout.n
     row = source_dim // n

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .boolfn import BitString
 from .sabotage import SabString, StrongInput
 
@@ -54,6 +53,39 @@ _NAMED_2Q = {
 
 class SimulationError(ValueError):
     """Layout mismatch, non-unitary gate, dimension overflow, or norm drift."""
+
+
+# ---------------------------------------------------------------------------
+# Statevector kernels
+
+
+def apply_block(
+    state: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray
+) -> np.ndarray:
+    """Apply a small unitary to the listed axes of the dense state tensor.
+
+    The state is C-ordered over ``dims``; ``axes[0]`` is most significant in
+    the matrix row index.  Returns a fresh flat state and never writes into
+    ``state``.
+    """
+    k = matrix.shape[0]
+    if math.prod(dims[a] for a in axes) != k:
+        raise ValueError("matrix size does not match the selected axes")
+    t = state.reshape(dims)
+    t = np.moveaxis(t, axes, range(len(axes)))
+    lead = t.shape[: len(axes)]
+    rest = t.shape[len(axes):]
+    out = matrix @ t.reshape(k, -1)
+    out = np.moveaxis(out.reshape(lead + rest), range(len(axes)), axes)
+    return np.ascontiguousarray(out).reshape(-1)
+
+
+def permute_rows(state: np.ndarray, perm: np.ndarray, row_size: int) -> np.ndarray:
+    """View the state as ``(len(perm), row_size)`` and gather rows, ``out[r] = in[perm[r]]``.
+
+    Returns a fresh flat state and never writes into ``state``.
+    """
+    return np.ascontiguousarray(state.reshape(len(perm), row_size)[perm]).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -249,7 +281,7 @@ class Oracle:
         if state.size % self.rows:
             raise SimulationError("state size incompatible with oracle registers")
         perm = self._gather_inv if adjoint else self._gather
-        return _kernels.permute_rows(state, perm, state.size // self.rows)
+        return permute_rows(state, perm, state.size // self.rows)
 
     def __repr__(self) -> str:
         return f"Oracle({self.kind}, {self.label})"
@@ -309,7 +341,7 @@ def initial_state(layout: RegisterLayout) -> np.ndarray:
 
 def apply_gates(state: np.ndarray, layout: RegisterLayout, gates: Iterable[Gate]) -> np.ndarray:
     for gate in gates:
-        state = _kernels.apply_block(state, layout.dims, gate.wires, gate.matrix)
+        state = apply_block(state, layout.dims, gate.wires, gate.matrix)
     return state
 
 
@@ -366,7 +398,7 @@ def run(alg: QueryAlgorithm, oracle: Oracle | None = None, block: Iterable[int] 
     p_t: list[float] = []
     for step in alg.steps:
         if step in (QUERY, QUERY_INV):
-            pre_query.append(state.copy())
+            pre_query.append(state)
             if block_set is not None:
                 p_t.append(index_block_mass(state, layout, block_set))
             state = oracle.apply(state, adjoint=step == QUERY_INV)  # type: ignore[union-attr]

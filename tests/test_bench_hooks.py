@@ -1,0 +1,42 @@
+"""The benchmark in ``sabbench/`` still reaches the package layers it measures."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from sablab import qsim
+
+SABBENCH = Path(__file__).resolve().parents[1] / "sabbench"
+
+
+def test_tracer_hooks_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(SABBENCH))
+    tracing = importlib.import_module("tracing")
+    original = qsim.apply_block
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.unhooked == []
+        assert qsim.apply_block is not original
+        qsim.run(qsim.grover_or(2, 1), qsim.oracle_bit("01"))
+        calls = {name: row["calls"] for name, row in tracer.span_table().items()}
+        assert calls["qsim.apply_block"] > 0 and calls["qsim.permute_rows"] == 1
+    finally:
+        tracer.uninstall()
+    assert qsim.apply_block is original
+
+
+def test_simulate_wide_smoke_run():
+    proc = subprocess.run(
+        [sys.executable, str(SABBENCH / "run.py"), "--workload", "simulate-wide", "--smoke", "--trace", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

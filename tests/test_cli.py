@@ -127,6 +127,26 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SABLAB_SEED", "seven")
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "grover-find", "--z", "00*0"])
+    assert exc.value.code == 2
+    assert "SABLAB_SEED" in capsys.readouterr().err
+
+
+def test_explicit_seed_overrides_bad_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("SABLAB_SEED", "seven")
+    code, out, _ = run_cli(capsys, "protocol", "grover-find", "--z", "00*0", "--seed", "3")
+    assert code == 0 and json.loads(out)["seed"] == 3
+
+
+def test_seed_env_sets_default(capsys, monkeypatch):
+    monkeypatch.setenv("SABLAB_SEED", "5")
+    code, out, _ = run_cli(capsys, "protocol", "grover-find", "--z", "00*0")
+    assert code == 0 and json.loads(out)["seed"] == 5
+
+
 def test_function_file_input(capsys, tmp_path):
     from sablab.boolfn import make_named
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import total_variation
 from sablab.boolfn import BitString, catalog, make_named
+from sablab import protocols
 from sablab.sabotage import SabString, StrongInput, make_strong
 from sablab.qsim import (
     QUERY,
@@ -202,7 +203,11 @@ def test_find_index_amplified_sine_law():
         assert abs(amp.exact_success - math.sin((2 * rounds + 1) * theta) ** 2) < 1e-9
 
 
-def test_find_index_amplified_dimension_guard():
+def test_find_index_amplified_dimension_guard(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        pytest.fail("the oversized request was simulated before it was refused")
+
+    monkeypatch.setattr(protocols, "run", no_simulation)
     layout = RegisterLayout(n=16, symbol="bit", workspace=1024)
     steps = [()]
     for _ in range(40):

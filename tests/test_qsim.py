@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sablab.qsim import (
     algorithm_from_json,
     algorithm_to_json,
     amplitude_amplify,
+    apply_block,
     deutsch_parity,
     diffusion_block,
     grover_find_mark,
@@ -33,6 +35,7 @@ from sablab.qsim import (
     oracle_bit,
     oracle_strong,
     oracle_weak,
+    permute_rows,
     random_query_algorithm,
     run,
     uniform_prep_block,
@@ -289,3 +292,111 @@ def test_diffusion_and_prep_blocks_are_unitary():
     for dim in (1, 2, 3, 5, 16):
         for m in (uniform_prep_block(dim), diffusion_block(dim)):
             assert np.abs(m @ m.conj().T - np.eye(dim)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Kernels against index-loop references
+
+
+def random_unitary(rng, k):
+    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_state(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def reference_apply_block(state, dims, axes, matrix):
+    """out[i] = sum over j agreeing with i off ``axes`` of matrix[i|axes, j|axes] * state[j]."""
+    assert state.size <= 256
+    sub = tuple(dims[a] for a in axes)
+    out = np.zeros(state.size, dtype=np.complex128)
+    for i in range(state.size):
+        idx_i = np.unravel_index(i, dims)
+        row = np.ravel_multi_index(tuple(idx_i[a] for a in axes), sub)
+        for col in range(matrix.shape[0]):
+            idx_j = list(idx_i)
+            for a, v in zip(axes, np.unravel_index(col, sub)):
+                idx_j[a] = v
+            out[i] += matrix[row, col] * state[np.ravel_multi_index(tuple(idx_j), dims)]
+    return out
+
+
+def check_apply_block(rng, dims, axes):
+    k = math.prod(dims[a] for a in axes)
+    state = random_state(rng, math.prod(dims))
+    before = state.copy()
+    u = random_unitary(rng, k)
+    got = apply_block(state, dims, axes, u)
+    assert np.abs(got - reference_apply_block(before, dims, axes, u)).max() < 1e-12
+    assert np.array_equal(state, before) and not np.shares_memory(got, state)
+
+
+CASES = [
+    ((3, 4, 2, 2), (1,)),  # interior
+    ((3, 4, 2, 2), (0, 1)),  # leading
+    ((5, 2, 2), (2, 0)),  # reversed
+    ((2, 2, 4, 2, 2), (2, 4)),  # non-adjacent
+    ((16, 4), (0,)),
+    ((7, 2), (1,)),
+]
+
+
+@pytest.mark.parametrize("dims,axes", CASES)
+def test_apply_block_matches_index_loop(dims, axes):
+    check_apply_block(np.random.default_rng(hash((dims, axes)) % 2**32), dims, axes)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_apply_block_matches_index_loop_random(seed):
+    rng = np.random.default_rng(seed)
+    n_axes = int(rng.integers(2, 5))
+    dims = tuple(int(rng.integers(2, 5)) for _ in range(n_axes))
+    count = int(rng.integers(1, min(3, n_axes) + 1))
+    axes = tuple(int(a) for a in rng.choice(n_axes, size=count, replace=False))
+    if math.prod(dims[a] for a in axes) > 16:
+        return
+    check_apply_block(rng, dims, axes)
+
+
+def test_permute_rows_matches_basis_gathers():
+    rng = np.random.default_rng(77)
+    for rows, width in [(12, 16), (64, 4), (7, 3), (1, 5)]:
+        perm = rng.permutation(rows)
+        shim = SimpleNamespace(apply=lambda e: permute_rows(e, perm, width))
+        m = oracle_matrix(shim, rows, width)
+        want = np.zeros((rows * width, rows * width))
+        for r in range(rows):
+            for c in range(width):
+                want[r * width + c, perm[r] * width + c] = 1.0
+        assert np.array_equal(m, want)
+        state = random_state(rng, rows * width)
+        before = state.copy()
+        got = permute_rows(state, perm, width)
+        assert np.array_equal(got, want @ before)
+        assert np.array_equal(state, before) and not np.shares_memory(got, state)
+
+
+def test_apply_block_preserves_norm():
+    rng = np.random.default_rng(5)
+    state = random_state(rng, 48)
+    state /= np.linalg.norm(state)
+    out = apply_block(state, (3, 4, 2, 2), (1,), random_unitary(rng, 4))
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def test_apply_block_rejects_mismatch():
+    with pytest.raises(ValueError):
+        apply_block(np.zeros(8, dtype=complex), (2, 2, 2), (0,), np.eye(4))
+
+
+def test_run_pre_query_states_are_independent():
+    trace = run(grover_or(3, 2), oracle_bit("010"))
+    states = trace.pre_query_states + (trace.final_state,)
+    assert len(states) == 3
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            assert not np.shares_memory(a, b)
