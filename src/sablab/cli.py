@@ -138,9 +138,7 @@ def _cmd_adv(args) -> int:
         _emit_json(args, payload)
         return 0
     f = _resolve_function(args)
-    value, x = measures.fbs_global(f)
-    if args.x is not None:
-        x = BitString.coerce(args.x)
+    x = BitString.coerce(args.x) if args.x is not None else measures.fbs_global(f)[1]
     sol = measures.fbs(f, x)
     tol = args.tol if args.tol is not None else adversary.RESIDUAL_TOL
     if args.construction == "fbs":
@@ -246,10 +244,7 @@ def _cmd_protocol_index_find(args) -> int:
     if args.mode == "repeat":
         report = protocols.find_index_repeat(alg, w, budget=args.budget, seed=args.seed)
     else:
-        try:
-            report = protocols.find_index_amplified(alg, w, rounds=args.rounds, seed=args.seed)
-        except protocols.ProtocolError as exc:
-            raise CliError(str(exc)) from exc
+        report = protocols.find_index_amplified(alg, w, rounds=args.rounds, seed=args.seed)
     _emit_json(args, report.to_json_dict())
     return 0
 
@@ -333,7 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (CliError, BoolFnError, SabotageError, measures.MeasureError,
-            adversary.AdversaryError, qsim.SimulationError, OSError) as exc:
+            adversary.AdversaryError, qsim.SimulationError, protocols.ProtocolError,
+            OSError) as exc:
         print(f"sablab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

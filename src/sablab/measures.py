@@ -128,16 +128,13 @@ def fbs(
             dual=zeros,
             exact=exact,
         )
+    c, b = np.ones(opp.size), np.ones(f.n)
     if exact:
         if f.n > EXACT_ARITY_CAP:
             raise MeasureError(f"exact mode supports arity <= {EXACT_ARITY_CAP}")
-        sol = simplex.solve_exact(
-            [Fraction(1)] * opp.size,
-            [[Fraction(int(v)) for v in row] for row in A],
-            [Fraction(1)] * f.n,
-        )
+        sol = simplex.solve_exact(c, A, b)
     else:
-        sol = simplex.solve_float(np.ones(opp.size), A, np.ones(f.n), tol=tol)
+        sol = simplex.solve_float(c, A, b, tol=tol)
     domain = f.domain()
     weights = {domain[i]: w for i, w in zip(opp, sol.weights) if w > 0}
     return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)

@@ -133,33 +133,35 @@ class ConvertedAlgorithm:
 
     def decide(self, w: StrongInput) -> dict:
         """Distribution over sabotage guesses: source answer 0 means star."""
-        trace = run(self.wrapped, oracle_strong(w))
-        assert trace.distribution is not None
         out: dict = {}
-        for answer, p in trace.distribution.items():
+        for answer, p in run_converted(self, w).items():
             guess = {0: "*", 1: "+"}.get(answer, answer)
             out[guess] = out.get(guess, 0.0) + p
         return out
+
+
+def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorithm:
+    """Move ``alg`` onto the strong layout; each query becomes QUERY, gadget, QUERY_INV."""
+    steps: list = []
+    for step in alg.steps:
+        if step == QUERY_INV:
+            raise ProtocolError("source algorithms must use forward queries only")
+        if step == QUERY:
+            steps.extend([QUERY, gadget, QUERY_INV])
+        else:
+            steps.append(tuple(_remap_gate(g) for g in step))
+    return QueryAlgorithm(
+        layout=_wrapped_layout(alg.layout),
+        steps=tuple(steps),
+        measure=_remap_measure(alg.measure),
+    )
 
 
 def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
     """Replace every standard query by the two-strong-query gadget."""
     if alg.layout.symbol != "bit":
         raise ProtocolError("conversion expects an algorithm over the standard bit oracle")
-    steps: list = []
-    for step in alg.steps:
-        if step == QUERY_INV:
-            raise ProtocolError("source algorithms must use forward queries only")
-        if step == QUERY:
-            steps.extend([QUERY, _resolve_gates(), QUERY_INV])
-        else:
-            steps.append(tuple(_remap_gate(g) for g in step))
-    wrapped = QueryAlgorithm(
-        layout=_wrapped_layout(alg.layout),
-        steps=tuple(steps),
-        measure=_remap_measure(alg.measure),
-    )
-    return ConvertedAlgorithm(source=alg, wrapped=wrapped)
+    return ConvertedAlgorithm(source=alg, wrapped=_wrap_strong(alg, _resolve_gates()))
 
 
 def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
@@ -181,20 +183,7 @@ def _branch_algorithm(alg: QueryAlgorithm, branch: int) -> QueryAlgorithm:
     identity on the bz register.
     """
     source_wire = 1 if branch == 0 else 2
-    fetch = Gate.block(xor_controlled_block(2, [1]), (source_wire, 4))
-    steps: list = []
-    for step in alg.steps:
-        if step == QUERY_INV:
-            raise ProtocolError("source algorithms must use forward queries only")
-        if step == QUERY:
-            steps.extend([QUERY, (fetch,), QUERY_INV])
-        else:
-            steps.append(tuple(_remap_gate(g) for g in step))
-    return QueryAlgorithm(
-        layout=_wrapped_layout(alg.layout),
-        steps=tuple(steps),
-        measure=_remap_measure(alg.measure),
-    )
+    return _wrap_strong(alg, (Gate.block(xor_controlled_block(2, [1]), (source_wire, 4)),))
 
 
 @dataclass(frozen=True)
@@ -286,6 +275,8 @@ def find_index_repeat(
 
     Budget exhaustion is reported as a failure value, not an exception.
     """
+    if budget < 0:
+        raise ProtocolError(f"budget must be >= 0, got {budget}")
     traces = _interrupt_traces(alg, w)
     p = traces.per_trial_success
     # A-priori success probability of the whole budgeted procedure.

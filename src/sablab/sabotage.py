@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .boolfn import BitString, PartialFunction
 
@@ -159,7 +158,6 @@ def _sabotage(x: BitString, y: BitString, marker: int) -> SabString:
     return SabString(tuple(a if a == b else marker for a, b in zip(x, y)))
 
 
-@lru_cache(maxsize=64)
 def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], frozenset[SabString]]:
     """Sets of star- and dagger-sabotaged inputs over all (0-input, 1-input) pairs."""
     zeros, ones = f.d0, f.d1
@@ -171,12 +169,18 @@ def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], froze
 
 
 def eval_sab(f: PartialFunction, z: SabString) -> int:
-    """0 for star-sabotaged inputs of f, 1 for dagger-sabotaged ones."""
-    stars, daggers = enumerate_sabotaged(f)
-    if z in stars:
-        return 0
-    if z in daggers:
-        return 1
+    """0 for star-sabotaged inputs of f, 1 for dagger-sabotaged ones.
+
+    z is sabotaged when some x in f's 0-set agrees with z off its marked
+    positions and x with those positions flipped lies in f's 1-set.
+    """
+    if len(z) != f.n:
+        raise SabotageError(f"{z} has length {len(z)}, but {f.name} has arity {f.n}")
+    marks = z.mark_positions
+    fixed = [(j, s) for j, s in enumerate(z.symbols) if s < STAR]
+    for x in f.d0:
+        if all(x.bits[j] == s for j, s in fixed) and f.entries.get(x.flip(marks)) == 1:
+            return 0 if z.marker == STAR else 1
     raise SabotageError(f"{z} is not a sabotaged input of {f.name}")
 
 

@@ -1,15 +1,17 @@
 """Dense tableau simplex for small LPs of the form max c.w s.t. Aw <= b, w >= 0.
 
-Two arithmetic modes share the pivoting logic shape:
+One pivot loop runs over two arithmetic types:
 
-* float mode: numpy tableau, 1e-9 pivot tolerance.  The entering rule is
-  steepest-coefficient for speed; whenever the objective stalls (degenerate
-  pivots) the solver engages Bland's anti-cycling rule until progress resumes,
-  so termination is guaranteed.
-* exact mode: ``fractions.Fraction`` tableau with Bland's rule throughout.
+* float mode (:func:`solve_float`): a ``float64`` tableau with a 1e-9 pivot
+  tolerance.
+* exact mode (:func:`solve_exact`): an object tableau of
+  ``fractions.Fraction`` with tolerance 0, so every comparison is exact.
 
-Both modes return the dual vector read off the optimal tableau (the reduced
-costs of the slack columns), which certifies optimality via strong duality.
+The entering rule is steepest-coefficient; whenever the objective stalls
+(degenerate pivots) the solver engages Bland's anti-cycling rule until
+progress resumes, so termination is guaranteed.  Both modes return the dual
+vector read off the optimal tableau (the reduced costs of the slack
+columns), which certifies optimality via strong duality.
 """
 
 from __future__ import annotations
@@ -47,18 +49,33 @@ def solve_float(
     c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL
 ) -> LpSolution:
     """Float-mode simplex.  Requires b >= 0 (the all-slack basis is feasible)."""
-    A = np.asarray(A, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    return _solve(c, A, b, tol, float)
+
+
+def solve_exact(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LpSolution:
+    """Exact rational simplex: the same pivot loop over ``Fraction`` entries."""
+    return _solve(c, A, b, 0, Fraction)
+
+
+def _as_array(values, num: type) -> np.ndarray:
+    """``values`` as a float64 array, or as an object array of Fractions."""
+    if num is float:
+        return np.asarray(values, dtype=np.float64)
+    return np.frompyfunc(Fraction, 1, 1)(np.asarray(values, dtype=object))
+
+
+def _solve(c, A, b, tol, num: type) -> LpSolution:
+    """The pivot loop in ``num`` arithmetic: float with ``tol``, or Fraction with 0."""
+    A, c, b = _as_array(A, num), _as_array(c, num), _as_array(b, num)
     n_rows, n_vars = A.shape
-    if b.min(initial=0.0) < 0:
+    if np.any(b < 0):
         raise SimplexError("negative right-hand side; all-slack basis infeasible")
 
     # Tableau columns: structural variables then slacks.
-    T = np.hstack([A, np.eye(n_rows)])
-    rhs = b.astype(np.float64).copy()
-    zrow = np.concatenate([-c, np.zeros(n_rows)])
-    zval = 0.0
+    T = np.hstack([A, _as_array(np.eye(n_rows), num)])
+    rhs = b.copy()
+    zrow = np.concatenate([-c, _as_array(np.zeros(n_rows), num)])
+    zval = num(0)
     basis = list(range(n_vars, n_vars + n_rows))
 
     pivots = 0
@@ -78,16 +95,19 @@ def solve_float(
             raise SimplexError("unbounded linear program")
         ratios = rhs[pos] / col[pos]
         best = ratios.min()
-        ties = pos[np.flatnonzero(ratios <= best + tol * max(1.0, abs(best)))]
+        # The int 1 keeps the tie bound a Fraction in exact mode.
+        ties = pos[np.flatnonzero(ratios <= best + tol * max(1, abs(best)))]
         leave = int(min(ties, key=lambda i: basis[i]))
 
         piv = T[leave, enter]
         T[leave] /= piv
         rhs[leave] /= piv
         factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
-        rhs -= factors * rhs[leave]
+        factors[leave] = 0
+        # Rows with a zero entering-column entry are unchanged by the pivot.
+        rows = np.flatnonzero(factors)
+        T[rows] -= np.outer(factors[rows], T[leave])
+        rhs[rows] -= factors[rows] * rhs[leave]
         gain = -zrow[enter] * rhs[leave]
         zval += gain
         zrow = zrow - zrow[enter] * T[leave]
@@ -104,72 +124,17 @@ def solve_float(
             stall = 0
             bland = False
 
-    weights = np.zeros(n_vars)
+    weights = _as_array(np.zeros(n_vars), num)
     for i, var in enumerate(basis):
         if var < n_vars:
             weights[var] = rhs[i]
-    weights[np.abs(weights) < tol] = 0.0
+    weights[np.abs(weights) < tol] = 0
     dual = zrow[n_vars:].copy()
-    dual[np.abs(dual) < tol] = 0.0
+    dual[np.abs(dual) < tol] = 0
     return LpSolution(
-        value=float(zval),
-        weights=tuple(float(w) for w in weights),
-        dual=tuple(float(u) for u in dual),
+        value=num(zval),
+        weights=tuple(weights.tolist()),
+        dual=tuple(dual.tolist()),
         pivots=pivots,
-        exact=False,
-    )
-
-
-def solve_exact(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LpSolution:
-    """Exact rational simplex with Bland's rule (entering and leaving)."""
-    n_rows = len(A)
-    n_vars = len(c)
-    T = [[Fraction(A[i][j]) for j in range(n_vars)] + [Fraction(int(i == k)) for k in range(n_rows)] for i in range(n_rows)]
-    rhs = [Fraction(v) for v in b]
-    if any(v < 0 for v in rhs):
-        raise SimplexError("negative right-hand side; all-slack basis infeasible")
-    zrow = [-Fraction(v) for v in c] + [Fraction(0)] * n_rows
-    zval = Fraction(0)
-    basis = list(range(n_vars, n_vars + n_rows))
-    total = n_vars + n_rows
-
-    pivots = 0
-    while True:
-        enter = next((j for j in range(total) if zrow[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(n_rows):
-            if T[i][enter] > 0:
-                ratio = rhs[i] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            raise SimplexError("unbounded linear program")
-
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        rhs[leave] /= piv
-        for i in range(n_rows):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [vi - f * vl for vi, vl in zip(T[i], T[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = zrow[enter]
-        zrow = [vi - f * vl for vi, vl in zip(zrow, T[leave])]
-        zval -= f * rhs[leave]
-        basis[leave] = enter
-
-        pivots += 1
-        if pivots > _MAX_PIVOTS:
-            raise SimplexError("pivot limit exceeded")
-
-    weights = [Fraction(0)] * n_vars
-    for i, var in enumerate(basis):
-        if var < n_vars:
-            weights[var] = rhs[i]
-    dual = tuple(zrow[n_vars:])
-    return LpSolution(
-        value=zval, weights=tuple(weights), dual=dual, pivots=pivots, exact=True
+        exact=num is Fraction,
     )

@@ -30,13 +30,23 @@ def test_tracer_hooks_every_layer(monkeypatch):
     assert qsim.apply_block is original
 
 
-def test_simulate_wide_smoke_run():
+def _smoke_run(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(SABBENCH / "run.py"), "--workload", "simulate-wide", "--smoke", "--trace", "0"],
+        [sys.executable, str(SABBENCH / "run.py"), "--workload", workload, "--smoke", "--trace", "0"],
         stdout=subprocess.PIPE,
         text=True,
         check=True,
         timeout=300,
     )
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_simulate_wide_smoke_run():
+    result = _smoke_run("simulate-wide")
+    assert result["correct"] is True and result["failed"] == 0
+
+
+def test_certify_smoke_run():
+    # The certify oracles include exact Fraction LP optimality of solve_exact.
+    result = _smoke_run("certify")
     assert result["correct"] is True and result["failed"] == 0

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from sablab import measures
 from sablab.cli import main
 
 
@@ -115,6 +116,29 @@ def test_protocol_index_find_amplified(capsys):
     )
     payload = json.loads(out)
     assert code == 0 and abs(payload["exact_success"] - 1.0) < 1e-9
+
+
+def test_protocol_errors_exit_2(capsys):
+    for argv in (
+        ("--alg", "grover-or-4-0", "--pair", "0000,0010"),  # no queries
+        ("--alg", "grover-or-4-0", "--pair", "0000,0010", "--mode", "amplified"),
+        ("--alg", "grover-or-4-1", "--pair", "0000,0010", "--budget", "-2"),
+    ):
+        code, out, err = run_cli(capsys, "protocol", "index-find", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("sablab: ") and "Traceback" not in err
+
+
+def test_adv_at_point_skips_global_sweep(capsys, monkeypatch):
+    def no_sweep(f, exact=False):
+        pytest.fail("adv --x ran the fbs_global sweep")
+
+    monkeypatch.setattr(measures, "fbs_global", no_sweep)
+    code, out, _ = run_cli(
+        capsys, "adv", "--construction", "fbs", "--fn", "OR", "--n", "2", "--x", "00"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["x"] == "00" and abs(payload["value"] - 2**0.5) < 1e-6
 
 
 def test_usage_errors_exit_2(capsys):

@@ -150,6 +150,16 @@ def test_find_index_repeat_budget_zero_is_failure_value():
     assert not rep.valid and rep.position is None and rep.exact_success == 0.0
 
 
+def test_find_index_repeat_rejects_negative_budget(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        pytest.fail("a negative budget was simulated before it was refused")
+
+    monkeypatch.setattr(protocols, "run", no_simulation)
+    alg, w = _deutsch_instance()
+    with pytest.raises(ProtocolError, match="budget"):
+        find_index_repeat(alg, w, budget=-2, seed=0)
+
+
 def _quarter_instance():
     """One-query preparation leaving exactly 1/4 of the index mass on B = {2}."""
     layout = RegisterLayout(n=2, symbol="bit", workspace=1)

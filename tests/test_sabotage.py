@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -103,6 +105,12 @@ def test_enumerate_matches_bruteforce(f):
         assert eval_sab(f, z) == 0
     for z in daggers:
         assert eval_sab(f, z) == 1
+    for marker, members in ((STAR, stars), (DAGGER, daggers)):
+        for symbols in itertools.product((0, 1, marker), repeat=f.n):
+            if marker not in symbols or SabString(symbols) in members:
+                continue
+            with pytest.raises(SabotageError):
+                eval_sab(f, SabString(symbols))
 
 
 def test_eval_sab_or2():
@@ -111,6 +119,8 @@ def test_eval_sab_or2():
     assert eval_sab(f, SabString.from_text("++")) == 1
     with pytest.raises(SabotageError):
         eval_sab(f, SabString.from_text("1*"))  # not a sabotaged input of OR_2
+    with pytest.raises(SabotageError):
+        eval_sab(f, SabString.from_text("0*0"))  # length mismatch
 
 
 def test_make_strong():

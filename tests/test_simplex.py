@@ -47,22 +47,51 @@ def test_degenerate_lp_terminates():
 def test_unbounded_detected():
     with pytest.raises(SimplexError):
         solve_float(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(SimplexError):
+        solve_exact([1, 0], [[0, 1]], [1])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(SimplexError):
         solve_float(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+    with pytest.raises(SimplexError):
+        solve_exact([1], [[1]], [-1])
 
 
-def test_dual_feasibility():
+BEALE_C = [Fraction(3, 4), -20, Fraction(1, 2), -6]
+BEALE_A = [
+    [Fraction(1, 4), -8, -1, 9],
+    [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+    [0, 0, 1, 0],
+]
+BEALE_B = [0, 0, 1]
+
+
+def test_beale_cycling_lp_both_modes():
+    # Beale's LP cycles under the textbook rule; the stall fallback to
+    # Bland's rule must reach the optimum 5/4 in both arithmetic modes.
+    exact = solve_exact(BEALE_C, BEALE_A, BEALE_B)
+    assert exact.value == Fraction(5, 4)
+    assert exact.dual_value(BEALE_B) == exact.value
+    A = np.array(BEALE_A, dtype=float)
+    approx = solve_float(np.array(BEALE_C, dtype=float), A, np.array(BEALE_B, dtype=float))
+    assert abs(approx.value - 1.25) < 1e-9
+    assert abs(approx.dual_value(BEALE_B) - approx.value) < 1e-9
+    assert approx.pivots == exact.pivots  # one pivot loop, one pivot sequence
+
+
+def _random_lps():
     rng = np.random.default_rng(7)
     for _ in range(25):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         A = rng.integers(0, 2, size=(n, m)).astype(float)
         A[:, 0] = np.maximum(A[:, 0], 1.0)  # keep the LP bounded
         A[0, :] = np.maximum(A[0, :], 1.0)
-        c = np.ones(m)
-        b = np.ones(n)
+        yield np.ones(m), A, np.ones(n)
+
+
+def test_dual_feasibility():
+    for c, A, b in _random_lps():
         sol = solve_float(c, A, b)
         dual = np.array(sol.dual)
         assert dual.min() >= -1e-9
@@ -71,3 +100,18 @@ def test_dual_feasibility():
         w = np.array(sol.weights)
         assert w.min() >= -1e-12
         assert (A @ w - b).max() <= 1e-9  # primal feasible
+
+
+def test_dual_feasibility_exact():
+    for c, A, b in _random_lps():
+        sol = solve_exact(c, A, b)
+        assert sol.exact
+        assert all(type(v) is Fraction for v in (sol.value, *sol.weights, *sol.dual))
+        rows = A.astype(int).tolist()
+        columns = A.T.astype(int).tolist()
+        assert min(sol.dual) >= 0
+        assert all(sum(a * u for a, u in zip(col, sol.dual)) >= 1 for col in columns)  # dual feasible
+        assert sol.dual_value([1] * len(b)) == sol.value  # strong duality, exactly
+        assert min(sol.weights) >= 0
+        assert all(sum(a * w for a, w in zip(row, sol.weights)) <= 1 for row in rows)  # primal feasible
+        assert sum(sol.weights) == sol.value
