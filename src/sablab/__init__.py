@@ -53,6 +53,7 @@ from .qsim import (
     algorithm_from_json,
     algorithm_to_json,
     deutsch_parity,
+    evolve,
     grover_find_mark,
     grover_or,
     hybrid_sum,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,10 +26,13 @@ from .qsim import (
     QUERY_INV,
     Gate,
     Measurement,
+    Oracle,
     QueryAlgorithm,
     RegisterLayout,
     amplitude_amplify,
+    evolve,
     grover_find_mark,
+    index_block_mass,
     oracle_strong,
     run,
     xor_controlled_block,
@@ -188,19 +192,16 @@ def _branch_algorithm(alg: QueryAlgorithm, branch: int) -> QueryAlgorithm:
 
 @dataclass(frozen=True)
 class _BranchTraces:
+    """Per branch (0: the run on x, 1: on y), block mass and index marginal before each query."""
+
     block: tuple[int, ...]
     t_count: int
-    p_x: tuple[float, ...]
-    p_y: tuple[float, ...]
-    index_probs_x: tuple[np.ndarray, ...]
-    index_probs_y: tuple[np.ndarray, ...]
-    states_x: tuple[np.ndarray, ...]
-    states_y: tuple[np.ndarray, ...]
-    layout: RegisterLayout
+    p_t: tuple[tuple[float, ...], ...]
+    index_probs: tuple[tuple[np.ndarray, ...], ...]
 
     @property
     def per_trial_success(self) -> float:
-        return (sum(self.p_x) + sum(self.p_y)) / (2.0 * self.t_count)
+        return (sum(self.p_t[0]) + sum(self.p_t[1])) / (2.0 * self.t_count)
 
 
 def _check_distinguisher(alg: QueryAlgorithm, w: StrongInput) -> None:
@@ -210,40 +211,38 @@ def _check_distinguisher(alg: QueryAlgorithm, w: StrongInput) -> None:
         raise ProtocolError("input length does not match the algorithm arity")
 
 
+def _interrupt_states(alg: QueryAlgorithm, branch: int, oracle: Oracle) -> Iterator[np.ndarray]:
+    """Stream the branch run's states right before each source query.
+
+    Each source query turns into QUERY + QUERY_INV and interrupts happen
+    before the forward queries only: every other pre-query state, never the
+    final one.  The run is drained to its end, so every norm check runs.
+    """
+    for k, state in enumerate(evolve(_branch_algorithm(alg, branch), oracle)):
+        if k % 2 == 0 and k < 2 * alg.query_count:
+            yield state
+
+
 def _interrupt_traces(alg: QueryAlgorithm, w: StrongInput) -> _BranchTraces:
     _check_distinguisher(alg, w)
     block = tuple(sorted(valid_index_answers(w)))
     oracle = oracle_strong(w)
-    per_branch: list[tuple[tuple[float, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = []
     layout = _wrapped_layout(alg.layout)
+    p_t, index_probs = [], []
     for branch in (0, 1):
-        trace = run(_branch_algorithm(alg, branch), oracle, block=block)
-        # Each source query turns into QUERY + QUERY_INV; interrupts happen
-        # before the forward queries only.
-        states = trace.pre_query_states[0::2]
-        assert trace.p_t is not None
-        p_t = trace.p_t[0::2]
-        probs = tuple(
-            (np.abs(state.reshape(layout.n, -1)) ** 2).sum(axis=1) for state in states
-        )
-        per_branch.append((p_t, probs, states))
-    return _BranchTraces(
-        block=block,
-        t_count=alg.query_count,
-        p_x=per_branch[0][0],
-        p_y=per_branch[1][0],
-        index_probs_x=per_branch[0][1],
-        index_probs_y=per_branch[1][1],
-        states_x=per_branch[0][2],
-        states_y=per_branch[1][2],
-        layout=layout,
-    )
+        masses, marginals = [], []
+        for state in _interrupt_states(alg, branch, oracle):
+            masses.append(index_block_mass(state, layout, block))
+            marginals.append((np.abs(state.reshape(layout.n, -1)) ** 2).sum(axis=1))
+        p_t.append(tuple(masses))
+        index_probs.append(tuple(marginals))
+    return _BranchTraces(block, alg.query_count, tuple(p_t), tuple(index_probs))
 
 
 def _one_trial(traces: _BranchTraces, rng: np.random.Generator) -> tuple[int, bool, int]:
     branch = int(rng.integers(2))
     t = int(rng.integers(1, traces.t_count + 1))
-    probs = (traces.index_probs_x if branch == 0 else traces.index_probs_y)[t - 1]
+    probs = traces.index_probs[branch][t - 1]
     probs = probs / probs.sum()
     position = int(rng.choice(len(probs), p=probs)) + 1
     valid = position in traces.block  # the one-query verification
@@ -320,6 +319,8 @@ def find_index_amplified(
     Reported query cost is (2 rounds + 1) * (2 T + 1) strong queries.
     """
     _check_distinguisher(alg, w)
+    if rounds < 0:
+        raise ProtocolError(f"rounds must be >= 0, got {rounds}")
     # The dilation size follows from the layout alone: refuse before simulating.
     t_count = alg.query_count
     source_dim = _wrapped_layout(alg.layout).total_dim
@@ -329,18 +330,18 @@ def find_index_amplified(
         raise ProtocolError(
             f"coherent dilation needs dimension {total} > {DIM_CAP}; use find_index_repeat"
         )
-    traces = _interrupt_traces(alg, w)
+    block = tuple(sorted(valid_index_answers(w)))
+    oracle = oracle_strong(w)
 
-    n = traces.layout.n
-    row = source_dim // n
+    row = source_dim // alg.layout.n
     flat_block = np.zeros(source_dim, dtype=bool)
-    for j in traces.block:
+    for j in block:
         flat_block[(j - 1) * row : j * row] = True
 
     amp = 1.0 / math.sqrt(2.0 * t_count)
     prep = np.zeros(dims, dtype=np.complex128)
-    for c, states in ((0, traces.states_x), (1, traces.states_y)):
-        for t, state in enumerate(states, start=1):
+    for c in (0, 1):
+        for t, state in enumerate(_interrupt_states(alg, c, oracle), start=1):
             prep[c, t, :, 1] = amp * np.where(flat_block, state, 0.0)
             prep[c, t, :, 0] = amp * np.where(flat_block, 0.0, state)
     prep = prep.reshape(-1)
@@ -356,7 +357,7 @@ def find_index_amplified(
     outcome = int(rng.choice(total, p=probs))
     _, _, source_idx, _flag = np.unravel_index(outcome, dims)
     position = int(source_idx // row) + 1
-    valid = position in traces.block  # the one-query verification
+    valid = position in block  # the one-query verification
     return IndexFinderReport(
         protocol="find-index-amplified",
         queries_used=(2 * rounds + 1) * (2 * t_count + 1),

@@ -19,7 +19,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -325,11 +325,12 @@ def oracle_strong(w: StrongInput) -> Oracle:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """States right before each query, the final state, and block masses."""
+    """Final state of a run and its measured distribution (None without a measurement).
 
-    pre_query_states: tuple[np.ndarray, ...]
+    Intermediate states are not kept; :func:`evolve` streams them.
+    """
+
     final_state: np.ndarray
-    p_t: tuple[float, ...] | None
     distribution: dict | None
 
 
@@ -374,12 +375,12 @@ def measure_distribution(
     return out
 
 
-def run(alg: QueryAlgorithm, oracle: Oracle | None = None, block: Iterable[int] | None = None) -> SimTrace:
-    """Execute the algorithm exactly, recording every pre-query state.
+def evolve(alg: QueryAlgorithm, oracle: Oracle | None = None) -> Iterator[np.ndarray]:
+    """Yield the state right before each query, then the final state.
 
-    ``block`` (1-based positions) asks for the index-register mass on that
-    set right before each query, the p_t instrumentation of the hybrid
-    argument.
+    The only place steps are applied.  Every yielded array is fresh and never
+    written afterwards; the generator holds only the current state, so a
+    caller that keeps nothing runs in O(dim) memory whatever the query count.
     """
     layout = alg.layout
     if alg.query_count and oracle is None:
@@ -389,33 +390,27 @@ def run(alg: QueryAlgorithm, oracle: Oracle | None = None, block: Iterable[int] 
             f"oracle ({oracle.kind}, n={oracle.n}) does not fit layout "
             f"({layout.symbol}, n={layout.n})"
         )
-    block_set = sorted(set(block)) if block is not None else None
-    if block_set is not None and not block_set:
-        raise SimulationError("block must be non-empty")
-
     state = initial_state(layout)
-    pre_query: list[np.ndarray] = []
-    p_t: list[float] = []
     for step in alg.steps:
         if step in (QUERY, QUERY_INV):
-            pre_query.append(state)
-            if block_set is not None:
-                p_t.append(index_block_mass(state, layout, block_set))
+            yield state
             state = oracle.apply(state, adjoint=step == QUERY_INV)  # type: ignore[union-attr]
         else:
             state = apply_gates(state, layout, step)  # type: ignore[arg-type]
         norm = float(np.linalg.norm(state))
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm}")
+    yield state
+
+
+def run(alg: QueryAlgorithm, oracle: Oracle | None = None) -> SimTrace:
+    """Execute the algorithm exactly and measure its final state."""
+    for state in evolve(alg, oracle):
+        pass
     distribution = (
-        measure_distribution(state, layout, alg.measure) if alg.measure is not None else None
+        measure_distribution(state, alg.layout, alg.measure) if alg.measure is not None else None
     )
-    return SimTrace(
-        pre_query_states=tuple(pre_query),
-        final_state=state,
-        p_t=tuple(p_t) if block_set is not None else None,
-        distribution=distribution,
-    )
+    return SimTrace(final_state=state, distribution=distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -610,20 +605,17 @@ def hybrid_sum(
     if not block_t:
         raise SimulationError("block must be non-empty")
     yb = xb.flip(block_t)
-    trace_x = run(alg, oracle_family(xb), block=block_t)
-    trace_y = run(alg, oracle_family(yb), block=block_t)
-    overlaps = [
-        float(abs(np.vdot(sx, sy)))
-        for sx, sy in zip(trace_x.pre_query_states, trace_y.pre_query_states)
-    ]
-    overlaps.append(float(abs(np.vdot(trace_x.final_state, trace_y.final_state))))
-    assert trace_x.p_t is not None and trace_y.p_t is not None
-    return HybridReport(
-        block=block_t,
-        p_x=trace_x.p_t,
-        p_y=trace_y.p_t,
-        step_overlaps=tuple(overlaps),
-    )
+    # The two runs advance in lockstep; neither keeps its past states.
+    p_x: list[float] = []
+    p_y: list[float] = []
+    overlaps: list[float] = []
+    runs = zip(evolve(alg, oracle_family(xb)), evolve(alg, oracle_family(yb)))
+    for t, (sx, sy) in enumerate(runs):
+        if t < alg.query_count:
+            p_x.append(index_block_mass(sx, alg.layout, block_t))
+            p_y.append(index_block_mass(sy, alg.layout, block_t))
+        overlaps.append(float(abs(np.vdot(sx, sy))))
+    return HybridReport(block=block_t, p_x=tuple(p_x), p_y=tuple(p_y), step_overlaps=tuple(overlaps))
 
 
 # ---------------------------------------------------------------------------

@@ -50,3 +50,10 @@ def test_certify_smoke_run():
     # The certify oracles include exact Fraction LP optimality of solve_exact.
     result = _smoke_run("certify")
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_search_small_smoke_run():
+    # The search-small oracles check the interrupt and amplified index finders
+    # against the sine laws and the zero-round identity, and the oversize refusal.
+    result = _smoke_run("search-small")
+    assert result["correct"] is True and result["failed"] == 0

@@ -123,6 +123,7 @@ def test_protocol_errors_exit_2(capsys):
         ("--alg", "grover-or-4-0", "--pair", "0000,0010"),  # no queries
         ("--alg", "grover-or-4-0", "--pair", "0000,0010", "--mode", "amplified"),
         ("--alg", "grover-or-4-1", "--pair", "0000,0010", "--budget", "-2"),
+        ("--alg", "grover-or-4-1", "--pair", "0000,0010", "--mode", "amplified", "--rounds", "-1"),
     ):
         code, out, err = run_cli(capsys, "protocol", "index-find", *argv)
         assert code == 2 and out == ""

@@ -150,11 +150,18 @@ def test_find_index_repeat_budget_zero_is_failure_value():
     assert not rep.valid and rep.position is None and rep.exact_success == 0.0
 
 
-def test_find_index_repeat_rejects_negative_budget(monkeypatch):
+def _forbid_simulation(monkeypatch, message):
+    # The index finders simulate through protocols.evolve; run is patched too
+    # so that a path moved back onto it is still caught.
     def no_simulation(*args, **kwargs):
-        pytest.fail("a negative budget was simulated before it was refused")
+        pytest.fail(message)
 
+    monkeypatch.setattr(protocols, "evolve", no_simulation)
     monkeypatch.setattr(protocols, "run", no_simulation)
+
+
+def test_find_index_repeat_rejects_negative_budget(monkeypatch):
+    _forbid_simulation(monkeypatch, "a negative budget was simulated before it was refused")
     alg, w = _deutsch_instance()
     with pytest.raises(ProtocolError, match="budget"):
         find_index_repeat(alg, w, budget=-2, seed=0)
@@ -213,11 +220,15 @@ def test_find_index_amplified_sine_law():
         assert abs(amp.exact_success - math.sin((2 * rounds + 1) * theta) ** 2) < 1e-9
 
 
-def test_find_index_amplified_dimension_guard(monkeypatch):
-    def no_simulation(*args, **kwargs):
-        pytest.fail("the oversized request was simulated before it was refused")
+def test_find_index_amplified_rejects_negative_rounds(monkeypatch):
+    _forbid_simulation(monkeypatch, "negative rounds were simulated before they were refused")
+    alg, w = _deutsch_instance()
+    with pytest.raises(ProtocolError, match="rounds must be >= 0, got -1"):
+        find_index_amplified(alg, w, rounds=-1, seed=0)
 
-    monkeypatch.setattr(protocols, "run", no_simulation)
+
+def test_find_index_amplified_dimension_guard(monkeypatch):
+    _forbid_simulation(monkeypatch, "the oversized request was simulated before it was refused")
     layout = RegisterLayout(n=16, symbol="bit", workspace=1024)
     steps = [()]
     for _ in range(40):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from sablab.qsim import (
     apply_block,
     deutsch_parity,
     diffusion_block,
+    evolve,
     grover_find_mark,
     grover_or,
     hybrid_sum,
@@ -251,10 +253,51 @@ def test_hybrid_inequality_random_circuits(seed):
 def test_norm_preserved_along_runs():
     rng = np.random.default_rng(21)
     alg = random_query_algorithm(4, 3, rng)
-    trace = run(alg, oracle_bit("0110"), block=(2,))
-    for state in trace.pre_query_states + (trace.final_state,):
+    states = list(evolve(alg, oracle_bit("0110")))
+    assert len(states) == alg.query_count + 1
+    for state in states:
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
-    assert all(0.0 <= p <= 1.0 + 1e-12 for p in trace.p_t)
+        assert 0.0 <= index_block_mass(state, alg.layout, (2,)) <= 1.0 + 1e-12
+
+
+def test_run_final_state_is_last_evolved_state():
+    rng = np.random.default_rng(22)
+    alg = random_query_algorithm(3, 4, rng)
+    *_, last = evolve(alg, oracle_bit("101"))
+    assert np.array_equal(run(alg, oracle_bit("101")).final_state, last)
+
+
+def test_hybrid_sum_matches_materialised_runs():
+    rng = np.random.default_rng(23)
+    alg = random_query_algorithm(4, 3, rng)
+    block = (1, 3)
+    rep = hybrid_sum(alg, "0110", block)
+    xs = list(evolve(alg, oracle_bit("0110")))
+    ys = list(evolve(alg, oracle_bit(BitString.from_text("0110").flip(block))))
+    assert rep.p_x == tuple(index_block_mass(s, alg.layout, block) for s in xs[:-1])
+    assert rep.p_y == tuple(index_block_mass(s, alg.layout, block) for s in ys[:-1])
+    assert rep.step_overlaps == tuple(float(abs(np.vdot(sx, sy))) for sx, sy in zip(xs, ys))
+
+
+@pytest.mark.parametrize("simulate", ["run", "hybrid_sum"])
+def test_peak_memory_does_not_grow_with_queries(simulate):
+    # One state of the 4 x 2 x 2^12 layout is 512 KiB; the peak may differ by
+    # at most that between 2 and 8 queries.
+    def peak(queries: int) -> int:
+        alg = random_query_algorithm(4, queries, np.random.default_rng(24), workspace=2**12)
+        tracemalloc.start()
+        try:
+            if simulate == "run":
+                run(alg, oracle_bit("0110"))
+            else:
+                hybrid_sum(alg, "0110", (2,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    state_bytes = 4 * 2 * 2**12 * 16
+    short = peak(2)
+    assert peak(8) - short <= state_bytes
 
 
 def test_index_block_mass():
@@ -394,8 +437,7 @@ def test_apply_block_rejects_mismatch():
 
 
 def test_run_pre_query_states_are_independent():
-    trace = run(grover_or(3, 2), oracle_bit("010"))
-    states = trace.pre_query_states + (trace.final_state,)
+    states = list(evolve(grover_or(3, 2), oracle_bit("010")))
     assert len(states) == 3
     for i, a in enumerate(states):
         for b in states[i + 1:]:
