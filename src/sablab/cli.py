@@ -94,18 +94,16 @@ def _cmd_fbs(args) -> int:
     f = _resolve_function(args)
     tol = args.tol if args.tol is not None else measures.simplex.PIVOT_TOL
     if args.x is not None:
-        sol = measures.fbs(f, args.x, tol=tol)
-        sol.check_certificate(f)
-        value, x = sol.value, BitString.coerce(args.x)
+        x = BitString.coerce(args.x)
     else:
-        value, x = measures.fbs_global(f)
-        sol = measures.fbs(f, x, tol=tol)
-        sol.check_certificate(f)
+        x = measures.fbs_global(f)[1]
+    sol = measures.fbs(f, x, tol=tol)
+    sol.check_certificate(f)
     _emit_json(
         args,
         {
             "function": f.name,
-            "value": float(value),
+            "value": float(sol.value),
             "x": str(x),
             "weights": [{"y": str(y), "w": float(w)} for y, w in sorted(sol.weights.items())],
             "dual": [float(u) for u in sol.dual],

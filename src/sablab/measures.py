@@ -4,10 +4,19 @@
 subject to a unit load per coordinate: for every j, the weights of all y
 differing from x at j sum to at most 1.  Block sensitivity is the integral
 restriction, computed exactly by disjoint-block set packing.
+
+``fbs_global`` does not solve the LP at every point.  The dual of fbs(f, x)
+is a weight u >= 0 on coordinates covering every opposite y with weight at
+least 1.  Any u >= 0 whose worst coverage c at x is positive becomes a dual
+solution at x after division by c, so by weak duality fbs(f, x) <= sum(u) / c.
+The sweep keeps the duals of the points it solved and skips a point when one
+of them bounds it by the current best.  It returns exactly what a solve at
+every point would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -141,14 +150,42 @@ def fbs(
 
 
 def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fraction, BitString]:
-    """Maximum fbs over the declared domain; ties go to the smallest x."""
+    """Maximum fbs over the declared domain; ties go to the smallest x.
+
+    The LP is solved only where it could change the answer.  The dual u of
+    each solved point, clipped at 0, bounds a later point x by sum(u) / c,
+    where c > 0 is the least weight u puts on the coordinates where x differs
+    from an opposite input.  A point bounded by the current best is skipped,
+    since the full sweep would not replace the best there, so the result is
+    the full sweep's ``(fbs(f, x).value, x)``.  Exact mode compares in exact
+    arithmetic (each dual scaled to integers, which leaves sum(u) / c as it
+    is); in float mode the bound's rounding is far below the ``FEAS_TOL``
+    margin of the tie rule.
+    """
     if not f.d0 or not f.d1:
         raise MeasureError(f"{f.name} is constant on its domain")
+    bits, vals = f.arrays()
+    dtype = object if exact else np.float64
+    by_value = [bits[vals == v].astype(dtype) for v in (0, 1)]
+    pool = np.zeros((0, f.n), dtype=dtype)  # distinct clipped duals, one per row
     best_value: float | Fraction | None = None
     best_x: BitString | None = None
-    for x in f.domain():
-        value = fbs(f, x, exact=exact).value
-        if best_value is None or value > best_value + (0 if exact else FEAS_TOL):
-            best_value, best_x = value, x
+    for x, row, fx in zip(f.domain(), bits, vals):
+        if len(pool):
+            xbits = row.astype(dtype)
+            # coverage[y, k] = sum of pool[k, j] over j with x_j != y_j
+            coverage = by_value[1 - fx] @ (pool * (1 - 2 * xbits)).T + pool @ xbits
+            worst = coverage.min(axis=0)
+            if np.any((worst > 0) & (pool.sum(axis=1) <= best_value * worst)):
+                continue
+        sol = fbs(f, x, exact=exact)
+        if best_value is None or sol.value > best_value + (0 if exact else FEAS_TOL):
+            best_value, best_x = sol.value, x
+        dual = [max(u, 0) for u in sol.dual]
+        if exact:
+            scale = math.lcm(*(u.denominator for u in dual))
+            dual = [int(u * scale) for u in dual]
+        if not (pool == dual).all(axis=1).any():
+            pool = np.vstack([pool, np.array([dual], dtype=dtype)])
     assert best_value is not None and best_x is not None
     return best_value, best_x

@@ -24,6 +24,18 @@ def test_fbs_indexing(capsys):
     assert payload["weights"] and payload["dual"]
 
 
+def test_fbs_global_prints_one_solve(capsys, monkeypatch):
+    # The printed value must come from the solve whose weights are printed,
+    # not from the sweep that chose x.
+    sweep = measures.fbs_global
+    monkeypatch.setattr(measures, "fbs_global", lambda f: (-1.0, sweep(f)[1]))
+    code, out, _ = run_cli(capsys, "fbs", "--fn", "MAJ", "--n", "5", "--tol", "1e-6")
+    payload = json.loads(out)
+    assert code == 0 and payload["x"] == "00011"
+    assert abs(payload["value"] - sum(w["w"] for w in payload["weights"])) <= 1e-12
+    assert abs(payload["value"] - 3.0) < 1e-9
+
+
 def test_fbs_at_point(capsys):
     code, out, _ = run_cli(capsys, "fbs", "--fn", "OR", "--n", "4", "--x", "0000")
     payload = json.loads(out)

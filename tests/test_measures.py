@@ -7,10 +7,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import partial_functions
-from sablab.boolfn import BitString, catalog, make_indexing, make_named
+from sablab import measures
+from sablab.boolfn import (
+    BitString,
+    PartialFunction,
+    catalog,
+    make_indexing,
+    make_named,
+)
 from sablab.measures import (
+    FEAS_TOL,
     MeasureError,
     block_sensitivity,
     fbs,
@@ -89,6 +98,92 @@ def test_fbs_global_examples():
     # LP optimum 2, first attained at the lexicographically smallest point 001
     assert abs(value - 2) < 1e-9
     assert str(x) == "001"
+
+
+def full_sweep(f, exact):
+    """Reference for fbs_global: fbs at every domain point, same tie rule.
+
+    Returns every (value, x) that replaced the running best, in order; the
+    last one is the sweep's result.
+    """
+    records = []
+    for x in f.domain():
+        value = fbs(f, x, exact=exact).value
+        if not records or value > records[-1][0] + (0 if exact else FEAS_TOL):
+            records.append((value, x))
+    return records
+
+
+def _record_lp_solves(monkeypatch):
+    """Record (x, exact) of every fbs call fbs_global makes."""
+    calls = []
+
+    def recording(f, x, exact=False, **kwargs):
+        calls.append((x, exact))
+        return fbs(f, x, exact=exact, **kwargs)
+
+    monkeypatch.setattr(measures, "fbs", recording)
+    return calls
+
+
+def _check_against_full_sweep(f, exact, monkeypatch):
+    calls = _record_lp_solves(monkeypatch)
+    result = fbs_global(f, exact=exact)
+    records = full_sweep(f, exact)
+    assert result == records[-1], f.name
+    assert isinstance(result[0], Fraction if exact else float)
+    # Every point where the running best changes must have been solved.
+    solved = {x for x, _ in calls}
+    assert all(x in solved for _, x in records), f.name
+    assert all(flag == exact for _, flag in calls)
+    return result, calls
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_fbs_global_matches_full_sweep_on_catalog(exact, monkeypatch):
+    for f in catalog(max_arity=6):
+        _check_against_full_sweep(f, exact, monkeypatch)
+
+
+@given(partial_functions(max_arity=5), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_fbs_global_matches_full_sweep_random(f, exact):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_against_full_sweep(f, exact, monkeypatch)
+
+
+@pytest.mark.parametrize("k, exact", [(7, False), (7, True), (19, False)])
+def test_fbs_global_solves_where_the_bound_is_nearly_tight(k, exact, monkeypatch):
+    """An earlier dual can bound a better point within a factor k / (k - 1).
+
+    Take n = k + 1 and the domain 0^n, the weight-1 points (value 0) and the
+    weight-k points (value 1).  fbs(0^n) = n/k with the uniform dual 1/k.
+    The next point 0..01 has fbs (n-1)/(k-1) > n/k, and that dual bounds it
+    only by n/(k-1), so the sweep has to solve there.
+    """
+    n = k + 1
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    entries = {(0,) * n: 0}
+    entries.update({u: 0 for u in units})
+    entries.update({tuple(1 - b for b in u): 1 for u in units})
+    f = PartialFunction(f"THR_{k}", n, entries)
+    (value, x), _ = _check_against_full_sweep(f, exact, monkeypatch)
+    assert abs(value - Fraction(n - 1, k - 1)) < 1e-12 and str(x) == "0" * k + "1"
+
+
+def test_fbs_global_indexing_solves_few_lps(monkeypatch):
+    calls = _record_lp_solves(monkeypatch)
+    f = make_indexing(3)
+    value, x = fbs_global(f)
+    assert abs(value - 4) < 1e-9 and str(x) == "0" * 11
+    # A full sweep solves one LP at each of the 2048 domain points.
+    assert 0 < len(calls) <= 16
+
+
+def test_fbs_global_exact_mode_prunes(monkeypatch):
+    f = make_named("MAJ", 5)
+    _, calls = _check_against_full_sweep(f, True, monkeypatch)
+    assert 0 < len(calls) < len(f.domain())
 
 
 def test_fbs_global_rejects_constant():
