@@ -49,6 +49,9 @@ _NAMED_2Q = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
     ),
 }
+# Every named gate shares these arrays, so none may be written after its check.
+for _m in (*_NAMED_1Q.values(), *_NAMED_2Q.values()):
+    _m.flags.writeable = False
 
 
 class SimulationError(ValueError):
@@ -66,17 +69,20 @@ def apply_block(
 
     The state is C-ordered over ``dims``; ``axes[0]`` is most significant in
     the matrix row index.  Returns a fresh flat state and never writes into
-    ``state``.
+    ``state``.  Leading axes ``(0, 1, ...)`` need no transpose: the matmul
+    runs on a view of ``state``.
     """
     k = matrix.shape[0]
+    if len(set(axes)) != len(axes) or not all(0 <= a < len(dims) for a in axes):
+        raise ValueError(f"axes {axes} must be distinct and in 0..{len(dims) - 1}")
     if math.prod(dims[a] for a in axes) != k:
         raise ValueError("matrix size does not match the selected axes")
-    t = state.reshape(dims)
-    t = np.moveaxis(t, axes, range(len(axes)))
-    lead = t.shape[: len(axes)]
-    rest = t.shape[len(axes):]
-    out = matrix @ t.reshape(k, -1)
-    out = np.moveaxis(out.reshape(lead + rest), range(len(axes)), axes)
+    if axes == tuple(range(len(axes))):
+        return (matrix @ state.reshape(k, -1)).reshape(-1)
+    order = axes + tuple(a for a in range(len(dims)) if a not in axes)
+    inverse = tuple(order.index(a) for a in range(len(dims)))
+    t = state.reshape(dims).transpose(order)
+    out = (matrix @ t.reshape(k, -1)).reshape(t.shape).transpose(inverse)
     return np.ascontiguousarray(out).reshape(-1)
 
 
@@ -291,36 +297,26 @@ def oracle_bit(x: BitString | str) -> Oracle:
     """Standard Boolean oracle: the target bit is XORed with x_j."""
     xb = BitString.coerce(x)
     n = len(xb)
-    forward = np.empty(2 * n, dtype=np.int64)
-    for j in range(n):
-        for b in range(2):
-            forward[2 * j + b] = 2 * j + (b ^ xb[j])
-    return Oracle("bit", n, forward, str(xb))
+    j, b = np.ogrid[:n, :2]
+    xj = np.array(xb.bits, dtype=np.int64)[:, None]
+    return Oracle("bit", n, (2 * j + (b ^ xj)).reshape(-1), str(xb))
 
 
 def oracle_weak(z: SabString) -> Oracle:
     """Weak sabotage oracle: cyclic mod-4 addition of the symbol z_j."""
     n = len(z)
-    forward = np.empty(4 * n, dtype=np.int64)
-    for j in range(n):
-        for b in range(4):
-            forward[4 * j + b] = 4 * j + ((b + z[j]) % 4)
-    return Oracle("weak", n, forward, str(z))
+    j, b = np.ogrid[:n, :4]
+    zj = np.array(z.symbols, dtype=np.int64)[:, None]
+    return Oracle("weak", n, (4 * j + (b + zj) % 4).reshape(-1), str(z))
 
 
 def oracle_strong(w: StrongInput) -> Oracle:
     """Strong sabotage oracle returning the whole tuple (x_j, y_j, z_j)."""
     n = len(w)
-    forward = np.empty(16 * n, dtype=np.int64)
-    for j in range(n):
-        xj, yj, zj = w[j]
-        for bx in range(2):
-            for by in range(2):
-                for bz in range(4):
-                    src = ((j * 2 + bx) * 2 + by) * 4 + bz
-                    dst = ((j * 2 + (bx ^ xj)) * 2 + (by ^ yj)) * 4 + ((bz + zj) % 4)
-                    forward[src] = dst
-    return Oracle("strong", n, forward, str(w))
+    j, bx, by, bz = np.ogrid[:n, :2, :2, :4]
+    xj, yj, zj = np.array(w.tuples, dtype=np.int64).T.reshape(3, n, 1, 1, 1)
+    forward = ((j * 2 + (bx ^ xj)) * 2 + (by ^ yj)) * 4 + (bz + zj) % 4
+    return Oracle("strong", n, forward.reshape(-1), str(w))
 
 
 @dataclass(frozen=True)
@@ -341,8 +337,9 @@ def initial_state(layout: RegisterLayout) -> np.ndarray:
 
 
 def apply_gates(state: np.ndarray, layout: RegisterLayout, gates: Iterable[Gate]) -> np.ndarray:
+    dims = layout.dims
     for gate in gates:
-        state = apply_block(state, layout.dims, gate.wires, gate.matrix)
+        state = apply_block(state, dims, gate.wires, gate.matrix)
     return state
 
 
@@ -397,7 +394,7 @@ def evolve(alg: QueryAlgorithm, oracle: Oracle | None = None) -> Iterator[np.nda
             state = oracle.apply(state, adjoint=step == QUERY_INV)  # type: ignore[union-attr]
         else:
             state = apply_gates(state, layout, step)  # type: ignore[arg-type]
-        norm = float(np.linalg.norm(state))
+        norm = math.sqrt(np.vdot(state, state).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm}")
     yield state
@@ -449,11 +446,10 @@ def grover_or(n: int, iterations: int) -> QueryAlgorithm:
     steps: list[Step] = [
         (Gate.named("X", (1,)), Gate.named("H", (1,)), Gate.block(uniform_prep_block(n), (0,)))
     ]
-    for _ in range(iterations):
-        steps.append(QUERY)
-        steps.append((Gate.block(diffusion_block(n), (0,)),))
     if iterations == 0:
         steps.append(())
+    else:  # one diffusion gate, built and checked once, serves every iteration
+        steps += [QUERY, (Gate.block(diffusion_block(n), (0,)),)] * iterations
     measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 
@@ -468,13 +464,12 @@ def grover_marks(n: int, iterations: int) -> QueryAlgorithm:
         raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
     layout = RegisterLayout(n=n, symbol="weak", workspace=1)
     steps: list[Step] = [(Gate.block(uniform_prep_block(n), (0,)),)]
-    for _ in range(iterations):
-        steps.append(QUERY)
-        steps.append((Gate.block(phase_marks_block(), (1,)),))
-        steps.append(QUERY_INV)
-        steps.append((Gate.block(diffusion_block(n), (0,)),))
     if iterations == 0:
         steps.append(())
+    else:  # the mark and diffusion gates are built and checked once per circuit
+        mark = (Gate.block(phase_marks_block(), (1,)),)
+        diffuse = (Gate.block(diffusion_block(n), (0,)),)
+        steps += [QUERY, mark, QUERY_INV, diffuse] * iterations
     measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_matrix, total_variation
 from sablab.boolfn import BitString
-from sablab.sabotage import SabString, StrongInput
+from sablab.sabotage import SabotageError, SabString, StrongInput
 from sablab.qsim import (
     QUERY,
     QUERY_INV,
@@ -30,6 +31,7 @@ from sablab.qsim import (
     diffusion_block,
     evolve,
     grover_find_mark,
+    grover_marks,
     grover_or,
     hybrid_sum,
     index_block_mass,
@@ -65,6 +67,20 @@ def test_gate_validation():
         Gate.named("FOO", (0,))
     g = Gate.named("CPHASE", (1, 2), param=math.pi)
     assert abs(g.matrix[3, 3] + 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("name", ["H", "X", "Z", "CNOT", "CZ", "SWAP"])
+def test_named_gate_matrices_are_read_only(name):
+    wires = (0,) if name in ("H", "X", "Z") else (0, 1)
+    with pytest.raises(ValueError):
+        Gate.named(name, wires).matrix[0, 0] = 2
+    Gate.named(name, wires)  # still unitary: the shared constant was not written
+
+
+def test_grover_circuits_build_each_gate_once():
+    for alg, kinds in ((grover_or(5, 3), 1), (grover_marks(5, 3), 2)):
+        gates = [g for step in alg.steps[1:] if step not in (QUERY, QUERY_INV) for g in step]
+        assert len(gates) == 3 * kinds and len({id(g) for g in gates}) == kinds
 
 
 def test_weak_oracle_example_and_order():
@@ -260,6 +276,12 @@ def test_norm_preserved_along_runs():
         assert 0.0 <= index_block_mass(state, alg.layout, (2,)) <= 1.0 + 1e-12
 
 
+def test_evolve_rejects_norm_drift():
+    drifting = SimpleNamespace(kind="bit", n=2, apply=lambda state, adjoint=False: state * (1 + 1e-6))
+    with pytest.raises(SimulationError, match="state norm drifted"):
+        list(evolve(deutsch_parity(), drifting))
+
+
 def test_run_final_state_is_last_evolved_state():
     rng = np.random.default_rng(22)
     alg = random_query_algorithm(3, 4, rng)
@@ -367,13 +389,26 @@ def reference_apply_block(state, dims, axes, matrix):
     return out
 
 
-def check_apply_block(rng, dims, axes):
+def moveaxis_apply_block(state, dims, axes, matrix):
+    """The ``np.moveaxis`` formulation of apply_block, kept as a bitwise reference."""
+    k = matrix.shape[0]
+    t = np.moveaxis(state.reshape(dims), axes, range(len(axes)))
+    lead = t.shape[: len(axes)]
+    rest = t.shape[len(axes):]
+    out = matrix @ t.reshape(k, -1)
+    out = np.moveaxis(out.reshape(lead + rest), range(len(axes)), axes)
+    return np.ascontiguousarray(out).reshape(-1)
+
+
+def check_apply_block(rng, dims, axes, loop_reference=True):
     k = math.prod(dims[a] for a in axes)
     state = random_state(rng, math.prod(dims))
     before = state.copy()
     u = random_unitary(rng, k)
     got = apply_block(state, dims, axes, u)
-    assert np.abs(got - reference_apply_block(before, dims, axes, u)).max() < 1e-12
+    assert np.array_equal(got, moveaxis_apply_block(before, dims, axes, u))
+    if loop_reference:
+        assert np.abs(got - reference_apply_block(before, dims, axes, u)).max() < 1e-12
     assert np.array_equal(state, before) and not np.shares_memory(got, state)
 
 
@@ -403,6 +438,29 @@ def test_apply_block_matches_index_loop_random(seed):
     if math.prod(dims[a] for a in axes) > 16:
         return
     check_apply_block(rng, dims, axes)
+
+
+@pytest.mark.parametrize(
+    "dims,axes",
+    [
+        ((3, 4, 2, 2), (3,)),  # trailing
+        ((3, 4, 2, 2), (2, 3)),  # trailing pair
+        ((16, 2, 2, 2, 2, 2, 2), (0, 1)),  # leading 16x16 on a 2^10 state
+        ((8, 2, 2, 2, 2, 2, 2, 2), (1, 7)),  # target and a distant qubit
+        ((8, 2, 2, 2, 2, 2, 2, 2), (7,)),
+        ((8, 2, 2, 2, 2, 2, 2, 2), (4, 3)),
+    ],
+)
+def test_apply_block_bit_identical_to_moveaxis(dims, axes):
+    check_apply_block(np.random.default_rng(sum(dims) + sum(axes)), dims, axes, loop_reference=False)
+
+
+@pytest.mark.parametrize("axes", [(-1,), (0, 0), (3,), (0, 3)])
+def test_apply_block_rejects_bad_axes(axes):
+    state = np.zeros(8, dtype=complex)
+    matrix = np.eye(2 ** len(axes), dtype=complex)
+    with pytest.raises(ValueError, match="distinct and in 0..2"):
+        apply_block(state, (2, 2, 2), axes, matrix)
 
 
 def test_permute_rows_matches_basis_gathers():
@@ -442,3 +500,78 @@ def test_run_pre_query_states_are_independent():
     for i, a in enumerate(states):
         for b in states[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Oracle tables against their per-position definitions
+
+
+def loop_forward_bit(xb):
+    forward = np.empty(2 * len(xb), dtype=np.int64)
+    for j in range(len(xb)):
+        for b in range(2):
+            forward[2 * j + b] = 2 * j + (b ^ xb.bits[j])
+    return forward
+
+
+def loop_forward_weak(z):
+    forward = np.empty(4 * len(z), dtype=np.int64)
+    for j in range(len(z)):
+        for b in range(4):
+            forward[4 * j + b] = 4 * j + ((b + z.symbols[j]) % 4)
+    return forward
+
+
+def loop_forward_strong(w):
+    forward = np.empty(16 * len(w), dtype=np.int64)
+    for j in range(len(w)):
+        xj, yj, zj = w[j]
+        for bx in range(2):
+            for by in range(2):
+                for bz in range(4):
+                    src = ((j * 2 + bx) * 2 + by) * 4 + bz
+                    dst = ((j * 2 + (bx ^ xj)) * 2 + (by ^ yj)) * 4 + ((bz + zj) % 4)
+                    forward[src] = dst
+    return forward
+
+
+def check_oracle_tables(oracle, forward):
+    gather = np.empty(len(forward), dtype=np.int64)
+    gather[forward] = np.arange(len(forward), dtype=np.int64)
+    assert oracle._gather.dtype == oracle._gather_inv.dtype == np.int64
+    assert np.array_equal(oracle._gather, gather)
+    assert np.array_equal(oracle._gather_inv, forward)
+
+
+def all_sab_strings(n):
+    for symbols in itertools.product(range(4), repeat=n):
+        try:
+            yield SabString(symbols)
+        except SabotageError:
+            continue
+
+
+def test_oracle_tables_match_loops_exhaustive():
+    for n in (1, 2, 3):
+        bits = [BitString(b) for b in itertools.product((0, 1), repeat=n)]
+        for xb in bits:
+            check_oracle_tables(oracle_bit(xb), loop_forward_bit(xb))
+            for yb in (y for y in bits if y != xb):  # a strong input differs somewhere
+                for marker in ("*", "+"):
+                    w = StrongInput.from_pair(xb, yb, marker)
+                    check_oracle_tables(oracle_strong(w), loop_forward_strong(w))
+        for z in all_sab_strings(n):
+            check_oracle_tables(oracle_weak(z), loop_forward_weak(z))
+
+
+def test_oracle_tables_match_loops_random():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        xb = BitString(tuple(int(b) for b in rng.integers(0, 2, 16)))
+        yb = xb.flip(tuple(int(j) for j in rng.choice(range(1, 17), size=rng.integers(1, 17), replace=False)))
+        mark = int(rng.integers(2, 4))
+        z = SabString(tuple(int(s) for s in rng.choice([0, 1, mark], size=15)) + (mark,))
+        w = StrongInput.from_pair(xb, yb, "*" if mark == 2 else "+")
+        check_oracle_tables(oracle_bit(xb), loop_forward_bit(xb))
+        check_oracle_tables(oracle_weak(z), loop_forward_weak(z))
+        check_oracle_tables(oracle_strong(w), loop_forward_strong(w))
