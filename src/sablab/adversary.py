@@ -21,20 +21,14 @@ from .sabotage import DAGGER, STAR, SabString, StrongInput, make_strong
 
 DIM_CAP = 5000
 SYMMETRY_TOL = 1e-12
-RESIDUAL_TOL = 1e-10
 
 
 class AdversaryError(ValueError):
     """Invalid matrix, certificate pattern violation, or empty relation."""
 
 
-def spectral_norm(m: np.ndarray, tol: float = RESIDUAL_TOL, max_iter: int = 20_000) -> float:
-    """Largest singular value of a symmetric real matrix.
-
-    Power iteration on m @ m (so paired +/- eigenvalues cannot stall it),
-    followed by extraction of a signed eigenvector.  Converged when the
-    residual ||m v - lam v|| drops below tol * ||m||_F.
-    """
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value of a symmetric real matrix, by one LAPACK SVD."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise AdversaryError(f"matrix must be square, got shape {m.shape}")
@@ -45,35 +39,7 @@ def spectral_norm(m: np.ndarray, tol: float = RESIDUAL_TOL, max_iter: int = 20_0
         raise AdversaryError("matrix is not symmetric")
     if scale == 0.0:
         return 0.0
-
-    fro = float(np.linalg.norm(m))
-    rng = np.random.default_rng(0x5AB1AB)
-    v = rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        w = m @ (m @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v is in the kernel of m^2; restart from a fresh direction.
-            v = rng.standard_normal(m.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v_next = w / norm_w
-        mv = m @ v_next
-        lam = float(np.linalg.norm(mv))
-        # Split v into the +lam / -lam eigenvector candidates and keep the
-        # dominant one; for a clean eigenvector one candidate vanishes.
-        plus = mv + lam * v_next
-        minus = mv - lam * v_next
-        cand = plus if np.linalg.norm(plus) >= np.linalg.norm(minus) else minus
-        norm_c = np.linalg.norm(cand)
-        if norm_c > 0:
-            u = cand / norm_c
-            lam_u = float(u @ (m @ u))
-            if np.linalg.norm(m @ u - lam_u * u) <= tol * fro:
-                return abs(lam_u)
-        v = v_next
-    raise AdversaryError("power iteration did not converge")
+    return float(np.linalg.norm(m, 2))
 
 
 @dataclass(frozen=True)
@@ -101,14 +67,12 @@ def evaluate_certificate(
     *,
     arity: int,
     fvalue: Callable[[Hashable], int],
-    differs: Callable[[Hashable, Hashable, int], bool] | None = None,
-    tol: float = RESIDUAL_TOL,
 ) -> AdversaryCertificate:
     """Norms and value of an adversary matrix over the given labels.
 
-    ``differs(u, v, j)`` decides whether two labels differ at 1-based position
-    j; by default position j of a label is ``label[j - 1]`` and tuples are
-    compared whole, which is the right notion for strong inputs.
+    Position j (1-based) of a label is ``label[j - 1]``; two labels differ
+    there when those entries differ, and tuple entries (strong inputs) are
+    compared whole.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     d = len(labels)
@@ -120,25 +84,24 @@ def evaluate_certificate(
         raise AdversaryError("gamma is not symmetric")
     if not gamma.any():
         raise AdversaryError("gamma is the zero matrix")
-    values = [fvalue(label) for label in labels]
-    for a in range(d):
-        for b in range(d):
-            if values[a] == values[b] and gamma[a, b] != 0.0:
-                raise AdversaryError(
-                    f"pattern violation: gamma[{labels[a]}, {labels[b]}] nonzero on equal values"
-                )
+    values = np.array([fvalue(label) for label in labels])
+    violations = np.argwhere((values[:, None] == values[None, :]) & (gamma != 0.0))
+    if violations.size:
+        a, b = violations[0]
+        raise AdversaryError(
+            f"pattern violation: gamma[{labels[a]}, {labels[b]}] nonzero on equal values"
+        )
 
-    if differs is None:
-        differs = lambda u, v, j: u[j - 1] != v[j - 1]
-    column_norms = []
-    for j in range(1, arity + 1):
-        masked = np.zeros_like(gamma)
-        for a in range(d):
-            for b in range(a + 1, d):
-                if gamma[a, b] != 0.0 and differs(labels[a], labels[b], j):
-                    masked[a, b] = masked[b, a] = gamma[a, b]
-        column_norms.append(spectral_norm(masked, tol=tol) if masked.any() else 0.0)
-    norm_gamma = spectral_norm(gamma, tol=tol)
+    # One integer code per distinct entry, so each position's mask is one comparison.
+    index: dict[Hashable, int] = {}
+    codes = np.array(
+        [[index.setdefault(label[j], len(index)) for j in range(arity)] for label in labels]
+    )
+    column_norms = [
+        spectral_norm(np.where(codes[:, None, j] != codes[None, :, j], gamma, 0.0))
+        for j in range(arity)
+    ]
+    norm_gamma = spectral_norm(gamma)
     worst = max(column_norms)
     if worst == 0.0:
         raise AdversaryError("all per-position norms vanish")
@@ -151,9 +114,7 @@ def evaluate_certificate(
     )
 
 
-def build_fbs_adversary(
-    f: PartialFunction, sol: FbsSolution, tol: float = RESIDUAL_TOL
-) -> AdversaryCertificate:
+def build_fbs_adversary(f: PartialFunction, sol: FbsSolution) -> AdversaryCertificate:
     """Star-shaped certificate with entries sqrt(w_y) between x and each y.
 
     Its norm squares to the fbs value while every per-position norm stays
@@ -168,13 +129,11 @@ def build_fbs_adversary(
     for i, (_, w) in enumerate(pairs, start=1):
         gamma[0, i] = gamma[i, 0] = math.sqrt(w)
     return evaluate_certificate(
-        labels, gamma, arity=f.n, fvalue=lambda lab: f.value(lab), tol=tol  # type: ignore[arg-type]
+        labels, gamma, arity=f.n, fvalue=lambda lab: f.value(lab)  # type: ignore[arg-type]
     )
 
 
-def build_sabotage_adversary(
-    f: PartialFunction, sol: FbsSolution, tol: float = RESIDUAL_TOL
-) -> AdversaryCertificate:
+def build_sabotage_adversary(f: PartialFunction, sol: FbsSolution) -> AdversaryCertificate:
     """Certificate over strong inputs pairing star and dagger copies of blocks.
 
     The entry between (x, y, star) and (x, y', dagger) is sqrt(w_y w_y'), so
@@ -205,7 +164,6 @@ def build_sabotage_adversary(
         gamma,
         arity=f.n,
         fvalue=lambda lab: 0 if lab.marker == STAR else 1,  # type: ignore[union-attr]
-        tol=tol,
     )
 
 

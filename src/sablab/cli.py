@@ -38,7 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="arity for --fn")
     parser.add_argument("--x", help="base point as a bit string")
     parser.add_argument("--seed", type=int, help="64-bit seed (default: $SABLAB_SEED or 0)")
-    parser.add_argument("--tol", type=float, help="numeric tolerance override")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -92,12 +91,11 @@ def _emit_json(args, payload) -> None:
 
 def _cmd_fbs(args) -> int:
     f = _resolve_function(args)
-    tol = args.tol if args.tol is not None else measures.simplex.PIVOT_TOL
     if args.x is not None:
         x = BitString.coerce(args.x)
     else:
         x = measures.fbs_global(f)[1]
-    sol = measures.fbs(f, x, tol=tol)
+    sol = measures.fbs(f, x, tol=args.tol)
     sol.check_certificate(f)
     _emit_json(
         args,
@@ -138,11 +136,10 @@ def _cmd_adv(args) -> int:
     f = _resolve_function(args)
     x = BitString.coerce(args.x) if args.x is not None else measures.fbs_global(f)[1]
     sol = measures.fbs(f, x)
-    tol = args.tol if args.tol is not None else adversary.RESIDUAL_TOL
     if args.construction == "fbs":
-        cert = adversary.build_fbs_adversary(f, sol, tol=tol)
+        cert = adversary.build_fbs_adversary(f, sol)
     else:
-        cert = adversary.build_sabotage_adversary(f, sol, tol=tol)
+        cert = adversary.build_sabotage_adversary(f, sol)
     if args.format == "csv":
         lines = [",".join(f"{v!r}" for v in row) for row in cert.gamma]
         _emit(args, "\n".join(lines) + "\n")
@@ -262,6 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fbs = sub.add_parser("fbs", help="fractional block sensitivity with certificate")
     _add_common(p_fbs)
+    p_fbs.add_argument(
+        "--tol", type=float, default=measures.simplex.PIVOT_TOL, help="simplex pivot tolerance"
+    )
     p_fbs.set_defaults(handler=_cmd_fbs)
 
     p_bs = sub.add_parser("bs", help="block sensitivity")

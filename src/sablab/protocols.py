@@ -145,7 +145,11 @@ class ConvertedAlgorithm:
 
 
 def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorithm:
-    """Move ``alg`` onto the strong layout; each query becomes QUERY, gadget, QUERY_INV."""
+    """Move ``alg`` onto the strong layout; each query becomes QUERY, gadget, QUERY_INV.
+
+    A gate the source shares across steps is remapped once and stays shared.
+    """
+    remapped: dict[int, Gate] = {}
     steps: list = []
     for step in alg.steps:
         if step == QUERY_INV:
@@ -153,7 +157,10 @@ def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorith
         if step == QUERY:
             steps.extend([QUERY, gadget, QUERY_INV])
         else:
-            steps.append(tuple(_remap_gate(g) for g in step))
+            for g in step:
+                if id(g) not in remapped:
+                    remapped[id(g)] = _remap_gate(g)
+            steps.append(tuple(remapped[id(g)] for g in step))
     return QueryAlgorithm(
         layout=_wrapped_layout(alg.layout),
         steps=tuple(steps),

@@ -166,7 +166,9 @@ class Gate:
 
     @classmethod
     def block(cls, matrix: np.ndarray, wires: Sequence[int]) -> "Gate":
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        # A private read-only copy: no write after the unitarity check can reach the gate.
+        matrix = np.array(matrix, dtype=np.complex128)
+        matrix.flags.writeable = False
         return cls(name="BLOCK", wires=tuple(wires), matrix=matrix)
 
     def __post_init__(self) -> None:

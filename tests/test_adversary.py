@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sablab.adversary import (
@@ -45,6 +45,7 @@ def test_spectral_norm_rejects_nonsymmetric():
 
 
 @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
+@example(dim=5, seed=1_166_638_819)  # |eigenvalues| 3.6949 and 3.6938 nearly tie
 @settings(max_examples=60, deadline=None)
 def test_spectral_norm_matches_eigensolver(dim, seed):
     rng = np.random.default_rng(seed)
@@ -53,6 +54,23 @@ def test_spectral_norm_matches_eigensolver(dim, seed):
     want = eig_norm(m)
     got = spectral_norm(m)
     assert abs(got - want) <= 1e-8 * max(1.0, want)
+
+
+def test_masked_norms_on_parity_certificate():
+    # The mask at position 8 has eigenvalue pairs +/-31.6844 and +/-31.6828:
+    # a near-tie that stalls iterative solvers without a gap guarantee.
+    f = make_named("PARITY", 10)
+    labels = f.domain()[:128]
+    rng = np.random.default_rng([128, 0])
+    values = np.array([f.value(x) for x in labels])
+    g = rng.random((128, 128))
+    g = (g + g.T) * (values[:, None] != values[None, :])
+    cert = evaluate_certificate(labels, g, arity=10, fvalue=f.value)
+    assert abs(cert.norm_gamma - eig_norm(g)) <= 1e-9 * eig_norm(g)
+    bits = np.array([x.bits for x in labels])
+    for j in range(10):
+        want = eig_norm(g * (bits[:, None, j] != bits[None, :, j]))
+        assert abs(cert.column_norms[j] - want) <= 1e-9 * want
 
 
 def _or2_cert():

@@ -164,6 +164,13 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_tol_is_an_fbs_only_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adv", "--construction", "fbs", "--fn", "OR", "--n", "2", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SABLAB_SEED", "seven")
     with pytest.raises(SystemExit) as exc:

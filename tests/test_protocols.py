@@ -69,6 +69,14 @@ def test_converted_query_count_doubles():
     assert convert_strong(src).wrapped.query_count == 2 * src.query_count == 6
 
 
+def test_conversion_keeps_a_shared_gate_shared():
+    wrapped = convert_strong(grover_or(4, 3)).wrapped
+    # prep, then per iteration QUERY, gadget, QUERY_INV, diffusion
+    diffusions = [wrapped.steps[k] for k in (4, 8, 12)]
+    assert all(len(step) == 1 for step in diffusions)
+    assert len({id(step[0]) for step in diffusions}) == 1
+
+
 def test_conversion_equality_over_catalog_with_random_sources():
     """Distribution equality holds for arbitrary circuits, checked over every
     sabotage pair of every small catalog function."""

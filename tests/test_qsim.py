@@ -77,6 +77,15 @@ def test_named_gate_matrices_are_read_only(name):
     Gate.named(name, wires)  # still unitary: the shared constant was not written
 
 
+def test_block_gate_owns_a_read_only_copy():
+    m = uniform_prep_block(2)
+    g = Gate.block(m, (0,))
+    m[0, 0] = 7
+    assert np.array_equal(g.matrix, uniform_prep_block(2))
+    with pytest.raises(ValueError):
+        g.matrix[0, 0] = 7
+
+
 def test_grover_circuits_build_each_gate_once():
     for alg, kinds in ((grover_or(5, 3), 1), (grover_marks(5, 3), 2)):
         gates = [g for step in alg.steps[1:] if step not in (QUERY, QUERY_INV) for g in step]
