@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (CliError, BoolFnError, SabotageError, measures.MeasureError,
             adversary.AdversaryError, qsim.SimulationError, protocols.ProtocolError,
-            OSError) as exc:
+            verify.VerifyError, OSError) as exc:
         print(f"sablab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,10 @@ from .boolfn import BitString, PartialFunction, catalog, make_indexing, make_nam
 from .sabotage import SabString, make_strong
 
 HYBRID_SLACK = 1e-9
+
+
+class VerifyError(ValueError):
+    """A check filter that selects no check."""
 
 
 @dataclass
@@ -47,59 +52,53 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Independent rational LP oracle (vertex enumeration, no simplex pivoting)
+# Independent rational LP oracle: vertex enumeration, each basis solved on its
+# k <= n support, no simplex pivoting
 
 
 def fbs_vertex_exact(f: PartialFunction, x: BitString | str) -> Fraction:
     """Optimal fbs value by enumerating basic points of the feasible polytope.
 
-    Solves every m-subset of the m + n tight-constraint candidates with
-    Fraction Gaussian elimination; independent of the simplex route.
+    The polytope is {w >= 0 : A w <= 1}, one coverage row of A per position.
+    A basis picks m of its n + m constraints: k coverage rows T and m - k
+    unit rows, which only fix their weights to 0.  So each basis is solved
+    on its support S, the k <= n weights no unit row fixes: A[T, S] w_S = 1
+    by Fraction Gaussian elimination, w = 0 off S, and a singular block is
+    no vertex.  Independent of the simplex route.
     """
     xb = BitString.coerce(x)
     ys = f.opposite_inputs(xb)
     if not ys:
         return Fraction(0)
     m, n = len(ys), f.n
-    rows = []  # (normal vector over weights, right-hand side)
-    for j in range(1, n + 1):
-        rows.append(([Fraction(int(y[j - 1] != xb[j - 1])) for y in ys], Fraction(1)))
-    for i in range(m):
-        rows.append(([Fraction(int(k == i)) for k in range(m)], Fraction(0)))
+    cover = [[Fraction(int(y[j] != xb[j])) for y in ys] for j in range(n)]
 
-    def solve(system):
-        mat = [list(lhs) + [rhs] for lhs, rhs in system]
-        cols = m
-        pivot_row = 0
-        where = [-1] * cols
-        for col in range(cols):
-            sel = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
+    def solve(rows, support):
+        mat = [[cover[r][c] for c in support] + [Fraction(1)] for r in rows]
+        for col in range(len(support)):
+            sel = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
             if sel is None:
-                continue
-            mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-            inv = mat[pivot_row][col]
-            mat[pivot_row] = [v / inv for v in mat[pivot_row]]
+                return None  # singular: not a vertex
+            mat[col], mat[sel] = mat[sel], mat[col]
+            inv = mat[col][col]
+            mat[col] = [v / inv for v in mat[col]]
             for r in range(len(mat)):
-                if r != pivot_row and mat[r][col] != 0:
+                if r != col and mat[r][col] != 0:
                     factor = mat[r][col]
-                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-            where[col] = pivot_row
-            pivot_row += 1
-            if pivot_row == len(mat):
-                break
-        if any(w == -1 for w in where):
-            return None  # singular: not a vertex
-        return [mat[where[c]][-1] for c in range(cols)]
+                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+        return [row[-1] for row in mat]
 
-    best = Fraction(0)
-    for subset in itertools.combinations(range(len(rows)), m):
-        point = solve([rows[i] for i in subset])
-        if point is None:
-            continue
-        if any(w < 0 for w in point):
-            continue
-        if all(sum(c * w for c, w in zip(lhs, point)) <= rhs for lhs, rhs in rows[:n]):
-            best = max(best, sum(point, Fraction(0)))
+    best = Fraction(0)  # k = 0: the vertex w = 0
+    for k in range(1, min(n, m) + 1):
+        for rows in itertools.combinations(range(n), k):
+            for support in itertools.combinations(range(m), k):
+                point = solve(rows, support)
+                if point is None:
+                    continue
+                if any(w < 0 for w in point):
+                    continue
+                if all(sum(cover[j][c] * w for c, w in zip(support, point)) <= 1 for j in range(n)):
+                    best = max(best, sum(point, Fraction(0)))
     return best
 
 
@@ -164,12 +163,26 @@ def _cert_functions():
     yield make_indexing(2)
 
 
+# (f, fbs(f), maximiser) for each certificate function.  Each base pass sets a
+# fresh list that checks 03 and 04 share, so a re-run recomputes everything; a
+# context variable keeps passes in different threads apart.
+_cert_optima: ContextVar[list | None] = ContextVar("cert_optima", default=None)
+
+
+def _cert_global_optima() -> list[tuple[PartialFunction, float, BitString]]:
+    memo = _cert_optima.get()
+    if memo is None:  # outside a base pass: nothing to share
+        memo = []
+    if not memo:
+        memo.extend((f, *measures.fbs_global(f)) for f in _cert_functions())
+    return memo
+
+
 def _check_fbs_certificates(seed: int) -> tuple[dict, bool]:
     ok = True
     worst_norm_err = 0.0
     worst_col = 0.0
-    for f in _cert_functions():
-        value, x = measures.fbs_global(f)
+    for f, value, x in _cert_global_optima():
         cert = adversary.build_fbs_adversary(f, measures.fbs(f, x))
         err = abs(cert.norm_gamma**2 - float(value))
         worst_norm_err = max(worst_norm_err, err)
@@ -184,8 +197,7 @@ def _check_sabotage_certificates(seed: int) -> tuple[dict, bool]:
     worst_norm_err = 0.0
     worst_col_slack = -float("inf")
     min_value_margin = float("inf")
-    for f in _cert_functions():
-        value, x = measures.fbs_global(f)
+    for f, value, x in _cert_global_optima():
         value = float(value)
         cert = adversary.build_sabotage_adversary(f, measures.fbs(f, x))
         err = abs(cert.norm_gamma - value)
@@ -459,26 +471,38 @@ def _jsonable(value):
     return value
 
 
-def _run_base_checks(seed: int, only: str | None = None) -> list[CheckResult]:
-    results = []
-    for name in sorted(_CHECKS):
-        if only is not None and only not in name:
-            continue
-        claim, expected, fn = _CHECKS[name]
-        start = time.perf_counter()
-        computed, passed = fn(seed)
-        elapsed = time.perf_counter() - start
-        results.append(
-            CheckResult(
-                name=name,
-                claim=claim,
-                computed=_jsonable(computed),
-                expected=expected,
-                passed=bool(passed),
-                seconds=elapsed,
-            )
+def _selected_checks(only: str | None) -> list[str]:
+    names = [name for name in sorted(_CHECKS) if only is None or only in name]
+    if not names:
+        raise VerifyError(
+            f"no check name contains {only!r}; the checks are {', '.join(sorted(_CHECKS))}"
+            f" ({DETERMINISM_CHECK} runs only without a filter)"
         )
-    return results
+    return names
+
+
+def _run_check(name: str, seed: int) -> CheckResult:
+    claim, expected, fn = _CHECKS[name]
+    start = time.perf_counter()
+    computed, passed = fn(seed)
+    elapsed = time.perf_counter() - start
+    return CheckResult(
+        name=name,
+        claim=claim,
+        computed=_jsonable(computed),
+        expected=expected,
+        passed=bool(passed),
+        seconds=elapsed,
+    )
+
+
+def _run_base_checks(seed: int, only: str | None = None) -> list[CheckResult]:
+    names = _selected_checks(only)
+    token = _cert_optima.set([])
+    try:
+        return [_run_check(name, seed) for name in names]
+    finally:
+        _cert_optima.reset(token)
 
 
 def canonical_report(results: list[CheckResult], seed: int) -> str:
@@ -495,7 +519,8 @@ def run_checks(seed: int = 0, only: str | None = None, determinism: bool = True)
     """Run the verification suite; optionally append the byte-determinism check.
 
     The determinism check re-runs the whole base suite and compares the two
-    canonical reports byte for byte, so it only runs without a filter.
+    canonical reports byte for byte, so it only runs without a filter.  A
+    filter that matches no check raises :class:`VerifyError` before any runs.
     """
     results = _run_base_checks(seed, only)
     if determinism and only is None:

@@ -225,6 +225,21 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
     assert "FAIL" in err
 
 
+def test_verify_only_matching_nothing_is_refused(capsys, monkeypatch):
+    from sablab import verify
+
+    def must_not_run(seed):
+        raise AssertionError("no check may run")
+
+    for name, (claim, expected, _) in list(verify._CHECKS.items()):
+        monkeypatch.setitem(verify._CHECKS, name, (claim, expected, must_not_run))
+    code, out, err = run_cli(capsys, "verify-all", "--only", "99")
+    assert code == 2
+    assert out == ""
+    assert "'99'" in err
+    assert all(name in err for name in verify._CHECKS)
+
+
 def test_verify_reports_are_deterministic_and_seeded(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-all", "--only", "07-strong-conversion", "--seed", "9",

@@ -5,15 +5,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partial_functions
-from sablab import measures
+from sablab import measures, simplex
 from sablab.boolfn import (
     BitString,
     PartialFunction,
+    all_bitstrings,
     catalog,
     make_indexing,
     make_named,
@@ -213,6 +215,116 @@ def test_exact_mode_matches_vertex_oracle():
     for f in [make_named("OR", 3), make_named("MAJ", 3), make_indexing(1)]:
         for x in f.domain():
             assert fbs(f, x, exact=True).value == fbs_vertex_exact(f, x)
+
+
+def full_basis_vertex_oracle(f, x):
+    """Reference vertex enumeration: every m-subset of the n + m constraints.
+
+    Solves each candidate basis as a full m x m Fraction system, unit rows
+    included, the way the oracle did before it moved to each basis's support.
+    """
+    xb = BitString.coerce(x)
+    ys = f.opposite_inputs(xb)
+    if not ys:
+        return Fraction(0)
+    m, n = len(ys), f.n
+    rows = []  # (normal vector over weights, right-hand side)
+    for j in range(1, n + 1):
+        rows.append(([Fraction(int(y[j - 1] != xb[j - 1])) for y in ys], Fraction(1)))
+    for i in range(m):
+        rows.append(([Fraction(int(k == i)) for k in range(m)], Fraction(0)))
+
+    def solve(system):
+        mat = [list(lhs) + [rhs] for lhs, rhs in system]
+        pivot_row = 0
+        where = [-1] * m
+        for col in range(m):
+            sel = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
+            if sel is None:
+                continue
+            mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
+            inv = mat[pivot_row][col]
+            mat[pivot_row] = [v / inv for v in mat[pivot_row]]
+            for r in range(len(mat)):
+                if r != pivot_row and mat[r][col] != 0:
+                    factor = mat[r][col]
+                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
+            where[col] = pivot_row
+            pivot_row += 1
+            if pivot_row == len(mat):
+                break
+        if any(w == -1 for w in where):
+            return None
+        return [mat[where[c]][-1] for c in range(m)]
+
+    best = Fraction(0)
+    for subset in itertools.combinations(range(len(rows)), m):
+        point = solve([rows[i] for i in subset])
+        if point is None or any(w < 0 for w in point):
+            continue
+        if all(sum(c * w for c, w in zip(lhs, point)) <= rhs for lhs, rhs in rows[:n]):
+            best = max(best, sum(point, Fraction(0)))
+    return best
+
+
+def _random_partial_function(rng, n):
+    """Seeded non-constant partial function with at least two domain points."""
+    universe = list(all_bitstrings(n))
+    keep = rng.random(len(universe)) < 0.75
+    domain = [x for x, k in zip(universe, keep) if k]
+    if len(domain) < 2:
+        domain = universe[:2]
+    values = [int(v) for v in rng.integers(0, 2, size=len(domain))]
+    if len(set(values)) < 2:
+        values[0] = 1 - values[1]
+    return PartialFunction(f"rand_{n}", n, dict(zip(domain, values)))
+
+
+def test_vertex_oracle_matches_full_basis_enumeration_on_catalog():
+    for f in catalog(max_arity=3):
+        for x in f.domain():
+            got = fbs_vertex_exact(f, x)
+            assert isinstance(got, Fraction)
+            assert got == full_basis_vertex_oracle(f, x), (f.name, str(x))
+
+
+def test_vertex_oracle_matches_full_basis_enumeration_random():
+    rng = np.random.default_rng(20_241)
+    points = 0
+    for i in range(200):
+        f = _random_partial_function(rng, n=1 + i % 3)
+        for x in f.domain():
+            points += 1
+            assert fbs_vertex_exact(f, x) == full_basis_vertex_oracle(f, x), (f.serialize(), str(x))
+    assert points >= 600
+
+
+def test_vertex_oracle_maximum_below_full_support():
+    """Blocks {3}, {2}, {1,2,3} at 000: the optimum w = (1, 1, 0) has support 2.
+
+    The one 3 x 3 basis is non-singular but gives w = (0, 0, 1), value 1, so
+    the maximum 2 is reached only at k = 2 < min(n, m) = 3.
+    """
+    f = PartialFunction("blocks", 3, {"000": 0, "001": 1, "010": 1, "111": 1})
+    assert fbs_vertex_exact(f, "000") == Fraction(2) == full_basis_vertex_oracle(f, "000")
+
+
+def test_vertex_oracle_skips_singular_block():
+    """Blocks {1,2} and {1,2,3} at 000 agree on rows {1,2}: that 2 x 2 block is singular."""
+    f = PartialFunction("twins", 3, {"000": 0, "110": 1, "111": 1})
+    assert fbs_vertex_exact(f, "000") == Fraction(1) == full_basis_vertex_oracle(f, "000")
+
+
+def test_vertex_oracle_does_not_use_simplex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vertex oracle must not call the simplex")
+
+    monkeypatch.setattr(simplex, "solve_float", refuse)
+    monkeypatch.setattr(simplex, "solve_exact", refuse)
+    with pytest.raises(AssertionError):
+        fbs(make_named("MAJ", 3), "000")
+    assert fbs_vertex_exact(make_named("MAJ", 3), "000") == Fraction(3, 2)
+    assert fbs_vertex_exact(make_indexing(1), "000") == Fraction(2)
 
 
 def test_exact_mode_values_are_fractions():
