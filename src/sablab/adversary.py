@@ -175,7 +175,6 @@ class Relation:
     y_side: tuple[Hashable, ...]
     pairs: frozenset[tuple[Hashable, Hashable]]
     arity: int
-    alphabet_size: int
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -282,10 +281,4 @@ def build_indexing_relation(n: int, strong: bool = False) -> Relation:
     )
     if not pairs:
         raise AdversaryError(f"indexing relation is empty at n = {n}")
-    return Relation(
-        x_side=x_side,
-        y_side=y_side,
-        pairs=pairs,
-        arity=n + size,
-        alphabet_size=4,
-    )
+    return Relation(x_side=x_side, y_side=y_side, pairs=pairs, arity=n + size)

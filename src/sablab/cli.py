@@ -32,14 +32,28 @@ def _default_seed(parser: argparse.ArgumentParser) -> int:
         parser.error(f"SABLAB_SEED must be an integer, got {text!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fn", help="named catalog function (AND, OR, PARITY, MAJ, XOR2, IND)")
-    parser.add_argument("--file", help="path to a function file (JSON)")
-    parser.add_argument("--n", type=int, help="arity for --fn")
-    parser.add_argument("--x", help="base point as a bit string")
-    parser.add_argument("--seed", type=int, help="64-bit seed (default: $SABLAB_SEED or 0)")
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+_SHARED_FLAGS = {
+    "fn": {"help": "named catalog function (AND, OR, PARITY, MAJ, XOR2, IND)"},
+    "file": {"help": "path to a function file (JSON)"},
+    "n": {"type": int, "help": "arity for --fn"},
+    "x": {"help": "base point as a bit string"},
+    "alg": {"help": "catalog algorithm: deutsch, grover-or-N-K"},
+    "alg-file": {"help": "algorithm file (JSON)"},
+    "pair": {"required": True, "help": "x,y bit strings"},
+    "marker": {"default": "*", "choices": ("*", "+")},
+    "seed": {"type": int, "help": "64-bit seed (default: $SABLAB_SEED or 0)"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "out": {"help": "write the report to this path instead of stdout"},
+}
+_FUNCTION_FLAGS = ("fn", "file", "n")
+_ALG_FLAGS = ("alg", "alg-file")
+_PAIR_FLAGS = ("pair", "marker")
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags ``names``: a subcommand accepts only the flags it reads."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _resolve_function(args):
@@ -95,7 +109,7 @@ def _cmd_fbs(args) -> int:
         x = BitString.coerce(args.x)
     else:
         x = measures.fbs_global(f)[1]
-    sol = measures.fbs(f, x, tol=args.tol)
+    sol = measures.fbs(f, x)
     sol.check_certificate(f)
     _emit_json(
         args,
@@ -123,16 +137,24 @@ def _cmd_bs(args) -> int:
 
 def _cmd_adv(args) -> int:
     if args.construction == "indexing-relation":
+        unread = [f"--{name}" for name in ("fn", "file", "x") if getattr(args, name) is not None]
+        if args.format == "csv":
+            unread.append("--format csv")
+        if unread:
+            raise CliError(f"indexing-relation takes --n and --model, not {', '.join(unread)}")
         if args.n is None:
             raise CliError("indexing-relation needs --n")
-        rel = adversary.build_indexing_relation(args.n, strong=args.model == "strong")
+        model = args.model or "weak"
+        rel = adversary.build_indexing_relation(args.n, strong=model == "strong")
         bound = adversary.relation_bound(rel)
         payload = bound.to_json_dict()
-        payload["model"] = args.model
+        payload["model"] = model
         products = sorted(set(payload["per_position"].values()))
         payload["aggregates"] = {"max": max(products), "min": min(products)}
         _emit_json(args, payload)
         return 0
+    if args.model is not None:
+        raise CliError("--model applies only to --construction indexing-relation")
     f = _resolve_function(args)
     x = BitString.coerce(args.x) if args.x is not None else measures.fbs_global(f)[1]
     sol = measures.fbs(f, x)
@@ -257,63 +279,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sablab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fbs = sub.add_parser("fbs", help="fractional block sensitivity with certificate")
-    _add_common(p_fbs)
-    p_fbs.add_argument(
-        "--tol", type=float, default=measures.simplex.PIVOT_TOL, help="simplex pivot tolerance"
-    )
-    p_fbs.set_defaults(handler=_cmd_fbs)
+    def leaf(subparsers, name: str, handler, *common: str, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, **kwargs)
+        _add_common(p, *common)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_bs = sub.add_parser("bs", help="block sensitivity")
-    _add_common(p_bs)
-    p_bs.set_defaults(handler=_cmd_bs)
+    leaf(sub, "fbs", _cmd_fbs, *_FUNCTION_FLAGS, "x", "out",
+         help="fractional block sensitivity with certificate")
+    leaf(sub, "bs", _cmd_bs, *_FUNCTION_FLAGS, "x", "out", help="block sensitivity")
 
-    p_adv = sub.add_parser("adv", help="adversary certificates and relation bounds")
-    _add_common(p_adv)
+    p_adv = leaf(sub, "adv", _cmd_adv, *_FUNCTION_FLAGS, "x", "format", "out",
+                 help="adversary certificates and relation bounds")
     p_adv.add_argument(
         "--construction",
         choices=("fbs", "sabotage", "indexing-relation"),
         required=True,
     )
-    p_adv.add_argument("--model", choices=("weak", "strong"), default="weak")
-    p_adv.set_defaults(handler=_cmd_adv)
+    p_adv.add_argument(
+        "--model", choices=("weak", "strong"), help="indexing-relation only (default: weak)"
+    )
 
-    p_enum = sub.add_parser("sab-enum", help="enumerate sabotaged inputs")
-    _add_common(p_enum)
-    p_enum.set_defaults(handler=_cmd_sab_enum)
+    leaf(sub, "sab-enum", _cmd_sab_enum, *_FUNCTION_FLAGS, "out", help="enumerate sabotaged inputs")
 
     p_proto = sub.add_parser("protocol", help="run a quantum procedure")
     proto_sub = p_proto.add_subparsers(dest="protocol", required=True)
 
-    def protocol_parser(name: str, handler) -> argparse.ArgumentParser:
-        p = proto_sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--alg", help="catalog algorithm: deutsch, grover-or-N-K")
-        p.add_argument("--alg-file", help="algorithm file (JSON)")
-        p.set_defaults(handler=handler)
-        return p
+    leaf(proto_sub, "convert-strong", _cmd_protocol_convert, *_ALG_FLAGS, *_PAIR_FLAGS, "out")
 
-    p_conv = protocol_parser("convert-strong", _cmd_protocol_convert)
-    p_conv.add_argument("--pair", required=True, help="x,y bit strings")
-    p_conv.add_argument("--marker", default="*", choices=("*", "+"))
-
-    p_hyb = protocol_parser("hybrid", _cmd_protocol_hybrid)
+    p_hyb = leaf(proto_sub, "hybrid", _cmd_protocol_hybrid, *_ALG_FLAGS, "x", "format", "out")
     p_hyb.add_argument("--block", help="comma-separated 1-based positions")
 
-    p_gf = protocol_parser("grover-find", _cmd_protocol_grover_find)
+    p_gf = leaf(proto_sub, "grover-find", _cmd_protocol_grover_find, "seed", "out")
     p_gf.add_argument("--z", help="sabotaged string over 0, 1, *, +")
 
-    p_if = protocol_parser("index-find", _cmd_protocol_index_find)
-    p_if.add_argument("--pair", required=True, help="x,y bit strings")
-    p_if.add_argument("--marker", default="*", choices=("*", "+"))
+    p_if = leaf(proto_sub, "index-find", _cmd_protocol_index_find,
+                *_ALG_FLAGS, *_PAIR_FLAGS, "seed", "out")
     p_if.add_argument("--mode", choices=("repeat", "amplified"), default="repeat")
     p_if.add_argument("--budget", type=int, default=16)
     p_if.add_argument("--rounds", type=int, default=0)
 
-    p_ver = sub.add_parser("verify-all", help="run the full verification suite")
-    _add_common(p_ver)
+    p_ver = leaf(sub, "verify-all", _cmd_verify_all, "seed", "out",
+                 help="run the full verification suite")
     p_ver.add_argument("--only", help="run only checks whose name contains this string")
-    p_ver.set_defaults(handler=_cmd_verify_all)
 
     return parser
 
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
+    if hasattr(args, "seed") and args.seed is None:  # only the seeded subcommands read it
         args.seed = _default_seed(parser)
     try:
         return args.handler(args)

@@ -118,12 +118,7 @@ def _lp_data(f: PartialFunction, x: BitString) -> tuple[np.ndarray, np.ndarray]:
     return opp, A
 
 
-def fbs(
-    f: PartialFunction,
-    x: BitString | str,
-    exact: bool = False,
-    tol: float = simplex.PIVOT_TOL,
-) -> FbsSolution:
+def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolution:
     """Fractional block sensitivity at x, with weights and dual certificate."""
     xb = BitString.coerce(x)
     f.value(xb)  # domain check
@@ -143,7 +138,7 @@ def fbs(
             raise MeasureError(f"exact mode supports arity <= {EXACT_ARITY_CAP}")
         sol = simplex.solve_exact(c, A, b)
     else:
-        sol = simplex.solve_float(c, A, b, tol=tol)
+        sol = simplex.solve_float(c, A, b)
     domain = f.domain()
     weights = {domain[i]: w for i, w in zip(opp, sol.weights) if w > 0}
     return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)

@@ -539,20 +539,16 @@ class AmplifyResult:
     rounds: int
 
 
-def amplitude_amplify(
-    prep: QueryAlgorithm | np.ndarray,
-    good_mask: np.ndarray,
-    rounds: int,
-    oracle: Oracle | None = None,
-) -> AmplifyResult:
+def amplitude_amplify(prep: np.ndarray, good_mask: np.ndarray, rounds: int) -> AmplifyResult:
     """Reflect alternately about the good subspace and the prepared state.
 
-    With initial good mass p, the amplified mass is exactly
+    ``prep`` is the prepared state vector, ``good_mask`` a boolean array of
+    its shape.  With initial good mass p, the amplified mass is exactly
     sin^2((2 rounds + 1) asin sqrt(p)).
     """
     if rounds < 0:
         raise SimulationError("rounds must be non-negative")
-    psi = run(prep, oracle).final_state if isinstance(prep, QueryAlgorithm) else np.asarray(prep)
+    psi = np.asarray(prep)
     mask = np.asarray(good_mask, dtype=bool)
     if mask.shape != psi.shape:
         raise SimulationError("good mask must match the state dimension")
@@ -586,15 +582,11 @@ class HybridReport:
         return self.step_overlaps[-1]
 
 
-def hybrid_sum(
-    alg: QueryAlgorithm,
-    x: BitString | str,
-    block: Iterable[int],
-    oracle_family=oracle_bit,
-) -> HybridReport:
+def hybrid_sum(alg: QueryAlgorithm, x: BitString | str, block: Iterable[int]) -> HybridReport:
     """Run the algorithm on x and on x with ``block`` flipped, instrumented.
 
-    Guarantees sum(p_x) + sum(p_y) >= 1 - |<psi_x|psi_y>| up to float error:
+    Both runs query the bit oracle (:func:`oracle_bit`).  Guarantees
+    sum(p_x) + sum(p_y) >= 1 - |<psi_x|psi_y>| up to float error:
     each query can shrink the overlap by at most p_{x,t} + p_{y,t}.
     """
     xb = BitString.coerce(x)
@@ -606,7 +598,7 @@ def hybrid_sum(
     p_x: list[float] = []
     p_y: list[float] = []
     overlaps: list[float] = []
-    runs = zip(evolve(alg, oracle_family(xb)), evolve(alg, oracle_family(yb)))
+    runs = zip(evolve(alg, oracle_bit(xb)), evolve(alg, oracle_bit(yb)))
     for t, (sx, sy) in enumerate(runs):
         if t < alg.query_count:
             p_x.append(index_block_mass(sx, alg.layout, block_t))

@@ -45,11 +45,9 @@ class LpSolution:
         return sum(u * bi for u, bi in zip(self.dual, b))
 
 
-def solve_float(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL
-) -> LpSolution:
+def solve_float(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpSolution:
     """Float-mode simplex.  Requires b >= 0 (the all-slack basis is feasible)."""
-    return _solve(c, A, b, tol, float)
+    return _solve(c, A, b, PIVOT_TOL, float)
 
 
 def solve_exact(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LpSolution:
@@ -65,7 +63,7 @@ def _as_array(values, num: type) -> np.ndarray:
 
 
 def _solve(c, A, b, tol, num: type) -> LpSolution:
-    """The pivot loop in ``num`` arithmetic: float with ``tol``, or Fraction with 0."""
+    """The pivot loop in ``num`` arithmetic: float with ``PIVOT_TOL``, or Fraction with 0."""
     A, c, b = _as_array(A, num), _as_array(c, num), _as_array(b, num)
     n_rows, n_vars = A.shape
     if np.any(b < 0):

@@ -26,7 +26,7 @@ HYBRID_SLACK = 1e-9
 
 
 class VerifyError(ValueError):
-    """A check filter that selects no check."""
+    """A check filter that is empty or selects no check."""
 
 
 @dataclass
@@ -38,17 +38,15 @@ class CheckResult:
     passed: bool
     seconds: float
 
-    def to_json_dict(self, with_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """The report entry: everything but the timing."""
+        return {
             "name": self.name,
             "claim": self.claim,
             "computed": self.computed,
             "expected": self.expected,
             "passed": self.passed,
         }
-        if with_timing:
-            out["seconds"] = self.seconds
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +470,10 @@ def _jsonable(value):
 
 
 def _selected_checks(only: str | None) -> list[str]:
+    if only == "":
+        raise VerifyError(
+            f"the check filter is empty; with no filter every check runs, {DETERMINISM_CHECK} included"
+        )
     names = [name for name in sorted(_CHECKS) if only is None or only in name]
     if not names:
         raise VerifyError(
@@ -515,15 +517,16 @@ def canonical_report(results: list[CheckResult], seed: int) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def run_checks(seed: int = 0, only: str | None = None, determinism: bool = True) -> list[CheckResult]:
-    """Run the verification suite; optionally append the byte-determinism check.
+def run_checks(seed: int = 0, only: str | None = None) -> list[CheckResult]:
+    """Run the checks whose name contains ``only``, or all of them.
 
-    The determinism check re-runs the whole base suite and compares the two
-    canonical reports byte for byte, so it only runs without a filter.  A
-    filter that matches no check raises :class:`VerifyError` before any runs.
+    Without a filter the byte-determinism check is appended: it re-runs the
+    whole base suite and compares the two canonical reports byte for byte.
+    A filter that is empty or matches no check raises :class:`VerifyError`
+    before any check runs.
     """
     results = _run_base_checks(seed, only)
-    if determinism and only is None:
+    if only is None:
         start = time.perf_counter()
         again = _run_base_checks(seed, only)
         first = canonical_report(results, seed)

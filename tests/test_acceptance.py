@@ -32,7 +32,7 @@ _CRITERIA = [
 @pytest.mark.parametrize("name,label,budget", _CRITERIA, ids=[c[0] for c in _CRITERIA])
 def test_criterion(name, label, budget):
     start = time.perf_counter()
-    results = verify.run_checks(seed=0, only=name, determinism=False)
+    results = verify.run_checks(seed=0, only=name)
     elapsed = time.perf_counter() - start
     assert len(results) == 1
     result = results[0]

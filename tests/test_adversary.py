@@ -208,7 +208,6 @@ def test_relation_single_pair():
         y_side=("0+",),
         pairs=frozenset({("0*", "0+")}),
         arity=2,
-        alphabet_size=4,
     )
     rb = relation_bound(rel)
     assert (rb.m_x, rb.m_y, rb.l_max, rb.bound) == (1, 1, 1, 1.0)
@@ -216,14 +215,13 @@ def test_relation_single_pair():
 
 def test_relation_rejects_empty_and_equal():
     with pytest.raises(AdversaryError):
-        Relation(x_side=(), y_side=(), pairs=frozenset(), arity=2, alphabet_size=4)
+        Relation(x_side=(), y_side=(), pairs=frozenset(), arity=2)
     with pytest.raises(AdversaryError):
         Relation(
             x_side=("00",),
             y_side=("00",),
             pairs=frozenset({("00", "00")}),
             arity=2,
-            alphabet_size=4,
         )
 
 

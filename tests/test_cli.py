@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from sablab import measures
-from sablab.cli import main
+from sablab import measures, verify
+from sablab.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -29,7 +34,7 @@ def test_fbs_global_prints_one_solve(capsys, monkeypatch):
     # not from the sweep that chose x.
     sweep = measures.fbs_global
     monkeypatch.setattr(measures, "fbs_global", lambda f: (-1.0, sweep(f)[1]))
-    code, out, _ = run_cli(capsys, "fbs", "--fn", "MAJ", "--n", "5", "--tol", "1e-6")
+    code, out, _ = run_cli(capsys, "fbs", "--fn", "MAJ", "--n", "5")
     payload = json.loads(out)
     assert code == 0 and payload["x"] == "00011"
     assert abs(payload["value"] - sum(w["w"] for w in payload["weights"])) <= 1e-12
@@ -171,6 +176,104 @@ def test_tol_is_an_fbs_only_flag(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def leaf_parsers(parser, path=()):
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield " ".join(path), parser
+    for action in subcommands:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+FUNCTION = {"--fn", "--file", "--n"}
+ALGORITHM = {"--alg", "--alg-file"}
+PAIR = {"--pair", "--marker"}
+ACCEPTED_FLAGS = {
+    "fbs": FUNCTION | {"--x", "--out"},
+    "bs": FUNCTION | {"--x", "--out"},
+    "adv": FUNCTION | {"--x", "--out", "--format", "--construction", "--model"},
+    "sab-enum": FUNCTION | {"--out"},
+    "protocol convert-strong": ALGORITHM | PAIR | {"--out"},
+    "protocol hybrid": ALGORITHM | {"--x", "--block", "--format", "--out"},
+    "protocol grover-find": {"--z", "--seed", "--out"},
+    "protocol index-find": ALGORITHM | PAIR | {"--mode", "--budget", "--rounds", "--seed", "--out"},
+    "verify-all": {"--only", "--seed", "--out"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    accepted = {
+        path: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for path, p in leaf_parsers(build_parser())
+    }
+    assert accepted == ACCEPTED_FLAGS
+    assert sum(len(flags) for flags in accepted.values()) == 48
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fbs", "--fn", "OR", "--n", "2", "--tol", "1e-6"),
+        ("fbs", "--fn", "OR", "--n", "2", "--format", "csv"),
+        ("sab-enum", "--fn", "OR", "--n", "2", "--x", "00"),
+        ("protocol", "grover-find", "--z", "00*0", "--alg", "deutsch"),
+        ("protocol", "convert-strong", "--alg", "deutsch", "--pair", "00,10", "--seed", "3"),
+        ("verify-all", "--only", "05", "--fn", "OR"),
+    ],
+    ids=" ".join,
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unseeded_subcommand_ignores_bad_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("SABLAB_SEED", "seven")
+    code, out, _ = run_cli(capsys, "fbs", "--fn", "OR", "--n", "2")
+    assert code == 0 and abs(json.loads(out)["value"] - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--fn", "OR"), ("--file", "or2.json"), ("--x", "11"), ("--format", "csv")],
+    ids=lambda extra: extra[0],
+)
+def test_indexing_relation_refuses_function_flags(capsys, extra):
+    code, out, err = run_cli(capsys, "adv", "--construction", "indexing-relation", "--n", "2", *extra)
+    assert code == 2 and out == ""
+    assert extra[0] in err
+
+
+@pytest.mark.parametrize("construction", ["fbs", "sabotage"])
+def test_model_is_refused_outside_indexing_relation(capsys, construction):
+    code, out, err = run_cli(
+        capsys, "adv", "--construction", construction, "--fn", "OR", "--n", "2", "--model", "weak"
+    )
+    assert code == 2 and out == "" and "--model" in err
+
+
+def test_relation_model_defaults_to_weak(capsys):
+    _, default, _ = run_cli(capsys, "adv", "--construction", "indexing-relation", "--n", "3")
+    _, weak, _ = run_cli(
+        capsys, "adv", "--construction", "indexing-relation", "--n", "3", "--model", "weak"
+    )
+    assert default == weak and json.loads(default)["model"] == "weak"
+
+
+def test_readme_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI examples", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("sablab ")]
+    assert len(examples) >= 12
+    parser = build_parser()
+    for line in examples:
+        words = shlex.split(line, comments=True)
+        assert words[0] == "sablab"
+        parser.parse_args(words[1:])
+
+
 def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SABLAB_SEED", "seven")
     with pytest.raises(SystemExit) as exc:
@@ -225,19 +328,28 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
     assert "FAIL" in err
 
 
-def test_verify_only_matching_nothing_is_refused(capsys, monkeypatch):
-    from sablab import verify
-
+@pytest.fixture
+def no_check_may_run(monkeypatch):
     def must_not_run(seed):
         raise AssertionError("no check may run")
 
     for name, (claim, expected, _) in list(verify._CHECKS.items()):
         monkeypatch.setitem(verify._CHECKS, name, (claim, expected, must_not_run))
+
+
+def test_verify_only_matching_nothing_is_refused(capsys, no_check_may_run):
     code, out, err = run_cli(capsys, "verify-all", "--only", "99")
     assert code == 2
     assert out == ""
     assert "'99'" in err
     assert all(name in err for name in verify._CHECKS)
+
+
+def test_verify_empty_filter_is_refused(capsys, no_check_may_run):
+    code, out, err = run_cli(capsys, "verify-all", "--only", "")
+    assert code == 2
+    assert out == ""
+    assert "empty" in err
 
 
 def test_verify_reports_are_deterministic_and_seeded(tmp_path):
