@@ -163,7 +163,7 @@ def _cmd_adv(args) -> int:
     else:
         cert = adversary.build_sabotage_adversary(f, sol)
     if args.format == "csv":
-        lines = [",".join(f"{v!r}" for v in row) for row in cert.gamma]
+        lines = [",".join(repr(float(v)) for v in row) for row in cert.gamma]
         _emit(args, "\n".join(lines) + "\n")
         return 0
     payload = cert.to_json_dict()
@@ -259,9 +259,15 @@ def _cmd_protocol_index_find(args) -> int:
     alg = _resolve_algorithm(args.alg, args.alg_file)
     w = _strong_from_args(args)
     if args.mode == "repeat":
-        report = protocols.find_index_repeat(alg, w, budget=args.budget, seed=args.seed)
+        if args.rounds is not None:
+            raise CliError("--rounds applies only to --mode amplified")
+        budget = 16 if args.budget is None else args.budget
+        report = protocols.find_index_repeat(alg, w, budget=budget, seed=args.seed)
     else:
-        report = protocols.find_index_amplified(alg, w, rounds=args.rounds, seed=args.seed)
+        if args.budget is not None:
+            raise CliError("--budget applies only to --mode repeat")
+        rounds = 0 if args.rounds is None else args.rounds
+        report = protocols.find_index_amplified(alg, w, rounds=rounds, seed=args.seed)
     _emit_json(args, report.to_json_dict())
     return 0
 
@@ -316,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_if = leaf(proto_sub, "index-find", _cmd_protocol_index_find,
                 *_ALG_FLAGS, *_PAIR_FLAGS, "seed", "out")
     p_if.add_argument("--mode", choices=("repeat", "amplified"), default="repeat")
-    p_if.add_argument("--budget", type=int, default=16)
-    p_if.add_argument("--rounds", type=int, default=0)
+    p_if.add_argument("--budget", type=int, help="repeat mode only (default: 16)")
+    p_if.add_argument("--rounds", type=int, help="amplified mode only (default: 0)")
 
     p_ver = leaf(sub, "verify-all", _cmd_verify_all, "seed", "out",
                  help="run the full verification suite")

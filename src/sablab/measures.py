@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +29,6 @@ from .boolfn import BitString, BoolFnError, PartialFunction
 
 FEAS_TOL = 1e-9
 DUALITY_TOL = 1e-7
-EXACT_ARITY_CAP = 8
 
 
 class MeasureError(BoolFnError):
@@ -46,28 +46,39 @@ class FbsSolution:
     exact: bool = False
 
     def check_certificate(self, f: PartialFunction) -> None:
-        """Raise unless primal feasible, dual feasible, and strongly dual."""
+        """Raise unless primal feasible, dual feasible, and strongly dual.
+
+        An exact solution is checked in exact rationals with no tolerance; a
+        float one within ``FEAS_TOL`` and ``DUALITY_TOL``.
+        """
+        if self.exact:
+            entries = (self.value, *self.weights.values(), *self.dual)
+            if not all(isinstance(v, Rational) for v in entries):
+                raise MeasureError("exact certificate holds a non-rational entry")
+            zero, feas_tol, duality_tol = Fraction(0), 0, 0
+        else:
+            zero, feas_tol, duality_tol = 0.0, FEAS_TOL, DUALITY_TOL
         n = f.n
-        loads = [0.0] * n
+        loads = [zero] * n
         for y, w in self.weights.items():
-            if w < -FEAS_TOL:
+            if w < -feas_tol:
                 raise MeasureError(f"negative weight {w} on {y}")
             for j in self.x.diff_positions(y):
                 loads[j - 1] += w
-        if any(load > 1 + FEAS_TOL for load in loads):
+        if any(load > 1 + feas_tol for load in loads):
             raise MeasureError(f"primal infeasible: loads {loads}")
-        if abs(sum(self.weights.values()) - self.value) > FEAS_TOL * max(1.0, float(self.value)):
+        if abs(sum(self.weights.values()) - self.value) > feas_tol * max(1.0, float(self.value)):
             raise MeasureError("value does not match the weight total")
-        if any(u < -FEAS_TOL for u in self.dual):
+        if any(u < -feas_tol for u in self.dual):
             raise MeasureError("negative dual value")
         fx = f.value(self.x)
         for y, v in f.entries.items():
             if v == fx:
                 continue
             covered = sum(self.dual[j - 1] for j in self.x.diff_positions(y))
-            if covered < 1 - FEAS_TOL:
+            if covered < 1 - feas_tol:
                 raise MeasureError(f"dual infeasible at {y}: coverage {covered}")
-        if abs(sum(self.dual) - self.value) > DUALITY_TOL:
+        if abs(sum(self.dual) - self.value) > duality_tol:
             raise MeasureError(
                 f"duality gap: primal {self.value}, dual {sum(self.dual)}"
             )
@@ -133,12 +144,7 @@ def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolut
             exact=exact,
         )
     c, b = np.ones(opp.size), np.ones(f.n)
-    if exact:
-        if f.n > EXACT_ARITY_CAP:
-            raise MeasureError(f"exact mode supports arity <= {EXACT_ARITY_CAP}")
-        sol = simplex.solve_exact(c, A, b)
-    else:
-        sol = simplex.solve_float(c, A, b)
+    sol = simplex.solve_exact(c, A, b) if exact else simplex.solve_float(c, A, b)
     domain = f.domain()
     weights = {domain[i]: w for i, w in zip(opp, sol.weights) if w > 0}
     return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)

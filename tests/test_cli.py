@@ -135,6 +135,30 @@ def test_protocol_index_find_amplified(capsys):
     assert code == 0 and abs(payload["exact_success"] - 1.0) < 1e-9
 
 
+INDEX_FIND = ("protocol", "index-find", "--alg", "grover-or-4-1", "--pair", "0000,0010", "--seed", "3")
+
+
+@pytest.mark.parametrize("mode, flag, default", [("repeat", "--budget", "16"), ("amplified", "--rounds", "0")])
+def test_index_find_mode_defaults(capsys, mode, flag, default):
+    unset = run_cli(capsys, *INDEX_FIND, "--mode", mode)
+    assert unset[0] == 0 and unset == run_cli(capsys, *INDEX_FIND, "--mode", mode, flag, default)
+
+
+@pytest.mark.parametrize("mode, flag", [("repeat", "--rounds"), ("amplified", "--budget")])
+def test_index_find_refuses_the_other_modes_flag(capsys, mode, flag):
+    code, out, err = run_cli(capsys, *INDEX_FIND, "--mode", mode, flag, "1")
+    assert code == 2 and out == "" and flag in err
+
+
+def test_adv_csv_cells_are_numbers(capsys):
+    code, out, _ = run_cli(
+        capsys, "adv", "--construction", "fbs", "--fn", "OR", "--n", "2", "--format", "csv"
+    )
+    rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()]
+    assert code == 0
+    assert rows == [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
+
 def test_protocol_errors_exit_2(capsys):
     for argv in (
         ("--alg", "grover-or-4-0", "--pair", "0000,0010"),  # no queries

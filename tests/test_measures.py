@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from sablab.boolfn import (
 )
 from sablab.measures import (
     FEAS_TOL,
+    FbsSolution,
     MeasureError,
     block_sensitivity,
     fbs,
@@ -331,6 +333,72 @@ def test_exact_mode_values_are_fractions():
     sol = fbs(make_named("MAJ", 3), "000", exact=True)
     assert sol.value == Fraction(3, 2)
     assert all(isinstance(w, Fraction) for w in sol.weights.values())
+
+
+def _balanced_total_function(rng, n):
+    """Total function with half of its inputs mapped to 1, as in the certify benchmark."""
+    universe = list(all_bitstrings(n))
+    values = rng.permutation([i % 2 for i in range(len(universe))])
+    return PartialFunction(f"balanced_{n}", n, {x: int(v) for x, v in zip(universe, values)}, total=True)
+
+
+def test_exact_fbs_at_arity_7_never_pivots_in_fractions(monkeypatch):
+    solve = simplex._solve
+
+    def float_only(c, A, b, tol, num):
+        if num is Fraction:
+            raise AssertionError("the Fraction pivot loop was entered")
+        return solve(c, A, b, tol, num)
+
+    monkeypatch.setattr(simplex, "_solve", float_only)
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        f = _balanced_total_function(rng, 7)
+        for i in rng.choice(1 << 7, size=3, replace=False):
+            x = f.domain()[i]
+            sol = fbs(f, x, exact=True)
+            sol.check_certificate(f)
+            assert abs(float(sol.value) - fbs(f, x).value) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "f, x, value",
+    [
+        (make_named("MAJ", 11), "11111000000", 6),
+        (make_named("OR", 12), "0" * 12, 12),
+        # Address 000 with data bits 0, 1, 2, 4 set so that each is a sensitive block.
+        (make_indexing(3), "000" + "01101000", 4),
+    ],
+    ids=["MAJ_11", "OR_12", "IND_3"],
+)
+def test_exact_certificates_above_arity_8(f, x, value):
+    sol = fbs(f, x, exact=True)
+    assert sol.value == value and block_sensitivity(f, x) == value
+    assert all(type(v) is Fraction for v in (sol.value, *sol.weights.values(), *sol.dual))
+    sol.check_certificate(f)
+
+
+def test_exact_certificate_check_has_no_tolerance():
+    f = make_named("MAJ", 3)
+    sol = fbs(f, "000", exact=True)
+    sol.check_certificate(f)
+    dual = (sol.dual[0] - Fraction(1, 10**12), *sol.dual[1:])
+    with pytest.raises(MeasureError):
+        dataclasses.replace(sol, dual=dual).check_certificate(f)
+    # The float check accepts the same tamper: it is within FEAS_TOL.
+    FbsSolution(
+        x=sol.x,
+        weights={y: float(w) for y, w in sol.weights.items()},
+        value=float(sol.value),
+        dual=tuple(float(u) for u in dual),
+    ).check_certificate(f)
+
+
+def test_exact_certificate_check_refuses_float_entries():
+    f = make_named("MAJ", 3)
+    sol = fbs(f, "000", exact=True)
+    with pytest.raises(MeasureError, match="non-rational"):
+        dataclasses.replace(sol, dual=tuple(float(u) for u in sol.dual)).check_certificate(f)
 
 
 def test_integral_restriction_reproduces_bs():

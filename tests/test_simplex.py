@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sablab import simplex
 from sablab.simplex import SimplexError, solve_exact, solve_float
 
 
@@ -115,3 +117,83 @@ def test_dual_feasibility_exact():
         assert min(sol.weights) >= 0
         assert all(sum(a * w for a, w in zip(row, sol.weights)) <= 1 for row in rows)  # primal feasible
         assert sum(sol.weights) == sol.value
+
+
+def cold_fraction_loop(c, A, b):
+    """The Fraction pivot loop from the all-slack basis, with no float guess."""
+    return simplex._solve(c, A, b, 0, Fraction)
+
+
+@pytest.fixture
+def fraction_loop_calls(monkeypatch):
+    """Count the runs of the pivot loop in Fraction arithmetic."""
+    calls = []
+    solve = simplex._solve
+
+    def spy(c, A, b, tol, num):
+        if num is Fraction:
+            calls.append(num)
+        return solve(c, A, b, tol, num)
+
+    monkeypatch.setattr(simplex, "_solve", spy)
+    return calls
+
+
+def test_exact_matches_cold_fraction_loop(fraction_loop_calls):
+    for c, A, b in [*_random_lps(), (BEALE_C, BEALE_A, BEALE_B)]:
+        cold = cold_fraction_loop(c, A, b)
+        sol = solve_exact(c, A, b)
+        assert type(sol.value) is Fraction and sol.value == cold.value
+        assert sol.dual_value(b) == sol.value
+    # Each cold loop above is one call; solve_exact itself never fell back.
+    assert len(fraction_loop_calls) == 26
+
+
+def test_exact_falls_back_when_float_loop_raises(fraction_loop_calls):
+    # The float loop reads the eps column as all-zero, hence unbounded.
+    eps = Fraction(1, 10**12)
+    c, A, b = [1, 1], [[1, 0], [0, eps]], [1, eps]
+    with pytest.raises(SimplexError):
+        solve_float(np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float))
+    sol = solve_exact(c, A, b)
+    assert sol.value == 2 and sol.weights == (1, 1) and sol.dual == (1, 1 / eps)
+    # An integer too large for a float: the float loop cannot even read it.
+    assert solve_exact([10**400], [[1]], [1]).value == 10**400
+    assert len(fraction_loop_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [(2, 3), (2, 0), (0, 1)],
+    # On max 3a + 2b s.t. a + b <= 4, a + 3b <= 6 (columns a, b, slack 1, slack 2):
+    ids=["slacks-dual-infeasible", "primal-infeasible", "negative-dual"],
+)
+def test_exact_falls_back_when_float_basis_is_not_optimal(monkeypatch, fraction_loop_calls, basis):
+    # Each basis passes every exact check but one, so the verifier must refuse it.
+    solve = simplex._solve
+
+    def wrong_basis(c, A, b, tol, num):
+        sol = solve(c, A, b, tol, num)
+        return dataclasses.replace(sol, basis=basis) if num is float else sol
+
+    monkeypatch.setattr(simplex, "_solve", wrong_basis)
+    c, A, b = [3, 2], [[1, 1], [1, 3]], [4, 6]
+    sol = solve_exact(c, A, b)
+    assert sol.value == 12 and sol.weights == (4, 0) and sol.dual_value(b) == 12
+    assert len(fraction_loop_calls) == 1
+
+
+def test_exact_verification_with_large_integer_duals(fraction_loop_calls):
+    # y = (1/p, 1/q) scales to (q, p), and c scales to p·q > 2**63: the
+    # integer dual check must not overflow.
+    p, q = 3**25, 5**17
+    A = np.array([[p, 0], [0, q]], dtype=float)
+    sol = solve_exact(np.ones(2), A, np.ones(2))
+    assert sol.value == Fraction(1, p) + Fraction(1, q)
+    assert sol.dual == (Fraction(1, p), Fraction(1, q))
+    assert fraction_loop_calls == []
+
+
+def test_float_solution_reports_its_basis():
+    sol = solve_float(np.array([3.0, 2.0]), np.array([[1.0, 1.0], [1.0, 3.0]]), np.array([4.0, 6.0]))
+    assert sol.basis == (0, 3)  # a in row 1, the slack of row 2 in row 2
