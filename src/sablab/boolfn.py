@@ -1,8 +1,8 @@
 """Partial Boolean functions on small domains, plus the named-function catalog.
 
-A :class:`PartialFunction` stores an explicit truth table ``entries`` mapping
-:class:`BitString` keys of length ``n`` to values in ``{0, 1}``.  The zero and
-one preimages are exposed as ``d0`` and ``d1``.
+A :class:`PartialFunction` stores its truth table as read-only numpy arrays,
+with :class:`BitString` objects only at the API edge.  The catalog functions
+are filled in by numpy; outside input is validated entry by entry.
 
 Position convention: coordinates ``j`` in public APIs are 1-based (``1..n``);
 Python-level sequence indexing of :class:`BitString` is 0-based.
@@ -88,26 +88,16 @@ class BitString:
             out[j - 1] ^= 1
         return BitString(tuple(out))
 
-    def diff_positions(self, other: "BitString") -> tuple[int, ...]:
-        """1-based positions where the two strings differ."""
-        if len(other) != len(self):
-            raise BoolFnError("length mismatch")
-        return tuple(j + 1 for j, (a, b) in enumerate(zip(self.bits, other.bits)) if a != b)
-
-
-def all_bitstrings(n: int) -> Iterator[BitString]:
-    """All length-n bit strings in lexicographic (MSB-first) order."""
-    for k in range(1 << n):
-        yield BitString(tuple((k >> (n - 1 - i)) & 1 for i in range(n)))
-
 
 class PartialFunction:
     """Truth table of ``f: D -> {0,1}`` with ``D`` a subset of length-n strings.
 
-    Immutable after construction; safe for concurrent reads.
+    Three read-only arrays in lexicographic order of ``D``: int64 codes (each
+    MSB-first string read as an integer), uint8 values and the (|D|, n) uint8
+    bit matrix.  The views returning BitStrings build them on each call.
     """
 
-    __slots__ = ("name", "n", "total", "_entries", "_hash", "_array_cache")
+    __slots__ = ("name", "n", "total", "_codes", "_vals", "_bits")
 
     def __init__(
         self,
@@ -119,96 +109,118 @@ class PartialFunction:
         if not 1 <= n <= MAX_ARITY:
             raise ArityError(f"arity {n} outside 1..{MAX_ARITY}")
         items = entries.items() if isinstance(entries, Mapping) else entries
-        table: dict[BitString, int] = {}
+        table: dict[int, int] = {}
         for key, val in items:
             bs = BitString.coerce(key)
             if len(bs) != n:
                 raise FunctionFormatError(f"key {bs} has length {len(bs)}, expected {n}")
             if val not in (0, 1):
                 raise FunctionFormatError(f"value for {bs} must be 0/1, got {val!r}")
-            if bs in table:
+            code = int(str(bs), 2)
+            if code in table:
                 raise FunctionFormatError(f"duplicate key {bs}")
-            table[bs] = int(val)
+            table[code] = int(val)
         if not table:
             raise FunctionFormatError("empty domain")
         if total and len(table) != 1 << n:
             raise FunctionFormatError(
                 f"function flagged total has {len(table)} of {1 << n} entries"
             )
-        self.name = name
-        self.n = n
-        self.total = bool(total)
-        self._entries = dict(sorted(table.items()))
-        self._hash: int | None = None
-        self._array_cache: tuple[np.ndarray, np.ndarray] | None = None
+        codes = sorted(table)
+        vals = np.array([table[c] for c in codes], dtype=np.uint8)
+        self._store(name, n, total, np.array(codes, dtype=np.int64), vals)
+
+    @classmethod
+    def _total(cls, name: str, n: int, vals: np.ndarray) -> "PartialFunction":
+        """Total function from its values in code order, without validation."""
+        f = cls.__new__(cls)
+        f._store(name, n, True, np.arange(1 << n, dtype=np.int64), vals.astype(np.uint8))
+        return f
+
+    def _store(self, name: str, n: int, total: bool, codes: np.ndarray, vals: np.ndarray) -> None:
+        bits = np.unpackbits(codes.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
+        for array in (codes, vals, bits):
+            array.flags.writeable = False
+        self.name, self.n, self.total = name, n, bool(total)
+        self._codes, self._vals, self._bits = codes, vals, bits
+
+    def _index(self, x: BitString) -> int | None:
+        """Row of x in the arrays, or None if x is outside the domain."""
+        if len(x) != self.n:
+            return None
+        code = int(str(x), 2)
+        i = code if self.total else int(np.searchsorted(self._codes, code))
+        return i if i < self._codes.size and self._codes[i] == code else None
 
     @property
     def entries(self) -> Mapping[BitString, int]:
-        return MappingProxyType(self._entries)
+        return MappingProxyType(dict(zip(self.domain(), self._vals.tolist())))
 
     @property
     def d0(self) -> tuple[BitString, ...]:
-        return tuple(x for x, v in self._entries.items() if v == 0)
+        return _strings(self._bits[self._vals == 0])
 
     @property
     def d1(self) -> tuple[BitString, ...]:
-        return tuple(x for x, v in self._entries.items() if v == 1)
+        return _strings(self._bits[self._vals == 1])
 
     def __contains__(self, x: object) -> bool:
         try:
-            return BitString.coerce(x) in self._entries  # type: ignore[arg-type]
+            return self._index(BitString.coerce(x)) is not None  # type: ignore[arg-type]
         except (BoolFnError, TypeError):
             return False
 
     def value(self, x: BitString | str) -> int:
         bs = BitString.coerce(x)
-        try:
-            return self._entries[bs]
-        except KeyError:
-            raise DomainError(f"{bs} not in the domain of {self.name}") from None
+        if (i := self._index(bs)) is None:
+            raise DomainError(f"{bs} not in the domain of {self.name}")
+        return int(self._vals[i])
 
     def domain(self) -> tuple[BitString, ...]:
-        return tuple(self._entries)
+        return _strings(self._bits)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Domain as a (m, n) uint8 bit matrix and an (m,) value vector."""
-        if self._array_cache is None:
-            bits = np.array([x.bits for x in self._entries], dtype=np.uint8)
-            vals = np.array(list(self._entries.values()), dtype=np.uint8)
-            self._array_cache = (bits, vals)
-        return self._array_cache
+        """Domain as a read-only (m, n) uint8 bit matrix and (m,) value vector."""
+        return self._bits, self._vals
 
     def opposite_inputs(self, x: BitString | str) -> tuple[BitString, ...]:
         """All domain points with function value different from f(x)."""
-        fx = self.value(x)
-        return tuple(y for y, v in self._entries.items() if v != fx)
+        return _strings(self._bits[self._vals != self.value(x)])
 
     def serialize(self) -> str:
         payload = {
             "name": self.name,
             "n": self.n,
             "total": self.total,
-            "entries": [[str(x), v] for x, v in self._entries.items()],
+            "entries": [[f"{c:0{self.n}b}", v] for c, v in zip(self._codes.tolist(), self._vals.tolist())],
         }
         return json.dumps(payload, sort_keys=True)
+
+    def _key(self) -> tuple:
+        return (self.name, self.n, self.total, self._codes.tobytes(), self._vals.tobytes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialFunction):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.n == other.n
-            and self.total == other.total
-            and self._entries == other._entries
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.name, self.n, self.total, tuple(self._entries.items())))
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"PartialFunction({self.name!r}, n={self.n}, |D|={len(self._entries)})"
+        return f"PartialFunction({self.name!r}, n={self.n}, |D|={self._codes.size})"
+
+
+def _strings(bits: np.ndarray) -> tuple[BitString, ...]:
+    return tuple(BitString(tuple(row)) for row in bits.tolist())
+
+
+def require_general_size(f: PartialFunction, work: str, error: type[Exception]) -> None:
+    """Raise ``error`` before ``work`` over all of f's domain if |D| > 2^MAX_GENERAL_ARITY."""
+    size, cap = f.arrays()[1].size, 1 << MAX_GENERAL_ARITY
+    if size > cap:
+        raise error(f"{work} refused: {f.name} has {size} domain points, "
+                    f"above the cap of 2^{MAX_GENERAL_ARITY} = {cap}")
 
 
 def make_named(name: str, n: int) -> PartialFunction:
@@ -216,24 +228,15 @@ def make_named(name: str, n: int) -> PartialFunction:
     name = name.upper()
     if name not in NAMED_FUNCTIONS:
         raise BoolFnError(f"unknown function name {name!r}")
-    if name == "XOR2":
-        if n != 2:
-            raise ArityError("XOR2 requires n = 2")
-        rule = lambda bits: (bits[0] + bits[1]) % 2
-    elif name == "MAJ":
-        if n % 2 == 0 or n < 1:
-            raise ArityError("MAJ requires odd n")
-        rule = lambda bits: int(2 * sum(bits) > n)
-    elif name == "AND":
-        rule = lambda bits: int(all(bits))
-    elif name == "OR":
-        rule = lambda bits: int(any(bits))
-    else:  # PARITY
-        rule = lambda bits: sum(bits) % 2
+    if name == "XOR2" and n != 2:
+        raise ArityError("XOR2 requires n = 2")
+    if name == "MAJ" and n % 2 == 0:
+        raise ArityError("MAJ requires odd n")
     if not 1 <= n <= MAX_GENERAL_ARITY:
         raise ArityError(f"arity {n} outside 1..{MAX_GENERAL_ARITY}")
-    entries = {x: rule(x.bits) for x in all_bitstrings(n)}
-    return PartialFunction(f"{name}_{n}", n, entries, total=True)
+    weight = sum((np.arange(1 << n) >> j) & 1 for j in range(n))
+    rules = {"AND": weight == n, "OR": weight > 0, "MAJ": 2 * weight > n}
+    return PartialFunction._total(f"{name}_{n}", n, rules.get(name, weight % 2))
 
 
 def make_indexing(n: int) -> PartialFunction:
@@ -244,12 +247,10 @@ def make_indexing(n: int) -> PartialFunction:
     """
     if not 1 <= n <= 4:
         raise ArityError(f"indexing arity {n} outside 1..4")
-    arity = n + (1 << n)
-    entries = {}
-    for x in all_bitstrings(arity):
-        addr = int("".join(str(b) for b in x.bits[:n]), 2)
-        entries[x] = x.bits[n + addr]
-    return PartialFunction(f"IND_{n}", arity, entries, total=True)
+    size = 1 << n
+    codes = np.arange(1 << (n + size), dtype=np.int64)
+    # The address is the top n bits; data position a is bit size - 1 - a of the code.
+    return PartialFunction._total(f"IND_{n}", n + size, (codes >> (size - 1 - (codes >> size))) & 1)
 
 
 def load_function(text: str) -> PartialFunction:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import adversary, measures, protocols, qsim, verify
-from .boolfn import BitString, BoolFnError, load_function, make_indexing, make_named
+from .boolfn import BitString, BoolFnError, load_function, make_indexing, make_named, require_general_size
 from .sabotage import SabString, SabotageError, StrongInput, enumerate_sabotaged
 
 _USAGE_ERROR = 2
@@ -126,11 +126,10 @@ def _cmd_fbs(args) -> int:
 
 def _cmd_bs(args) -> int:
     f = _resolve_function(args)
-    if args.x is not None:
-        value, x = measures.block_sensitivity(f, args.x), BitString.coerce(args.x)
-    else:
-        best = max(((measures.block_sensitivity(f, p), p) for p in f.domain()), key=lambda t: (t[0], [-b for b in t[1].bits]))
-        value, x = best
+    if args.x is None:
+        require_general_size(f, "bs", measures.MeasureError)
+    points = f.domain() if args.x is None else [BitString.coerce(args.x)]
+    value, x = max(((measures.block_sensitivity(f, p), p) for p in points), key=lambda t: (t[0], [-b for b in t[1].bits]))
     _emit_json(args, {"function": f.name, "value": int(value), "x": str(x)})
     return 0
 

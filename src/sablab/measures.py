@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import simplex
-from .boolfn import BitString, BoolFnError, PartialFunction
+from .boolfn import BitString, BoolFnError, PartialFunction, require_general_size
 
 FEAS_TOL = 1e-9
 DUALITY_TOL = 1e-7
@@ -48,36 +48,36 @@ class FbsSolution:
     def check_certificate(self, f: PartialFunction) -> None:
         """Raise unless primal feasible, dual feasible, and strongly dual.
 
-        An exact solution is checked in exact rationals with no tolerance; a
-        float one within ``FEAS_TOL`` and ``DUALITY_TOL``.
+        An exact solution is checked with no tolerance, its dual coverage in
+        integers; a float one within ``FEAS_TOL`` and ``DUALITY_TOL``.
         """
         if self.exact:
             entries = (self.value, *self.weights.values(), *self.dual)
             if not all(isinstance(v, Rational) for v in entries):
                 raise MeasureError("exact certificate holds a non-rational entry")
-            zero, feas_tol, duality_tol = Fraction(0), 0, 0
+            scale = math.lcm(*(u.denominator for u in self.dual))
+            dual = np.array([int(u * scale) for u in self.dual], dtype=object)
+            num, feas_tol, duality_tol = object, 0, 0
         else:
-            zero, feas_tol, duality_tol = 0.0, FEAS_TOL, DUALITY_TOL
-        n = f.n
-        loads = [zero] * n
+            scale, dual = 1, np.array(self.dual, dtype=np.float64)
+            num, feas_tol, duality_tol = np.float64, FEAS_TOL, DUALITY_TOL
         for y, w in self.weights.items():
             if w < -feas_tol:
                 raise MeasureError(f"negative weight {w} on {y}")
-            for j in self.x.diff_positions(y):
-                loads[j - 1] += w
-        if any(load > 1 + feas_tol for load in loads):
-            raise MeasureError(f"primal infeasible: loads {loads}")
+        ys = np.array([y.bits for y in self.weights], dtype=np.uint8).reshape(-1, f.n)
+        loads = np.array(list(self.weights.values()), dtype=num) @ (ys ^ self.x.bits).astype(num)
+        if np.any(loads > 1 + feas_tol):
+            raise MeasureError(f"primal infeasible: loads {loads.tolist()}")
         if abs(sum(self.weights.values()) - self.value) > feas_tol * max(1.0, float(self.value)):
             raise MeasureError("value does not match the weight total")
         if any(u < -feas_tol for u in self.dual):
             raise MeasureError("negative dual value")
-        fx = f.value(self.x)
-        for y, v in f.entries.items():
-            if v == fx:
-                continue
-            covered = sum(self.dual[j - 1] for j in self.x.diff_positions(y))
-            if covered < 1 - feas_tol:
-                raise MeasureError(f"dual infeasible at {y}: coverage {covered}")
+        opp, diff = _lp_data(f, self.x)
+        coverage = diff.astype(num) @ dual
+        short = np.flatnonzero(coverage < scale * (1 - feas_tol))
+        if short.size:
+            y = BitString(tuple(f.arrays()[0][opp[short[0]]].tolist()))
+            raise MeasureError(f"dual infeasible at {y}: coverage {coverage[short[0]] / scale}")
         if abs(sum(self.dual) - self.value) > duality_tol:
             raise MeasureError(
                 f"duality gap: primal {self.value}, dual {sum(self.dual)}"
@@ -86,18 +86,13 @@ class FbsSolution:
 
 def sensitive_blocks(f: PartialFunction, x: BitString | str) -> tuple[int, ...]:
     """Sensitive blocks at x as coordinate bitmasks (bit j-1 set for position j)."""
-    xb = BitString.coerce(x)
-    masks = []
-    for y in f.opposite_inputs(xb):
-        mask = 0
-        for j in xb.diff_positions(y):
-            mask |= 1 << (j - 1)
-        masks.append(mask)
-    return tuple(sorted(set(masks)))
+    _, diff = _lp_data(f, BitString.coerce(x))
+    return tuple(np.unique(diff.astype(np.int64) @ (1 << np.arange(f.n))).tolist())
 
 
 def block_sensitivity(f: PartialFunction, x: BitString | str) -> int:
     """Maximum number of pairwise disjoint sensitive blocks at x."""
+    require_general_size(f, "block sensitivity", MeasureError)
     masks = sensitive_blocks(f, x)
     if not masks:
         return 0
@@ -121,19 +116,16 @@ def block_sensitivity(f: PartialFunction, x: BitString | str) -> int:
 
 
 def _lp_data(f: PartialFunction, x: BitString) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x's opposite inputs, and their (|opp|, n) uint8 difference bits from x."""
     bits, vals = f.arrays()
-    fx = f.value(x)
-    opp = np.flatnonzero(vals != fx)
-    xbits = np.array(x.bits, dtype=np.uint8)
-    A = (bits[opp] ^ xbits).T.astype(np.float64)  # constraint row j: ys differing at j
-    return opp, A
+    opp = np.flatnonzero(vals != f.value(x))
+    return opp, bits[opp] ^ np.array(x.bits, dtype=np.uint8)
 
 
 def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolution:
     """Fractional block sensitivity at x, with weights and dual certificate."""
     xb = BitString.coerce(x)
-    f.value(xb)  # domain check
-    opp, A = _lp_data(f, xb)
+    opp, diff = _lp_data(f, xb)
     if opp.size == 0:
         zeros = (Fraction(0),) * f.n if exact else (0.0,) * f.n
         return FbsSolution(
@@ -143,10 +135,9 @@ def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolut
             dual=zeros,
             exact=exact,
         )
-    c, b = np.ones(opp.size), np.ones(f.n)
+    c, A, b = np.ones(opp.size), diff.T.astype(np.float64), np.ones(f.n)  # row j: ys differing at j
     sol = simplex.solve_exact(c, A, b) if exact else simplex.solve_float(c, A, b)
-    domain = f.domain()
-    weights = {domain[i]: w for i, w in zip(opp, sol.weights) if w > 0}
+    weights = {BitString(tuple(f.arrays()[0][i].tolist())): w for i, w in zip(opp, sol.weights) if w > 0}
     return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)
 
 
@@ -163,15 +154,16 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
     is); in float mode the bound's rounding is far below the ``FEAS_TOL``
     margin of the tie rule.
     """
-    if not f.d0 or not f.d1:
-        raise MeasureError(f"{f.name} is constant on its domain")
+    require_general_size(f, "fbs_global", MeasureError)
     bits, vals = f.arrays()
+    if vals.min() == vals.max():
+        raise MeasureError(f"{f.name} is constant on its domain")
     dtype = object if exact else np.float64
     by_value = [bits[vals == v].astype(dtype) for v in (0, 1)]
     pool = np.zeros((0, f.n), dtype=dtype)  # distinct clipped duals, one per row
     best_value: float | Fraction | None = None
     best_x: BitString | None = None
-    for x, row, fx in zip(f.domain(), bits, vals):
+    for row, fx in zip(bits, vals):
         if len(pool):
             xbits = row.astype(dtype)
             # coverage[y, k] = sum of pool[k, j] over j with x_j != y_j
@@ -179,6 +171,7 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
             worst = coverage.min(axis=0)
             if np.any((worst > 0) & (pool.sum(axis=1) <= best_value * worst)):
                 continue
+        x = BitString(tuple(row.tolist()))
         sol = fbs(f, x, exact=exact)
         if best_value is None or sol.value > best_value + (0 if exact else FEAS_TOL):
             best_value, best_x = sol.value, x

@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .boolfn import BitString, PartialFunction
+import numpy as np
+
+from .boolfn import BitString, PartialFunction, require_general_size
 
 STAR = 2
 DAGGER = 3
@@ -160,6 +162,7 @@ def _sabotage(x: BitString, y: BitString, marker: int) -> SabString:
 
 def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], frozenset[SabString]]:
     """Sets of star- and dagger-sabotaged inputs over all (0-input, 1-input) pairs."""
+    require_general_size(f, "enumerate_sabotaged", SabotageError)
     zeros, ones = f.d0, f.d1
     if not zeros or not ones:
         raise SabotageError(f"{f.name} is constant on its domain; nothing to sabotage")
@@ -176,11 +179,15 @@ def eval_sab(f: PartialFunction, z: SabString) -> int:
     """
     if len(z) != f.n:
         raise SabotageError(f"{z} has length {len(z)}, but {f.name} has arity {f.n}")
-    marks = z.mark_positions
-    fixed = [(j, s) for j, s in enumerate(z.symbols) if s < STAR]
-    for x in f.d0:
-        if all(x.bits[j] == s for j, s in fixed) and f.entries.get(x.flip(marks)) == 1:
-            return 0 if z.marker == STAR else 1
+    bits, vals = f.arrays()
+    symbols = np.array(z.symbols)
+    marked = symbols >= STAR
+    cube = np.all(bits[:, ~marked] == symbols[~marked], axis=1)  # agrees with z off the marks
+    # Key each cube point by its bits on the marks; flipping the marks maps key k to full ^ k.
+    key = bits[cube][:, marked].astype(np.int64) @ (1 << np.arange(marked.sum()))
+    full = (1 << int(marked.sum())) - 1
+    if np.intersect1d(key[vals[cube] == 0], full ^ key[vals[cube] == 1]).size:
+        return 0 if z.marker == STAR else 1
     raise SabotageError(f"{z} is not a sabotaged input of {f.name}")
 
 

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
-from sablab.boolfn import BitString, PartialFunction, all_bitstrings
+from sablab.boolfn import BitString, PartialFunction
+
+
+def all_bitstrings(n: int) -> list[BitString]:
+    """All length-n bit strings in lexicographic (MSB-first) order."""
+    return [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
+
+
+def diff_positions(x: BitString, y: BitString) -> tuple[int, ...]:
+    """1-based positions where x and y differ."""
+    return tuple(j + 1 for j, (a, b) in enumerate(zip(x, y)) if a != b)
 
 
 @st.composite

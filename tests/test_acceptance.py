@@ -3,17 +3,23 @@
 Each test prints one PASS/FAIL line (run pytest with -s or look at the
 captured output).  Criteria 1-9 execute the corresponding verification
 check directly; criterion 10 runs the full verify-all command twice and
-compares the reports byte for byte.
+compares the reports byte for byte, and against the pinned sha256 of the
+canonical report.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
 
 from sablab import verify
 from sablab.cli import main
+
+# sha256 of `sablab verify-all --seed 0 --out FILE`.  A change that moves the
+# report's bytes on purpose updates this pin and says so in CHANGES.md.
+CANONICAL_REPORT_SHA256 = "c8c758b1b83abc52dcdb23cc4a9c3a75c8481641dca6e47cbb053a63f4bf4069"
 
 # (check name, human label, wall-clock budget in seconds)
 _CRITERIA = [
@@ -53,3 +59,4 @@ def test_criterion_10_determinism(tmp_path, capsys):
     print(f"{status}  criterion 10: byte-identical verify-all reports  [{elapsed:.2f}s]")
     assert code_a == 0 and code_b == 0
     assert identical
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256

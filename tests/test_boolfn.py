@@ -7,14 +7,14 @@ import json
 import pytest
 from hypothesis import given
 
-from conftest import partial_functions
+from conftest import all_bitstrings, partial_functions
 from sablab.boolfn import (
     ArityError,
     BitString,
     BoolFnError,
     DomainError,
     FunctionFormatError,
-    all_bitstrings,
+    PartialFunction,
     catalog,
     load_function,
     make_indexing,
@@ -135,6 +135,25 @@ def test_catalog_serialize_roundtrip(f):
     assert dict(again.entries) == dict(f.entries)
 
 
+def test_stored_arrays_are_read_only():
+    f = make_named("OR", 3)
+    bits, vals = f.arrays()
+    with pytest.raises(ValueError):
+        vals[:] = 0
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1
+    assert vals.tolist() == [0] + [1] * 7 and f.value("001") == 1
+
+
+@pytest.mark.parametrize("f", catalog(), ids=lambda f: f.name)
+def test_constructors_agree(f):
+    """The numpy-filled catalog equals, and hashes as, its validated rebuilds."""
+    rebuilt = PartialFunction(f.name, f.n, f.entries, total=True)
+    loaded = load_function(f.serialize())
+    assert f == rebuilt == loaded
+    assert hash(f) == hash(rebuilt) == hash(loaded)
+
+
 @given(partial_functions())
 def test_random_function_roundtrip(f):
     assert load_function(f.serialize()) == f
@@ -144,7 +163,6 @@ def test_bitstring_helpers():
     x = BitString.from_text("0101")
     assert str(x) == "0101" and len(x) == 4 and x[1] == 1
     assert str(x.flip([1, 4])) == "1100"
-    assert x.diff_positions(BitString.from_text("0110")) == (3, 4)
     with pytest.raises(BoolFnError):
         BitString.from_text("")
     with pytest.raises(BoolFnError):

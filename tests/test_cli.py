@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from sablab import measures, verify
+from sablab import measures, sabotage, simplex, verify
+from sablab.boolfn import PartialFunction
 from sablab.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -385,3 +386,19 @@ def test_verify_reports_are_deterministic_and_seeded(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
     assert payload["seed"] == 9
+
+
+@pytest.mark.parametrize("command", [("fbs",), ("adv", "--construction", "fbs"), ("bs",), ("bs", "--x", "0" * 20),
+                                     ("sab-enum",)])
+def test_whole_domain_commands_refuse_arity_20(capsys, monkeypatch, command):
+    """IND_4 has 2^20 points: the sweep, the bs scan and the pair loop refuse before they start."""
+    def never(*args, **kwargs):
+        pytest.fail("whole-domain work started")
+
+    monkeypatch.setattr(simplex, "solve_float", never)
+    monkeypatch.setattr(sabotage, "sabotage_star", never)
+    monkeypatch.setattr(measures, "sensitive_blocks", never)
+    monkeypatch.setattr(PartialFunction, "domain", never)
+    code, out, err = run_cli(capsys, *command, "--fn", "IND", "--n", "4")
+    assert code == 2 and out == ""
+    assert "1048576 domain points" in err and "2^12 = 4096" in err

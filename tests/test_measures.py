@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partial_functions
+from conftest import all_bitstrings, diff_positions, partial_functions
 from sablab import measures, simplex
 from sablab.boolfn import (
     BitString,
     PartialFunction,
-    all_bitstrings,
     catalog,
     make_indexing,
     make_named,
@@ -38,7 +37,7 @@ def brute_packing(f, x):
     xb = BitString.coerce(x)
     blocks = []
     for y in f.opposite_inputs(xb):
-        blocks.append(frozenset(xb.diff_positions(y)))
+        blocks.append(frozenset(diff_positions(xb, y)))
     best = 0
     for r in range(len(blocks), 0, -1):
         if r <= best:
@@ -394,6 +393,19 @@ def test_exact_certificate_check_has_no_tolerance():
     ).check_certificate(f)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_certificate_check_refuses_uncovered_inputs(exact):
+    """Only the coverage check refuses these duals: the gap stays within DUALITY_TOL."""
+    f = make_named("OR", 2)
+    sol = fbs(f, "00", exact=exact)
+    moved = (sol.dual[0] + sol.dual[1], 0 * sol.dual[1])
+    with pytest.raises(MeasureError, match="dual infeasible at 01"):
+        dataclasses.replace(sol, dual=moved).check_certificate(f)
+    shrunk = tuple(u * (1 - Fraction(1, 10**8)) for u in sol.dual)
+    with pytest.raises(MeasureError, match="dual infeasible at 01"):
+        dataclasses.replace(sol, dual=shrunk).check_certificate(f)
+
+
 def test_exact_certificate_check_refuses_float_entries():
     f = make_named("MAJ", 3)
     sol = fbs(f, "000", exact=True)
@@ -408,7 +420,7 @@ def test_integral_restriction_reproduces_bs():
             ys = f.opposite_inputs(x)
             best = 0
             xb = BitString.coerce(x)
-            masks = [frozenset(xb.diff_positions(y)) for y in ys]
+            masks = [frozenset(diff_positions(xb, y)) for y in ys]
             for r in range(len(set(masks)), 0, -1):
                 if r <= best:
                     break
@@ -433,3 +445,14 @@ def test_sensitive_blocks_are_masks():
     f = make_named("OR", 2)
     masks = sensitive_blocks(f, "00")
     assert set(masks) == {0b01, 0b10, 0b11}
+
+
+def test_indexing_at_arity_20():
+    """make_indexing(4) against the textual rule at seeded points, and one certified solve."""
+    f = make_indexing(4)
+    for row in np.random.default_rng(0).integers(0, 2, size=(256, 20)).tolist():
+        address = int("".join(map(str, row[:4])), 2)
+        assert f.value(BitString(tuple(row))) == row[4 + address]
+    sol = fbs(f, "0" * 20)
+    assert sol.value == 5
+    sol.check_certificate(f)
