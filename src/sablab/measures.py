@@ -85,7 +85,13 @@ class FbsSolution:
 
 
 def sensitive_blocks(f: PartialFunction, x: BitString | str) -> tuple[int, ...]:
-    """Sensitive blocks at x as coordinate bitmasks (bit j-1 set for position j)."""
+    """Sensitive blocks at x as coordinate bitmasks, ascending.
+
+    Masks are LSB-first: bit j - 1 is set for position j.  This is the
+    mirror of the MSB-first integer codes of :class:`PartialFunction` and of
+    the pair keys of ``sabotage.enumerate_sabotaged``, where position j is
+    bit n - j.
+    """
     _, diff = _lp_data(f, BitString.coerce(x))
     return tuple(np.unique(diff.astype(np.int64) @ (1 << np.arange(f.n))).tolist())
 
@@ -93,24 +99,33 @@ def sensitive_blocks(f: PartialFunction, x: BitString | str) -> tuple[int, ...]:
 def block_sensitivity(f: PartialFunction, x: BitString | str) -> int:
     """Maximum number of pairwise disjoint sensitive blocks at x."""
     require_general_size(f, "block sensitivity", MeasureError)
-    masks = sensitive_blocks(f, x)
-    if not masks:
-        return 0
     # A packing over minimal sensitive blocks achieves the optimum: any block
     # in a packing can be replaced by a minimal sensitive block inside it.
-    minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
-    minimal.sort(key=lambda m: m.bit_count())
-    memo: dict[int, int] = {}
+    # In popcount order, a block is minimal iff it contains no minimal block
+    # found before it.
+    minimal: list[int] = []
+    for m in sorted(sensitive_blocks(f, x), key=int.bit_count):
+        for k in minimal:
+            if k & ~m == 0:
+                break
+        else:
+            minimal.append(m)
+    by_low: dict[int, list[int]] = {}  # minimal blocks by their lowest position
+    for m in minimal:
+        by_low.setdefault(m & -m, []).append(m)
+    memo: dict[int, int] = {0: 0}
 
     def best(avail: int) -> int:
-        if avail in memo:
-            return memo[avail]
-        out = 0
-        for m in minimal:
-            if m & ~avail == 0:
-                out = max(out, 1 + best(avail & ~m))
-        memo[avail] = out
-        return out
+        # The lowest free position is either left out or covered by a block
+        # starting there; a block inside avail cannot start lower.
+        if avail not in memo:
+            low = avail & -avail
+            out = best(avail ^ low)
+            for m in by_low.get(low, ()):
+                if m & ~avail == 0:
+                    out = max(out, 1 + best(avail & ~m))
+            memo[avail] = out
+        return memo[avail]
 
     return best((1 << f.n) - 1)
 

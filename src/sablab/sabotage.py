@@ -17,6 +17,7 @@ STAR = 2
 DAGGER = 3
 _SYMBOL_CHARS = {0: "0", 1: "1", STAR: "*", DAGGER: "+"}
 _CHAR_SYMBOLS = {"0": 0, "1": 1, "*": STAR, "+": DAGGER}
+_SYMBOLS = frozenset(_SYMBOL_CHARS)
 
 
 class SabotageError(ValueError):
@@ -33,10 +34,14 @@ class SabString:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(s not in (0, 1, STAR, DAGGER) for s in self.symbols):
+        try:
+            present = set(self.symbols)
+        except TypeError:  # an unhashable entry is no symbol
+            present = {None}
+        if not present <= _SYMBOLS:
             raise SabotageError(f"symbols must be in 0..3, got {self.symbols!r}")
-        has_star = STAR in self.symbols
-        has_dagger = DAGGER in self.symbols
+        has_star = STAR in present
+        has_dagger = DAGGER in present
         if not (has_star or has_dagger):
             raise SabotageError("sabotaged string needs at least one */dagger symbol")
         if has_star and has_dagger:
@@ -161,14 +166,47 @@ def _sabotage(x: BitString, y: BitString, marker: int) -> SabString:
 
 
 def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], frozenset[SabString]]:
-    """Sets of star- and dagger-sabotaged inputs over all (0-input, 1-input) pairs."""
+    """Sets of star- and dagger-sabotaged inputs over all (0-input, 1-input) pairs.
+
+    Each distinct string is built once, from its pair key (see ``_pair_keys``).
+    """
     require_general_size(f, "enumerate_sabotaged", SabotageError)
-    zeros, ones = f.d0, f.d1
-    if not zeros or not ones:
+    bits, vals = f.arrays()
+    if vals.min() == vals.max():
         raise SabotageError(f"{f.name} is constant on its domain; nothing to sabotage")
-    stars = frozenset(sabotage_star(x, y) for x in zeros for y in ones)
-    daggers = frozenset(SabString(tuple(DAGGER if s == STAR else s for s in z.symbols)) for z in stars)
-    return stars, daggers
+    n = f.n
+    key = np.fromiter(_pair_keys(bits, vals), np.int64)[:, None]
+    shifts = np.arange(n - 1, -1, -1)  # column j - 1 reads bit n - j: MSB-first
+    kept = (key >> shifts & 1).astype(np.uint8)
+    marked = (key >> (shifts + n) & 1).astype(np.uint8)
+    return _sab_strings(kept + STAR * marked), _sab_strings(kept + DAGGER * marked)
+
+
+def _sab_strings(symbols: np.ndarray) -> frozenset[SabString]:
+    """One SabString per row of a uint8 symbol matrix.
+
+    A row's bytes iterate as Python ints, so no list per row is built.
+    """
+    raw, n = symbols.tobytes(), symbols.shape[1]
+    return frozenset(SabString(tuple(raw[i:i + n])) for i in range(0, len(raw), n))
+
+
+def _pair_keys(bits: np.ndarray, vals: np.ndarray) -> set[int]:
+    """Distinct keys ``(x ^ y) << n | x & y`` over pairs of a 0-row x and a 1-row y.
+
+    Rows are read as MSB-first integer codes, as in :class:`PartialFunction`
+    (position j is bit n - j).  The high n bits of a key mark where x and y
+    differ; the low n bits, x & y, hold their common bit off the marks and 0
+    on them.  So distinct keys are distinct sabotaged strings.  The key is
+    symmetric in x and y, so the loop runs over the smaller side.
+    """
+    n = bits.shape[1]
+    codes = bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
+    small, large = sorted((codes[vals == 0], codes[vals == 1]), key=len)
+    keys: set[int] = set()
+    for x in small.tolist():
+        keys.update(((large ^ x) << n | large & x).tolist())
+    return keys
 
 
 def eval_sab(f: PartialFunction, z: SabString) -> int:

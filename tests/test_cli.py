@@ -82,6 +82,16 @@ def test_sab_enum(capsys):
     assert payload["count"] == 3
 
 
+def test_sab_enum_reads_positions_msb_first(capsys, tmp_path):
+    """Only the pair (0101, 0110): the marks sit on positions 3 and 4, not on their mirror."""
+    path = tmp_path / "asym.json"
+    path.write_text(PartialFunction("asym", 4, {"0101": 0, "0110": 1}).serialize(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "sab-enum", "--file", str(path))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["stars"] == ["01**"] and payload["daggers"] == ["01++"]
+
+
 def test_protocol_convert(capsys):
     code, out, _ = run_cli(
         capsys, "protocol", "convert-strong", "--alg", "deutsch",
@@ -396,7 +406,8 @@ def test_whole_domain_commands_refuse_arity_20(capsys, monkeypatch, command):
         pytest.fail("whole-domain work started")
 
     monkeypatch.setattr(simplex, "solve_float", never)
-    monkeypatch.setattr(sabotage, "sabotage_star", never)
+    monkeypatch.setattr(sabotage, "_pair_keys", never)
+    monkeypatch.setattr(sabotage, "SabString", never)
     monkeypatch.setattr(measures, "sensitive_blocks", never)
     monkeypatch.setattr(PartialFunction, "domain", never)
     code, out, err = run_cli(capsys, *command, "--fn", "IND", "--n", "4")

@@ -68,6 +68,55 @@ def test_bs_matches_bruteforce_on_catalog():
             assert block_sensitivity(f, x) == brute_packing(f, x), (f.name, str(x))
 
 
+def former_block_sensitivity(f, x):
+    """The packing as first written: O(m^2) minimal filter, branch on every fitting block."""
+    masks = sensitive_blocks(f, x)
+    if not masks:
+        return 0
+    minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+    minimal.sort(key=lambda m: m.bit_count())
+    memo = {}
+
+    def best(avail):
+        if avail in memo:
+            return memo[avail]
+        out = 0
+        for m in minimal:
+            if m & ~avail == 0:
+                out = max(out, 1 + best(avail & ~m))
+        memo[avail] = out
+        return out
+
+    return best((1 << f.n) - 1)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_bs_matches_former_packing_on_random_functions(n):
+    rng = np.random.default_rng(n)
+    total = PartialFunction._total(f"R{n}", n, rng.permutation(np.arange(1 << n) % 2))
+    codes = np.sort(rng.choice(1 << n, size=1 << (n - 2), replace=False))
+    partial = PartialFunction(f"P{n}", n, {f"{c:0{n}b}": int(rng.integers(2)) for c in codes})
+    for f in (total, partial):
+        bits, _ = f.arrays()
+        for row in rng.choice(len(bits), size=6, replace=False):
+            x = BitString(tuple(bits[row].tolist()))
+            assert block_sensitivity(f, x) == former_block_sensitivity(f, x), (f.name, str(x))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bs_reaches_four_at_built_indexing_points(seed):
+    """IND_3 where flipping any one address bit selects a data bit of the opposite
+    value: those 3 flips and the selected data bit are 4 disjoint sensitive blocks."""
+    rng = np.random.default_rng(seed)
+    addr = int(rng.integers(8))
+    data = rng.integers(0, 2, size=8)
+    for i in range(3):
+        data[addr ^ (1 << i)] = 1 - data[addr]
+    x = BitString(tuple((addr >> (2 - i)) & 1 for i in range(3)) + tuple(data.tolist()))
+    f = make_indexing(3)
+    assert block_sensitivity(f, x) == former_block_sensitivity(f, x) == 4
+
+
 def test_bs_outside_domain():
     from sablab.boolfn import DomainError, PartialFunction
 

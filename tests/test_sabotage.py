@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import partial_functions
-from sablab.boolfn import BitString, make_named
+from sablab.boolfn import BitString, PartialFunction, make_named
 from sablab.measures import fbs
 from sablab.sabotage import (
     DAGGER,
@@ -55,13 +56,25 @@ def test_sabotage_rejects_equal_or_mismatched():
         sabotage_star(BitString.from_text("01"), BitString.from_text("011"))
 
 
+@pytest.mark.parametrize("symbols", [
+    (0, 5, STAR),  # out of range
+    (2.5, STAR),  # not an integer symbol
+    ([1], STAR),  # unhashable
+    (0, 1, 0),  # no mark
+    (STAR, DAGGER),  # mixed markers
+    (),
+])
+def test_sabstring_rejects(symbols):
+    with pytest.raises(SabotageError):
+        SabString(symbols)
+
+
 def test_sabstring_invariants():
-    with pytest.raises(SabotageError):
-        SabString((0, 1, 0))  # no mark
-    with pytest.raises(SabotageError):
-        SabString((STAR, DAGGER))  # mixed markers
     z = SabString.from_text("0*1*")
     assert z.marker == STAR and z.mark_positions == {2, 4}
+    w = SabString(tuple(np.array([0, DAGGER, 1], dtype=np.int64)))
+    assert str(w) == "0+1" and w.marker == DAGGER and w.mark_positions == {2}
+    assert w == SabString((0, DAGGER, 1))
 
 
 def test_enumerate_or2():
@@ -91,6 +104,25 @@ def test_enumerate_rejects_constant():
     f = PartialFunction("const", 2, {x: 1 for x in constant.entries})
     with pytest.raises(SabotageError):
         enumerate_sabotaged(f)
+
+
+def _balanced(rng, n, size):
+    """Seed-drawn function on ``size`` of the 2^n inputs, half of them mapped to 1."""
+    codes = sorted(rng.choice(1 << n, size=size, replace=False).tolist())
+    vals = rng.permutation([i % 2 for i in range(size)]).tolist()
+    return PartialFunction(f"R{n}-{size}", n, {f"{c:0{n}b}": v for c, v in zip(codes, vals)},
+                           total=size == 1 << n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_enumerate_matches_pair_loop_at_certify_sizes(seed):
+    """A balanced total function of arity 8 and a partial one on 128 of 512 inputs."""
+    rng = np.random.default_rng(seed)
+    for f in (_balanced(rng, 8, 256), _balanced(rng, 9, 128)):
+        stars, daggers = enumerate_sabotaged(f)
+        assert stars == {sabotage_star(x, y) for x in f.d0 for y in f.d1}
+        assert daggers == {SabString(tuple(DAGGER if s == STAR else s for s in z.symbols)) for z in stars}
+        assert all(type(s) is int for z in stars for s in z.symbols)
 
 
 @given(partial_functions(max_arity=4))
@@ -145,6 +177,12 @@ def test_strong_input_structural_invariants():
         StrongInput(((0, 0, 1),))  # z must equal x = y
     with pytest.raises(SabotageError):
         StrongInput(((0, 1, 0),))  # z must be a marker where x != y
+    with pytest.raises(SabotageError):
+        StrongInput(((2, 1, STAR),))  # x must be a bit
+    with pytest.raises(SabotageError):
+        StrongInput(((0, 0, 0), (1, 1, 1)))  # x = y leaves no mark
+    with pytest.raises(SabotageError):
+        StrongInput(((0, 1, STAR), (1, 0, DAGGER)))  # mixed markers
 
 
 def test_strong_input_json_roundtrip():
