@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import adversary, measures, protocols, qsim, verify
@@ -24,12 +25,14 @@ class CliError(Exception):
     """Unresolvable function, algorithm, or argument combination."""
 
 
-def _default_seed(parser: argparse.ArgumentParser) -> int:
-    text = os.environ.get("SABLAB_SEED", "0")
+def _parse_seed(parser: argparse.ArgumentParser, text: str, source: str) -> int:
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        parser.error(f"SABLAB_SEED must be an integer, got {text!r}")
+        seed = -1
+    if seed < 0:
+        parser.error(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 _SHARED_FLAGS = {
@@ -41,7 +44,7 @@ _SHARED_FLAGS = {
     "alg-file": {"help": "algorithm file (JSON)"},
     "pair": {"required": True, "help": "x,y bit strings"},
     "marker": {"default": "*", "choices": ("*", "+")},
-    "seed": {"type": int, "help": "64-bit seed (default: $SABLAB_SEED or 0)"},
+    "seed": {"help": "non-negative sampling seed (default: $SABLAB_SEED or 0)"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "out": {"help": "write the report to this path instead of stdout"},
 }
@@ -80,12 +83,10 @@ def _resolve_algorithm(spec: str | None, path: str | None) -> qsim.QueryAlgorith
     if name == "deutsch":
         return qsim.deutsch_parity()
     if name.startswith("grover-or"):
-        parts = name.split("-")
-        try:
-            n, k = int(parts[2]), int(parts[3])
-        except (IndexError, ValueError):
-            raise CliError("grover-or algorithms are named grover-or-N-K") from None
-        return qsim.grover_or(n, k)
+        match = re.fullmatch(r"grover-or-(\d+)-(\d+)", name)
+        if match is None:
+            raise CliError("grover-or algorithms are named grover-or-N-K")
+        return qsim.grover_or(int(match[1]), int(match[2]))
     raise CliError(f"unknown algorithm {spec!r}; use deutsch or grover-or-N-K")
 
 
@@ -221,7 +222,10 @@ def _cmd_protocol_hybrid(args) -> int:
     alg = _resolve_algorithm(args.alg, args.alg_file)
     if args.x is None or not args.block:
         raise CliError("hybrid needs --x and --block")
-    block = tuple(int(j) for j in args.block.split(","))
+    try:
+        block = tuple(int(j) for j in args.block.split(","))
+    except ValueError:
+        raise CliError(f"--block is not a list of positions: {args.block!r}") from None
     rep = qsim.hybrid_sum(alg, args.x, block)
     if args.format == "csv":
         lines = ["t,p_x_t,p_y_t"]
@@ -334,8 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:  # only the seeded subcommands read it
-        args.seed = _default_seed(parser)
+    if hasattr(args, "seed"):  # only the seeded subcommands read it
+        if args.seed is None:
+            args.seed = _parse_seed(parser, os.environ.get("SABLAB_SEED", "0"), "SABLAB_SEED")
+        else:
+            args.seed = _parse_seed(parser, args.seed, "--seed")
     try:
         return args.handler(args)
     except (CliError, BoolFnError, SabotageError, measures.MeasureError,

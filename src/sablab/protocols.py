@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -25,7 +25,6 @@ from .qsim import (
     QUERY,
     QUERY_INV,
     Gate,
-    Measurement,
     Oracle,
     QueryAlgorithm,
     RegisterLayout,
@@ -59,24 +58,19 @@ class IndexFinderReport:
     position: int | None
     valid: bool
     exact_success: float
-    empirical_success: float
     seed: int
     trials: int = 0
-    rounds: int | None = None
+    rounds: int | None = None  # amplified runs only
+
+    @property
+    def empirical_success(self) -> float:
+        return 1.0 if self.valid else 0.0
 
     def to_json_dict(self) -> dict:
-        out = {
-            "protocol": self.protocol,
-            "queries_used": self.queries_used,
-            "position": self.position,
-            "valid": self.valid,
-            "exact_success": self.exact_success,
-            "empirical_success": self.empirical_success,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
-        if self.rounds is not None:
-            out["rounds"] = self.rounds
+        out = asdict(self)
+        out["empirical_success"] = self.empirical_success
+        if self.rounds is None:
+            del out["rounds"]
         return out
 
 
@@ -93,28 +87,6 @@ def _remap_wire(wire: int) -> int:
     # source wires: 0 index, 1 target, 2.. workspace
     # wrapped wires: 0 index, 1 bx, 2 by, 3 bz, 4 answer, 5.. workspace
     return 0 if wire == 0 else wire + 3
-
-
-def _remap_gate(gate: Gate) -> Gate:
-    wires = tuple(_remap_wire(w) for w in gate.wires)
-    if gate.name == "BLOCK":
-        return Gate.block(gate.matrix, wires)
-    return Gate.named(gate.name, wires, gate.param)
-
-
-def _remap_measure(measure: Measurement | None) -> Measurement | None:
-    if measure is None:
-        return None
-    renames = {"symbol": "work0"}
-    regs = []
-    for reg in measure.registers:
-        if reg in renames:
-            regs.append(renames[reg])
-        elif reg.startswith("work"):
-            regs.append(f"work{int(reg[4:]) + 1}")
-        else:
-            regs.append(reg)
-    return Measurement(registers=tuple(regs), outcome_map=measure.outcome_map)
 
 
 def _resolve_gates() -> tuple[Gate, ...]:
@@ -147,8 +119,11 @@ class ConvertedAlgorithm:
 def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorithm:
     """Move ``alg`` onto the strong layout; each query becomes QUERY, gadget, QUERY_INV.
 
-    A gate the source shares across steps is remapped once and stays shared.
+    Gates and measured registers move by :func:`_remap_wire`.  A gate the
+    source shares across steps is remapped once and stays shared, and every
+    remapped gate shares its source gate's matrix.
     """
+    layout = _wrapped_layout(alg.layout)
     remapped: dict[int, Gate] = {}
     steps: list = []
     for step in alg.steps:
@@ -159,13 +134,13 @@ def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorith
         else:
             for g in step:
                 if id(g) not in remapped:
-                    remapped[id(g)] = _remap_gate(g)
+                    remapped[id(g)] = replace(g, wires=tuple(_remap_wire(w) for w in g.wires))
             steps.append(tuple(remapped[id(g)] for g in step))
-    return QueryAlgorithm(
-        layout=_wrapped_layout(alg.layout),
-        steps=tuple(steps),
-        measure=_remap_measure(alg.measure),
-    )
+    measure = alg.measure
+    if measure is not None:
+        wires = (_remap_wire(alg.layout.wire(r)) for r in measure.registers)
+        measure = replace(measure, registers=tuple(layout.register_names[w] for w in wires))
+    return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 
 
 def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
@@ -268,7 +243,6 @@ def sample_interrupt(alg: QueryAlgorithm, w: StrongInput, seed: int = 0) -> Inde
         position=position,
         valid=valid,
         exact_success=traces.per_trial_success,
-        empirical_success=1.0 if valid else 0.0,
         seed=seed,
         trials=1,
     )
@@ -288,30 +262,22 @@ def find_index_repeat(
     # A-priori success probability of the whole budgeted procedure.
     success = 1.0 - (1.0 - p) ** budget
     queries = 0
+    position, trials = None, budget
     for trial in range(budget):
         rng = np.random.default_rng([seed, trial])
-        position, valid, used = _one_trial(traces, rng)
+        measured, valid, used = _one_trial(traces, rng)
         queries += used
         if valid:
-            return IndexFinderReport(
-                protocol="find-index-repeat",
-                queries_used=queries,
-                position=position,
-                valid=True,
-                exact_success=success,
-                empirical_success=1.0,
-                seed=seed,
-                trials=trial + 1,
-            )
+            position, trials = measured, trial + 1
+            break
     return IndexFinderReport(
         protocol="find-index-repeat",
         queries_used=queries,
-        position=None,
-        valid=False,
+        position=position,
+        valid=position is not None,
         exact_success=success,
-        empirical_success=0.0,
         seed=seed,
-        trials=budget,
+        trials=trials,
     )
 
 
@@ -371,7 +337,6 @@ def find_index_amplified(
         position=position,
         valid=valid,
         exact_success=result.good_mass,
-        empirical_success=1.0 if valid else 0.0,
         seed=seed,
         rounds=rounds,
     )
@@ -395,13 +360,13 @@ def grover_baseline(z: SabString, seed: int = 0) -> IndexFinderReport:
             position=1,
             valid=True,
             exact_success=1.0,
-            empirical_success=1.0,
             seed=seed,
         )
     cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(n)))
     queries = 0
     k = 1
     miss_mass = 1.0
+    position, trials = None, _MAX_BASELINE_PHASES
     for phase in range(_MAX_BASELINE_PHASES):
         result = grover_find_mark(z, k)
         queries += result.queries_used + 1
@@ -409,26 +374,17 @@ def grover_baseline(z: SabString, seed: int = 0) -> IndexFinderReport:
         rng = np.random.default_rng([seed, phase])
         probs = np.array(result.position_probs)
         probs = probs / probs.sum()
-        position = int(rng.choice(n, p=probs)) + 1
-        if position in z.mark_positions:  # the one-query verification
-            return IndexFinderReport(
-                protocol="grover-baseline",
-                queries_used=queries,
-                position=position,
-                valid=True,
-                exact_success=1.0 - miss_mass,
-                empirical_success=1.0,
-                seed=seed,
-                trials=phase + 1,
-            )
+        measured = int(rng.choice(n, p=probs)) + 1
+        if measured in z.mark_positions:  # the one-query verification
+            position, trials = measured, phase + 1
+            break
         k = min(2 * k, cap)
     return IndexFinderReport(
         protocol="grover-baseline",
         queries_used=queries,
-        position=None,
-        valid=False,
+        position=position,
+        valid=position is not None,
         exact_success=1.0 - miss_mass,
-        empirical_success=0.0,
         seed=seed,
-        trials=_MAX_BASELINE_PHASES,
+        trials=trials,
     )

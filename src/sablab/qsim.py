@@ -160,6 +160,7 @@ class Gate:
             if param is None:
                 raise SimulationError("CPHASE needs a phase parameter")
             matrix = np.diag([1, 1, 1, cmath.exp(1j * param)]).astype(np.complex128)
+            matrix.flags.writeable = False
         else:
             raise SimulationError(f"unknown gate {name!r}")
         return cls(name=name, wires=tuple(wires), matrix=matrix, param=param)
@@ -347,8 +348,11 @@ def apply_gates(state: np.ndarray, layout: RegisterLayout, gates: Iterable[Gate]
 
 def index_block_mass(state: np.ndarray, layout: RegisterLayout, positions: Iterable[int]) -> float:
     """Squared mass of the index register on the given 1-based positions."""
+    block = set(positions)
+    if not all(1 <= j <= layout.n for j in block):
+        raise SimulationError(f"positions {sorted(block)} must lie in 1..{layout.n}")
     probs = np.abs(state.reshape(layout.n, -1)) ** 2
-    return float(sum(probs[j - 1].sum() for j in set(positions)))
+    return float(sum(probs[j - 1].sum() for j in block))
 
 
 def measure_distribution(

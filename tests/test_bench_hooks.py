@@ -57,3 +57,9 @@ def test_search_small_smoke_run():
     # against the sine laws and the zero-round identity, and the oversize refusal.
     result = _smoke_run("search-small")
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_verify_suite_smoke_run():
+    # verify-all with its determinism re-run, in-process through the CLI.
+    result = _smoke_run("verify-suite")
+    assert result["correct"] is True and result["failed"] == 0

@@ -176,10 +176,20 @@ def test_protocol_errors_exit_2(capsys):
         ("--alg", "grover-or-4-0", "--pair", "0000,0010", "--mode", "amplified"),
         ("--alg", "grover-or-4-1", "--pair", "0000,0010", "--budget", "-2"),
         ("--alg", "grover-or-4-1", "--pair", "0000,0010", "--mode", "amplified", "--rounds", "-1"),
+        ("--alg", "grover-or-4-1-7", "--pair", "0000,0010"),  # only grover-or-N-K exactly
+        ("--alg", "grover-orx-4-1", "--pair", "0000,0010"),
     ):
         code, out, err = run_cli(capsys, "protocol", "index-find", *argv)
         assert code == 2 and out == ""
         assert err.startswith("sablab: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("block", ["1,a", "1,,2", "0,1", "3"])
+def test_hybrid_bad_block_exits_2(capsys, block):
+    argv = ("protocol", "hybrid", "--alg", "deutsch", "--x", "00", "--block", block)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("sablab: ") and "Traceback" not in err
 
 
 def test_adv_at_point_skips_global_sweep(capsys, monkeypatch):
@@ -310,11 +320,31 @@ def test_readme_examples_parse():
 
 
 def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SABLAB_SEED", "seven")
+    for value in ("seven", "-2"):
+        monkeypatch.setenv("SABLAB_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["protocol", "grover-find", "--z", "00*0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "sablab: error: SABLAB_SEED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("protocol", "grover-find", "--z", "00*0", "--seed", "-1"),
+        ("protocol", "index-find", "--alg", "deutsch", "--pair", "00,11", "--seed", "-3"),
+        ("verify-all", "--seed", "-1"),
+        ("verify-all", "--seed", "x"),
+    ],
+    ids=" ".join,
+)
+def test_bad_seed_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["protocol", "grover-find", "--z", "00*0"])
+        main(list(argv))
     assert exc.value.code == 2
-    assert "SABLAB_SEED" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sablab: error: --seed must be a non-negative integer" in err and "Traceback" not in err
 
 
 def test_explicit_seed_overrides_bad_seed_env(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ def test_conversion_equality_over_catalog_with_random_sources():
             want = run(source, oracle_bit(base)).distribution
             got = run_converted(conv, w)
             assert total_variation(want, got) <= 1e-10, (f.name, str(w))
+
+
+@pytest.mark.parametrize(
+    "registers, wrapped_registers",
+    [
+        (("index", "symbol"), ("index", "work0")),
+        (("symbol", "work0"), ("work0", "work1")),
+        (("work1", "index"), ("work2", "index")),
+        (("work0",), ("work1",)),
+    ],
+)
+def test_conversion_moves_measured_registers_with_their_wires(registers, wrapped_registers):
+    """The source target bit becomes wrapped work0 and workK becomes work(K+1)."""
+    rng = np.random.default_rng(77)
+    source = replace(random_query_algorithm(3, 2, rng, workspace=4),
+                     measure=Measurement(registers=registers))
+    conv = convert_strong(source)
+    assert conv.wrapped.measure.registers == wrapped_registers
+    for w in all_strong_inputs(make_named("OR", 3)):
+        base = w.x if w.marker == 2 else w.y
+        want = run(source, oracle_bit(base)).distribution
+        assert total_variation(want, run_converted(conv, w)) <= 1e-10, str(w)
 
 
 def test_convert_requires_bit_oracle():
@@ -256,6 +279,24 @@ def test_reports_serialize_with_spec_fields():
     for key in ("protocol", "queries_used", "position", "valid",
                 "exact_success", "empirical_success", "seed"):
         assert key in payload
+
+
+def test_reports_derive_empirical_success_from_validity():
+    alg, w = _deutsch_instance()
+    or4 = grover_or(4, 1)
+    w4 = StrongInput.from_pair(BitString.from_text("0000"), BitString.from_text("0010"), "*")
+    reports = [sample_interrupt(or4, w4, seed=s) for s in range(4)]
+    reports += [find_index_repeat(alg, w, budget=b, seed=0) for b in (0, 1)]
+    reports += [find_index_amplified(or4, w4, rounds=r, seed=s) for r in (0, 1) for s in range(4)]
+    reports += [grover_baseline(SabString.from_text(z), seed=0) for z in ("*", "00*0")]
+    assert {rep.valid for rep in reports} == {True, False}
+    keys = {"protocol", "queries_used", "position", "valid", "exact_success",
+            "empirical_success", "seed", "trials"}
+    for rep in reports:
+        payload = rep.to_json_dict()
+        assert rep.empirical_success == payload["empirical_success"] == float(rep.valid)
+        amplified = rep.protocol == "find-index-amplified"
+        assert set(payload) == (keys | {"rounds"} if amplified else keys)
 
 
 def test_grover_baseline_single_mark_n4():

@@ -69,12 +69,13 @@ def test_gate_validation():
     assert abs(g.matrix[3, 3] + 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("name", ["H", "X", "Z", "CNOT", "CZ", "SWAP"])
+@pytest.mark.parametrize("name", ["H", "X", "Z", "CNOT", "CZ", "SWAP", "CPHASE"])
 def test_named_gate_matrices_are_read_only(name):
     wires = (0,) if name in ("H", "X", "Z") else (0, 1)
+    param = 0.3 if name == "CPHASE" else None
     with pytest.raises(ValueError):
-        Gate.named(name, wires).matrix[0, 0] = 2
-    Gate.named(name, wires)  # still unitary: the shared constant was not written
+        Gate.named(name, wires, param).matrix[0, 0] = 2
+    Gate.named(name, wires, param)  # still unitary: the shared constant was not written
 
 
 def test_block_gate_owns_a_read_only_copy():
@@ -336,6 +337,13 @@ def test_index_block_mass():
     state = initial_state(layout)
     assert index_block_mass(state, layout, [1]) == 1.0
     assert index_block_mass(state, layout, [2]) == 0.0
+
+
+@pytest.mark.parametrize("positions", [[0], [4], [1, 4]])
+def test_index_block_mass_refuses_positions_outside_1_to_n(positions):
+    layout = RegisterLayout(n=3, symbol="bit", workspace=1)
+    with pytest.raises(SimulationError, match="1..3"):
+        index_block_mass(initial_state(layout), layout, positions)
 
 
 def test_algorithm_json_roundtrip():
