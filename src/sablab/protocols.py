@@ -42,7 +42,13 @@ _MAX_BASELINE_PHASES = 32
 
 
 class ProtocolError(ValueError):
-    """Unusable source algorithm or an oversized coherent dilation."""
+    """Unusable source algorithm, negative count or seed, or an oversized coherent dilation."""
+
+
+def _check_seed(seed: int) -> None:
+    # np.random.default_rng refuses negative seeds only with a bare numpy message.
+    if seed < 0:
+        raise ProtocolError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,13 @@ def _remap_wire(wire: int) -> int:
     return 0 if wire == 0 else wire + 3
 
 
-def _resolve_gates() -> tuple[Gate, ...]:
-    """XOR the effective bit into the answer qubit, keyed by the z symbol.
-
-    z in {0,1}: the bit is z itself; z = star: take x; z = dagger: take y.
-    """
-    flip_on_z1 = Gate.block(xor_controlled_block(4, [1]), (3, 4))
-    flip_on_star_x = Gate.block(xor_controlled_block(8, [2 * 2 + 1]), (3, 1, 4))
-    flip_on_dagger_y = Gate.block(xor_controlled_block(8, [3 * 2 + 1]), (3, 2, 4))
-    return (flip_on_z1, flip_on_star_x, flip_on_dagger_y)
+# XOR the effective bit into the answer qubit, keyed by the z symbol:
+# z in {0,1}: the bit is z itself; z = star: take x; z = dagger: take y.
+_RESOLVE_GATES = (
+    Gate.block(xor_controlled_block(4, [1]), (3, 4)),
+    Gate.block(xor_controlled_block(8, [2 * 2 + 1]), (3, 1, 4)),
+    Gate.block(xor_controlled_block(8, [3 * 2 + 1]), (3, 2, 4)),
+)
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorith
 
     Gates and measured registers move by :func:`_remap_wire`.  A gate the
     source shares across steps is remapped once and stays shared, and every
-    remapped gate shares its source gate's matrix.
+    remapped gate shares its source gate's matrix (:meth:`Gate.rewired`).
     """
     layout = _wrapped_layout(alg.layout)
     remapped: dict[int, Gate] = {}
@@ -134,7 +138,7 @@ def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorith
         else:
             for g in step:
                 if id(g) not in remapped:
-                    remapped[id(g)] = replace(g, wires=tuple(_remap_wire(w) for w in g.wires))
+                    remapped[id(g)] = g.rewired(_remap_wire(w) for w in g.wires)
             steps.append(tuple(remapped[id(g)] for g in step))
     measure = alg.measure
     if measure is not None:
@@ -147,7 +151,7 @@ def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
     """Replace every standard query by the two-strong-query gadget."""
     if alg.layout.symbol != "bit":
         raise ProtocolError("conversion expects an algorithm over the standard bit oracle")
-    return ConvertedAlgorithm(source=alg, wrapped=_wrap_strong(alg, _resolve_gates()))
+    return ConvertedAlgorithm(source=alg, wrapped=_wrap_strong(alg, _RESOLVE_GATES))
 
 
 def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
@@ -161,6 +165,12 @@ def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
 # Random-time interruption
 
 
+# Branch b XORs the answer qubit from the bx (b = 0) or by (b = 1) slot.
+_BRANCH_GATES = tuple(
+    (Gate.block(xor_controlled_block(2, [1]), (source_wire, 4)),) for source_wire in (1, 2)
+)
+
+
 def _branch_algorithm(alg: QueryAlgorithm, branch: int) -> QueryAlgorithm:
     """Run the source on x (branch 0) or y (branch 1) via the strong oracle.
 
@@ -168,8 +178,7 @@ def _branch_algorithm(alg: QueryAlgorithm, branch: int) -> QueryAlgorithm:
     qubit is XORed from the bx (or by) slot, and everything acts as the
     identity on the bz register.
     """
-    source_wire = 1 if branch == 0 else 2
-    return _wrap_strong(alg, (Gate.block(xor_controlled_block(2, [1]), (source_wire, 4)),))
+    return _wrap_strong(alg, _BRANCH_GATES[branch])
 
 
 @dataclass(frozen=True)
@@ -234,6 +243,7 @@ def _one_trial(traces: _BranchTraces, rng: np.random.Generator) -> tuple[int, bo
 
 def sample_interrupt(alg: QueryAlgorithm, w: StrongInput, seed: int = 0) -> IndexFinderReport:
     """One classical trial: random branch, random time, measure, verify."""
+    _check_seed(seed)
     traces = _interrupt_traces(alg, w)
     rng = np.random.default_rng([seed])
     position, valid, queries = _one_trial(traces, rng)
@@ -257,6 +267,7 @@ def find_index_repeat(
     """
     if budget < 0:
         raise ProtocolError(f"budget must be >= 0, got {budget}")
+    _check_seed(seed)
     traces = _interrupt_traces(alg, w)
     p = traces.per_trial_success
     # A-priori success probability of the whole budgeted procedure.
@@ -294,6 +305,7 @@ def find_index_amplified(
     _check_distinguisher(alg, w)
     if rounds < 0:
         raise ProtocolError(f"rounds must be >= 0, got {rounds}")
+    _check_seed(seed)
     # The dilation size follows from the layout alone: refuse before simulating.
     t_count = alg.query_count
     source_dim = _wrapped_layout(alg.layout).total_dim
@@ -352,6 +364,7 @@ def grover_baseline(z: SabString, seed: int = 0) -> IndexFinderReport:
     Every measured position is verified with one extra query before being
     reported.  A length-1 input is its own answer.
     """
+    _check_seed(seed)
     n = len(z)
     if n == 1:
         return IndexFinderReport(

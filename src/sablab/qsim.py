@@ -16,9 +16,10 @@ sampling, where offered, takes an explicit seed.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -73,17 +74,33 @@ def apply_block(
     runs on a view of ``state``.
     """
     k = matrix.shape[0]
-    if len(set(axes)) != len(axes) or not all(0 <= a < len(dims) for a in axes):
-        raise ValueError(f"axes {axes} must be distinct and in 0..{len(dims) - 1}")
-    if math.prod(dims[a] for a in axes) != k:
+    size, order, inverse = _axis_plan(dims, axes)
+    if size != k:
         raise ValueError("matrix size does not match the selected axes")
-    if axes == tuple(range(len(axes))):
+    if order is None:
         return (matrix @ state.reshape(k, -1)).reshape(-1)
-    order = axes + tuple(a for a in range(len(dims)) if a not in axes)
-    inverse = tuple(order.index(a) for a in range(len(dims)))
     t = state.reshape(dims).transpose(order)
     out = (matrix @ t.reshape(k, -1)).reshape(t.shape).transpose(inverse)
     return np.ascontiguousarray(out).reshape(-1)
+
+
+@functools.lru_cache(maxsize=256)
+def _axis_plan(
+    dims: tuple[int, ...], axes: tuple[int, ...]
+) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Checked block size of ``axes`` and the transpose there and back (None: leading axes).
+
+    Cached per layout and wire tuple; a bad call raises every time, since
+    exceptions are not cached.
+    """
+    if len(set(axes)) != len(axes) or not all(0 <= a < len(dims) for a in axes):
+        raise ValueError(f"axes {axes} must be distinct and in 0..{len(dims) - 1}")
+    size = math.prod(dims[a] for a in axes)
+    if axes == tuple(range(len(axes))):
+        return size, None, None
+    order = axes + tuple(a for a in range(len(dims)) if a not in axes)
+    inverse = tuple(order.index(a) for a in range(len(dims)))
+    return size, order, inverse
 
 
 def permute_rows(state: np.ndarray, perm: np.ndarray, row_size: int) -> np.ndarray:
@@ -171,6 +188,22 @@ class Gate:
         matrix = np.array(matrix, dtype=np.complex128)
         matrix.flags.writeable = False
         return cls(name="BLOCK", wires=tuple(wires), matrix=matrix)
+
+    def rewired(self, wires: Sequence[int]) -> "Gate":
+        """The same gate on other wires, sharing this gate's matrix.
+
+        A read-only matrix is the very array that passed the unitarity check
+        when this gate was built, so only the wires are checked.  A writable
+        matrix may have changed since, and goes through the full check again.
+        """
+        wires = tuple(wires)
+        if self.matrix.flags.writeable:
+            return replace(self, wires=wires)
+        if len(set(wires)) != len(wires):
+            raise SimulationError("gate wires must be distinct")
+        gate = object.__new__(type(self))
+        gate.__dict__.update(self.__dict__, wires=wires)
+        return gate
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -300,7 +333,7 @@ def oracle_bit(x: BitString | str) -> Oracle:
     """Standard Boolean oracle: the target bit is XORed with x_j."""
     xb = BitString.coerce(x)
     n = len(xb)
-    j, b = np.ogrid[:n, :2]
+    j, b = np.arange(n, dtype=np.int64)[:, None], np.arange(2, dtype=np.int64)
     xj = np.array(xb.bits, dtype=np.int64)[:, None]
     return Oracle("bit", n, (2 * j + (b ^ xj)).reshape(-1), str(xb))
 
@@ -308,7 +341,7 @@ def oracle_bit(x: BitString | str) -> Oracle:
 def oracle_weak(z: SabString) -> Oracle:
     """Weak sabotage oracle: cyclic mod-4 addition of the symbol z_j."""
     n = len(z)
-    j, b = np.ogrid[:n, :4]
+    j, b = np.arange(n, dtype=np.int64)[:, None], np.arange(4, dtype=np.int64)
     zj = np.array(z.symbols, dtype=np.int64)[:, None]
     return Oracle("weak", n, (4 * j + (b + zj) % 4).reshape(-1), str(z))
 
@@ -316,7 +349,10 @@ def oracle_weak(z: SabString) -> Oracle:
 def oracle_strong(w: StrongInput) -> Oracle:
     """Strong sabotage oracle returning the whole tuple (x_j, y_j, z_j)."""
     n = len(w)
-    j, bx, by, bz = np.ogrid[:n, :2, :2, :4]
+    j = np.arange(n, dtype=np.int64).reshape(n, 1, 1, 1)
+    bx = np.arange(2, dtype=np.int64).reshape(2, 1, 1)
+    by = np.arange(2, dtype=np.int64).reshape(2, 1)
+    bz = np.arange(4, dtype=np.int64)
     xj, yj, zj = np.array(w.tuples, dtype=np.int64).T.reshape(3, n, 1, 1, 1)
     forward = ((j * 2 + (bx ^ xj)) * 2 + (by ^ yj)) * 4 + (bz + zj) % 4
     return Oracle("strong", n, forward.reshape(-1), str(w))
@@ -364,15 +400,17 @@ def measure_distribution(
     drop = tuple(a for a in range(len(layout.dims)) if a not in keep)
     marg = probs.sum(axis=drop) if drop else probs
     marg = np.moveaxis(marg, [keep.index(w) for w in wires], range(len(wires)))
+    # Outcomes of non-zero probability in C order, one value column per register.
+    flat = marg.reshape(-1)
+    hits = np.flatnonzero(flat)
+    outcomes = np.unravel_index(hits, marg.shape) if marg.ndim else ()
+    columns = [
+        (values + 1 if reg == "index" else values).tolist()
+        for reg, values in zip(measure.registers, outcomes)
+    ]
     out: dict = {}
-    for outcome in np.ndindex(marg.shape):
-        p = float(marg[outcome])
-        if p == 0.0:
-            continue
-        parts = []
-        for reg, v in zip(measure.registers, outcome):
-            parts.append(str(v + 1) if reg == "index" else str(v))
-        key = ",".join(parts)
+    for p, *outcome in zip(flat[hits].tolist(), *columns):
+        key = ",".join(map(str, outcome))
         answer = measure.outcome_map.get(key, key)
         out[answer] = out.get(answer, 0.0) + p
     return out
@@ -441,6 +479,18 @@ def deutsch_parity() -> QueryAlgorithm:
     return QueryAlgorithm(layout=layout, steps=(prep, QUERY, unprep), measure=measure)
 
 
+@functools.lru_cache(maxsize=BLOCK_CAP)
+def _index_gates(n: int) -> tuple[Gate, Gate]:
+    """The uniform-prep and diffusion gates on the index wire, built once per n."""
+    return Gate.block(uniform_prep_block(n), (0,)), Gate.block(diffusion_block(n), (0,))
+
+
+# Wire-1 gates shared by every catalog circuit: X and H on the bit target, the weak phase mark.
+_TARGET_X = Gate.named("X", (1,))
+_TARGET_H = Gate.named("H", (1,))
+_PHASE_MARK = Gate.block(phase_marks_block(), (1,))
+
+
 def grover_or(n: int, iterations: int) -> QueryAlgorithm:
     """Grover search for a set bit of x; measures the index register.
 
@@ -449,13 +499,12 @@ def grover_or(n: int, iterations: int) -> QueryAlgorithm:
     if not 1 <= n <= BLOCK_CAP:
         raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
     layout = RegisterLayout(n=n, symbol="bit", workspace=1)
-    steps: list[Step] = [
-        (Gate.named("X", (1,)), Gate.named("H", (1,)), Gate.block(uniform_prep_block(n), (0,)))
-    ]
+    prep, diffuse = _index_gates(n)
+    steps: list[Step] = [(_TARGET_X, _TARGET_H, prep)]
     if iterations == 0:
         steps.append(())
-    else:  # one diffusion gate, built and checked once, serves every iteration
-        steps += [QUERY, (Gate.block(diffusion_block(n), (0,)),)] * iterations
+    else:  # one diffusion gate serves every iteration
+        steps += [QUERY, (diffuse,)] * iterations
     measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 
@@ -469,13 +518,12 @@ def grover_marks(n: int, iterations: int) -> QueryAlgorithm:
     if not 1 <= n <= BLOCK_CAP:
         raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
     layout = RegisterLayout(n=n, symbol="weak", workspace=1)
-    steps: list[Step] = [(Gate.block(uniform_prep_block(n), (0,)),)]
+    prep, diffuse = _index_gates(n)
+    steps: list[Step] = [(prep,)]
     if iterations == 0:
         steps.append(())
-    else:  # the mark and diffusion gates are built and checked once per circuit
-        mark = (Gate.block(phase_marks_block(), (1,)),)
-        diffuse = (Gate.block(diffusion_block(n), (0,)),)
-        steps += [QUERY, mark, QUERY_INV, diffuse] * iterations
+    else:  # one mark and one diffusion gate serve every iteration
+        steps += [QUERY, (_PHASE_MARK,), QUERY_INV, (diffuse,)] * iterations
     measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 

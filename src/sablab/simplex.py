@@ -22,7 +22,7 @@ certifies optimality via strong duality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,6 +47,7 @@ class LpSolution:
     pivots: int
     exact: bool
     basis: tuple  # basic column per row; column n_vars + i is the slack of row i
+    fallback: bool = False  # exact mode only: the Fraction pivot loop found this optimum
 
     def dual_value(self, b: Sequence) -> float | Fraction:
         return sum(u * bi for u, bi in zip(self.dual, b))
@@ -67,7 +68,7 @@ def solve_exact(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LpSolution:
         sol = _verify_basis(c, A, b, guess)
         if sol is not None:
             return sol
-    return _solve(c, A, b, 0, Fraction)
+    return replace(_solve(c, A, b, 0, Fraction), fallback=True)
 
 
 def _verify_basis(c, A, b, guess: LpSolution) -> LpSolution | None:

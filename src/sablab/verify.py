@@ -26,7 +26,7 @@ HYBRID_SLACK = 1e-9
 
 
 class VerifyError(ValueError):
-    """A check filter that is empty or selects no check."""
+    """A negative seed, or a check filter that is empty or selects no check."""
 
 
 @dataclass
@@ -522,9 +522,11 @@ def run_checks(seed: int = 0, only: str | None = None) -> list[CheckResult]:
 
     Without a filter the byte-determinism check is appended: it re-runs the
     whole base suite and compares the two canonical reports byte for byte.
-    A filter that is empty or matches no check raises :class:`VerifyError`
-    before any check runs.
+    A negative seed, or a filter that is empty or matches no check, raises
+    :class:`VerifyError` before any check runs.
     """
+    if seed < 0:
+        raise VerifyError(f"seed must be >= 0, got {seed}")
     results = _run_base_checks(seed, only)
     if only is None:
         start = time.perf_counter()

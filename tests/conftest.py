@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from sablab.boolfn import BitString, PartialFunction
+from sablab.qsim import Gate
 
 
 def all_bitstrings(n: int) -> list[BitString]:
@@ -59,3 +61,17 @@ def oracle_matrix(oracle, dim_rows: int, row_size: int = 1) -> np.ndarray:
         e[col] = 1.0
         m[:, col] = oracle.apply(e)
     return m
+
+
+@pytest.fixture
+def gate_checks(monkeypatch):
+    """Names of the gates built while the test runs, one per unitarity check."""
+    calls = []
+    check = Gate.__post_init__
+
+    def counting(self):
+        calls.append(self.name)
+        check(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    return calls

@@ -14,6 +14,7 @@ from sablab import protocols
 from sablab.sabotage import SabString, StrongInput, make_strong
 from sablab.qsim import (
     QUERY,
+    QUERY_INV,
     Gate,
     Measurement,
     QueryAlgorithm,
@@ -270,6 +271,36 @@ def test_find_index_amplified_dimension_guard(monkeypatch):
     )
     with pytest.raises(ProtocolError, match="find_index_repeat"):
         find_index_amplified(alg, w, rounds=1, seed=0)
+
+
+@pytest.mark.parametrize("finder", ["sample-interrupt", "repeat", "amplified", "baseline", "baseline-n1"])
+def test_finders_refuse_a_negative_seed(monkeypatch, finder):
+    _forbid_simulation(monkeypatch, "a negative seed was simulated before it was refused")
+    monkeypatch.setattr(protocols, "grover_find_mark", protocols.evolve)
+    alg, w = _deutsch_instance()
+    calls = {
+        "sample-interrupt": lambda: sample_interrupt(alg, w, seed=-3),
+        "repeat": lambda: find_index_repeat(alg, w, budget=2, seed=-3),
+        "amplified": lambda: find_index_amplified(alg, w, rounds=1, seed=-3),
+        "baseline": lambda: grover_baseline(SabString.from_text("00*0"), seed=-3),
+        "baseline-n1": lambda: grover_baseline(SabString.from_text("*"), seed=-3),
+    }
+    with pytest.raises(ProtocolError, match="seed must be >= 0, got -3"):
+        calls[finder]()
+
+
+def test_strong_wrappings_of_a_catalog_circuit_check_no_gate(gate_checks):
+    alg = grover_or(5, 2)
+    gate_checks.clear()
+    branches = [protocols._branch_algorithm(alg, branch) for branch in (0, 1)]
+    converted = convert_strong(alg).wrapped
+    assert gate_checks == []
+    for wrapped in (*branches, converted):
+        gates = [g for step in wrapped.steps if step not in (QUERY, QUERY_INV) for g in step]
+        assert all(not g.matrix.flags.writeable for g in gates)
+    # Each wrapped gate shares the matrix of its source gate.
+    source, moved = alg.steps[0] + alg.steps[2], converted.steps[0] + converted.steps[4]
+    assert [id(g.matrix) for g in source] == [id(g.matrix) for g in moved]
 
 
 def test_reports_serialize_with_spec_fields():

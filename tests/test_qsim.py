@@ -36,6 +36,7 @@ from sablab.qsim import (
     hybrid_sum,
     index_block_mass,
     initial_state,
+    measure_distribution,
     oracle_bit,
     oracle_strong,
     oracle_weak,
@@ -476,8 +477,9 @@ def test_apply_block_bit_identical_to_moveaxis(dims, axes):
 def test_apply_block_rejects_bad_axes(axes):
     state = np.zeros(8, dtype=complex)
     matrix = np.eye(2 ** len(axes), dtype=complex)
-    with pytest.raises(ValueError, match="distinct and in 0..2"):
-        apply_block(state, (2, 2, 2), axes, matrix)
+    for _ in range(2):  # the axis plan is cached, the refusal is not
+        with pytest.raises(ValueError, match="distinct and in 0..2"):
+            apply_block(state, (2, 2, 2), axes, matrix)
 
 
 def test_permute_rows_matches_basis_gathers():
@@ -507,8 +509,9 @@ def test_apply_block_preserves_norm():
 
 
 def test_apply_block_rejects_mismatch():
-    with pytest.raises(ValueError):
-        apply_block(np.zeros(8, dtype=complex), (2, 2, 2), (0,), np.eye(4))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix size"):
+            apply_block(np.zeros(8, dtype=complex), (2, 2, 2), (0,), np.eye(4))
 
 
 def test_run_pre_query_states_are_independent():
@@ -592,3 +595,135 @@ def test_oracle_tables_match_loops_random():
         check_oracle_tables(oracle_bit(xb), loop_forward_bit(xb))
         check_oracle_tables(oracle_weak(z), loop_forward_weak(z))
         check_oracle_tables(oracle_strong(w), loop_forward_strong(w))
+
+
+def ogrid_forward(oracle_kind, columns):
+    """The former ``np.ogrid`` formulas of the three oracle tables."""
+    n = len(columns)
+    if oracle_kind == "bit":
+        j, b = np.ogrid[:n, :2]
+        return (2 * j + (b ^ np.array(columns, dtype=np.int64)[:, None])).reshape(-1)
+    if oracle_kind == "weak":
+        j, b = np.ogrid[:n, :4]
+        return (4 * j + (b + np.array(columns, dtype=np.int64)[:, None]) % 4).reshape(-1)
+    j, bx, by, bz = np.ogrid[:n, :2, :2, :4]
+    xj, yj, zj = np.array(columns, dtype=np.int64).T.reshape(3, n, 1, 1, 1)
+    return (((j * 2 + (bx ^ xj)) * 2 + (by ^ yj)) * 4 + (bz + zj) % 4).reshape(-1)
+
+
+def test_oracle_tables_match_ogrid_formulas():
+    rng = np.random.default_rng(17)
+    for n in range(1, 17):
+        for _ in range(3):
+            xb = BitString(tuple(int(b) for b in rng.integers(0, 2, n)))
+            yb = xb.flip((int(rng.integers(1, n + 1)),))
+            mark = int(rng.integers(2, 4))
+            z = SabString(tuple(int(s) for s in rng.choice([0, 1, mark], size=n - 1)) + (mark,))
+            w = StrongInput.from_pair(xb, yb, "*" if mark == 2 else "+")
+            check_oracle_tables(oracle_bit(xb), ogrid_forward("bit", xb.bits))
+            check_oracle_tables(oracle_weak(z), ogrid_forward("weak", z.symbols))
+            check_oracle_tables(oracle_strong(w), ogrid_forward("strong", w.tuples))
+
+
+# ---------------------------------------------------------------------------
+# Measurement against the per-outcome loop
+
+
+def ndindex_distribution(state, layout, measure):
+    """The former ``np.ndindex`` walk of measure_distribution, kept as a bitwise reference."""
+    probs = np.abs(state.reshape(layout.dims)) ** 2
+    wires = [layout.wire(reg) for reg in measure.registers]
+    keep = sorted(set(wires))
+    drop = tuple(a for a in range(len(layout.dims)) if a not in keep)
+    marg = probs.sum(axis=drop) if drop else probs
+    marg = np.moveaxis(marg, [keep.index(w) for w in wires], range(len(wires)))
+    out: dict = {}
+    for outcome in np.ndindex(marg.shape):
+        p = float(marg[outcome])
+        if p == 0.0:
+            continue
+        parts = [str(v + 1) if reg == "index" else str(v) for reg, v in zip(measure.registers, outcome)]
+        key = ",".join(parts)
+        answer = measure.outcome_map.get(key, key)
+        out[answer] = out.get(answer, 0.0) + p
+    return out
+
+
+MEASUREMENTS = [
+    (RegisterLayout(5, "bit", 4), ("index",), {}),
+    (RegisterLayout(5, "bit", 4), ("work1", "index", "symbol"), {}),
+    (RegisterLayout(3, "weak", 2), ("symbol", "index"), {"2,1": "mark", "3,1": "mark", "0,2": 0}),
+    (RegisterLayout(4, "strong", 2), ("bz", "bx", "index"), {}),
+    (RegisterLayout(4, "strong", 2), ("index", "work0"), {f"{j},{b}": b for j in range(1, 5) for b in (0, 1)}),
+    (RegisterLayout(6, "bit", 1), ("index",), {str(j): j % 2 for j in range(1, 7)}),
+    (RegisterLayout(2, "bit", 2), (), {}),
+]
+
+
+@pytest.mark.parametrize("layout, registers, outcome_map", MEASUREMENTS)
+def test_measure_distribution_matches_ndindex_loop(layout, registers, outcome_map):
+    rng = np.random.default_rng(layout.total_dim + len(registers))
+    measure = Measurement(registers=registers, outcome_map=outcome_map)
+    dense = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
+    sparse = np.where(rng.random(layout.total_dim) < 0.3, dense, 0.0)  # zero-probability outcomes
+    basis = np.zeros(layout.total_dim, dtype=complex)
+    basis[rng.integers(layout.total_dim)] = 1.0
+    for state in (dense, sparse, basis):
+        state = state / np.linalg.norm(state)
+        got = measure_distribution(state, layout, measure)
+        want = ndindex_distribution(state, layout, measure)
+        assert list(got.items()) == list(want.items())  # same keys, order and float bits
+        assert all(type(p) is float for p in got.values())
+
+
+def test_measure_distribution_matches_ndindex_loop_on_catalog_runs():
+    z = SabString.from_text("0*10*1")
+    for alg, oracle in ((grover_or(6, 2), oracle_bit("010010")), (grover_marks(6, 1), oracle_weak(z))):
+        state = run(alg, oracle).final_state
+        assert list(measure_distribution(state, alg.layout, alg.measure).items()) == list(
+            ndindex_distribution(state, alg.layout, alg.measure).items()
+        )
+
+
+# ---------------------------------------------------------------------------
+# Gates are checked once
+
+
+def test_rewired_gate_shares_its_matrix_without_a_check(gate_checks):
+    source = Gate.block(random_unitary(np.random.default_rng(3), 4), (0, 1))
+    gate_checks.clear()
+    moved = source.rewired((4, 2))
+    assert moved.wires == (4, 2) and moved.matrix is source.matrix
+    assert (moved.name, moved.param) == (source.name, source.param) and source.wires == (0, 1)
+    assert gate_checks == []
+    with pytest.raises(SimulationError, match="distinct"):
+        source.rewired((3, 3))
+
+
+def test_rewiring_a_writable_matrix_runs_the_unitarity_check(gate_checks):
+    matrix = np.eye(2, dtype=np.complex128)
+    gate = Gate(name="BLOCK", wires=(0,), matrix=matrix)
+    assert gate.rewired((1,)).wires == (1,) and len(gate_checks) == 2
+    matrix[0, 0] = 2.0  # written after the gate was built
+    with pytest.raises(SimulationError, match="not unitary"):
+        gate.rewired((1,))
+
+
+def test_second_mark_search_at_a_seen_size_builds_no_gate(gate_checks):
+    z = SabString.from_text("01*0*1")
+    first = grover_find_mark(z, 2)
+    gate_checks.clear()
+    again = grover_find_mark(SabString.from_text("+00100"), 1)
+    assert gate_checks == []
+    assert grover_find_mark(z, 2) == first
+    assert abs(again.success_mass - math.sin(3 * math.asin(math.sqrt(1 / 6))) ** 2) < 1e-12
+
+
+def test_catalog_gates_are_shared_and_read_only():
+    for build in (grover_or, grover_marks):
+        alg, twin = build(7, 2), build(7, 1)
+        assert [id(g) for g in alg.steps[0]] == [id(g) for g in twin.steps[0]]
+        assert alg.steps[-1][0] is twin.steps[-1][0]  # the diffusion gate
+        gates = [g for step in alg.steps if step not in (QUERY, QUERY_INV) for g in step]
+        assert all(not g.matrix.flags.writeable for g in gates)
+

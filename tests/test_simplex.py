@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sablab import simplex
+from sablab import simplex, verify
 from sablab.simplex import SimplexError, solve_exact, solve_float
 
 
@@ -197,3 +197,32 @@ def test_exact_verification_with_large_integer_duals(fraction_loop_calls):
 def test_float_solution_reports_its_basis():
     sol = solve_float(np.array([3.0, 2.0]), np.array([[1.0, 1.0], [1.0, 3.0]]), np.array([4.0, 6.0]))
     assert sol.basis == (0, 3)  # a in row 1, the slack of row 2 in row 2
+
+
+def test_exact_solution_records_a_fallback(monkeypatch):
+    c, A, b = [3, 2], [[1, 1], [1, 3]], [4, 6]
+    verified = solve_exact(c, A, b)
+    assert not verified.fallback
+    assert not solve_float(np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)).fallback
+    monkeypatch.setattr(simplex, "_verify_basis", lambda *args: None)
+    fell_back = solve_exact(c, A, b)
+    assert fell_back.fallback
+    assert fell_back.value == verified.value == 12 and fell_back.dual_value(b) == 12
+    # A float loop that raises falls back too.
+    assert solve_exact([10**400], [[1]], [1]).fallback
+
+
+def test_fallback_flag_stays_out_of_the_canonical_report(monkeypatch):
+    flags = []
+
+    def recording(*args):
+        sol = exact(*args)
+        flags.append(sol.fallback)
+        return sol
+
+    exact = simplex.solve_exact
+    monkeypatch.setattr(simplex, "_verify_basis", lambda *args: None)
+    monkeypatch.setattr(simplex, "solve_exact", recording)
+    results = verify.run_checks(seed=0, only="02-measures-catalog")
+    assert flags and all(flags)
+    assert results[0].passed and "fallback" not in verify.canonical_report(results, 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from sablab import measures, verify
 
 
@@ -30,3 +32,14 @@ def test_certificate_checks_share_one_global_sweep_per_pass(monkeypatch):
     assert results[-1].name == verify.DETERMINISM_CHECK and results[-1].passed
     assert calls == functions * 2
 
+
+
+def test_run_checks_refuses_a_negative_seed(monkeypatch):
+    def no_check(name, seed):
+        pytest.fail("a check ran with a negative seed")
+
+    monkeypatch.setattr(verify, "_run_check", no_check)
+    with pytest.raises(verify.VerifyError, match="seed must be >= 0, got -1"):
+        verify.run_checks(seed=-1)
+    with pytest.raises(verify.VerifyError, match="got -1"):
+        verify.run_checks(seed=-1, only="05")
