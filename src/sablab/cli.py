@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (CliError, BoolFnError, SabotageError, measures.MeasureError,
             adversary.AdversaryError, qsim.SimulationError, protocols.ProtocolError,
-            verify.VerifyError, OSError) as exc:
+            verify.VerifyError, OSError, UnicodeDecodeError) as exc:
         print(f"sablab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .sabotage import SabString, StrongInput, valid_index_answers
 from .qsim import (
+    DIM_CAP,
     QUERY,
     QUERY_INV,
     Gate,
@@ -31,12 +32,10 @@ from .qsim import (
     amplitude_amplify,
     evolve,
     grover_find_mark,
-    index_block_mass,
     oracle_strong,
     run,
     xor_controlled_block,
 )
-from .qsim import DIM_CAP
 
 _MAX_BASELINE_PHASES = 32
 
@@ -183,16 +182,17 @@ def _branch_algorithm(alg: QueryAlgorithm, branch: int) -> QueryAlgorithm:
 
 @dataclass(frozen=True)
 class _BranchTraces:
-    """Per branch (0: the run on x, 1: on y), block mass and index marginal before each query."""
+    """Per branch (0: the run on x, 1: on y), the index marginal before each query."""
 
     block: tuple[int, ...]
     t_count: int
-    p_t: tuple[tuple[float, ...], ...]
     index_probs: tuple[tuple[np.ndarray, ...], ...]
 
     @property
     def per_trial_success(self) -> float:
-        return (sum(self.p_t[0]) + sum(self.p_t[1])) / (2.0 * self.t_count)
+        block = set(self.block)  # summed in the order index_block_mass uses
+        mass = [sum(float(sum(p[j - 1] for j in block)) for p in ps) for ps in self.index_probs]
+        return (mass[0] + mass[1]) / (2.0 * self.t_count)
 
 
 def _check_distinguisher(alg: QueryAlgorithm, w: StrongInput) -> None:
@@ -217,17 +217,12 @@ def _interrupt_states(alg: QueryAlgorithm, branch: int, oracle: Oracle) -> Itera
 def _interrupt_traces(alg: QueryAlgorithm, w: StrongInput) -> _BranchTraces:
     _check_distinguisher(alg, w)
     block = tuple(sorted(valid_index_answers(w)))
-    oracle = oracle_strong(w)
-    layout = _wrapped_layout(alg.layout)
-    p_t, index_probs = [], []
-    for branch in (0, 1):
-        masses, marginals = [], []
-        for state in _interrupt_states(alg, branch, oracle):
-            masses.append(index_block_mass(state, layout, block))
-            marginals.append((np.abs(state.reshape(layout.n, -1)) ** 2).sum(axis=1))
-        p_t.append(tuple(masses))
-        index_probs.append(tuple(marginals))
-    return _BranchTraces(block, alg.query_count, tuple(p_t), tuple(index_probs))
+    oracle, n = oracle_strong(w), alg.layout.n
+    index_probs = tuple(
+        tuple((np.abs(s.reshape(n, -1)) ** 2).sum(axis=1) for s in _interrupt_states(alg, b, oracle))
+        for b in (0, 1)
+    )
+    return _BranchTraces(block, alg.query_count, index_probs)
 
 
 def _one_trial(traces: _BranchTraces, rng: np.random.Generator) -> tuple[int, bool, int]:

@@ -19,7 +19,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -111,6 +111,15 @@ def permute_rows(state: np.ndarray, perm: np.ndarray, row_size: int) -> np.ndarr
     return np.ascontiguousarray(state.reshape(len(perm), row_size)[perm]).reshape(-1)
 
 
+# Symbol registers of each oracle kind, name: dimension, in wire order after the index.
+# A query adds input component r into symbol register r modulo its dimension.
+_SYMBOL_REGISTERS = {
+    "bit": {"symbol": 2},
+    "weak": {"symbol": 4},
+    "strong": {"bx": 2, "by": 2, "bz": 4},
+}
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Register shape of a query algorithm: index, symbol register(s), workspace."""
@@ -118,37 +127,26 @@ class RegisterLayout:
     n: int
     symbol: str  # "bit" | "weak" | "strong"
     workspace: int = 1  # workspace dimension, a power of two (1 = none)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    register_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SimulationError("index register needs at least one position")
-        if self.symbol not in ("bit", "weak", "strong"):
+        if not isinstance(self.symbol, str) or self.symbol not in _SYMBOL_REGISTERS:
             raise SimulationError(f"unknown symbol register kind {self.symbol!r}")
         if self.workspace < 1 or self.workspace & (self.workspace - 1):
             raise SimulationError("workspace dimension must be a power of two")
+        symbols = _SYMBOL_REGISTERS[self.symbol]
+        qubits = range(self.workspace.bit_length() - 1)
+        object.__setattr__(self, "dims", (self.n, *symbols.values(), *(2 for _ in qubits)))
+        object.__setattr__(self, "register_names", ("index", *symbols, *(f"work{i}" for i in qubits)))
         if self.total_dim > DIM_CAP:
-            raise SimulationError(
-                f"state dimension {self.total_dim} exceeds the cap {DIM_CAP}"
-            )
-
-    @property
-    def symbol_dims(self) -> tuple[int, ...]:
-        return {"bit": (2,), "weak": (4,), "strong": (2, 2, 4)}[self.symbol]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        work = (2,) * (self.workspace.bit_length() - 1)
-        return (self.n,) + self.symbol_dims + work
+            raise SimulationError(f"state dimension {self.total_dim} exceeds the cap {DIM_CAP}")
 
     @property
     def total_dim(self) -> int:
-        return self.n * math.prod(self.symbol_dims) * self.workspace
-
-    @property
-    def register_names(self) -> tuple[str, ...]:
-        symbols = {"bit": ("symbol",), "weak": ("symbol",), "strong": ("bx", "by", "bz")}
-        work = tuple(f"work{i}" for i in range(self.workspace.bit_length() - 1))
-        return ("index",) + symbols[self.symbol] + work
+        return math.prod(self.dims)
 
     def wire(self, register: str) -> int:
         try:
@@ -176,29 +174,22 @@ class Gate:
         elif name == "CPHASE":
             if param is None:
                 raise SimulationError("CPHASE needs a phase parameter")
-            matrix = np.diag([1, 1, 1, cmath.exp(1j * param)]).astype(np.complex128)
-            matrix.flags.writeable = False
+            matrix = np.diag([1, 1, 1, cmath.exp(1j * param)])
         else:
             raise SimulationError(f"unknown gate {name!r}")
         return cls(name=name, wires=tuple(wires), matrix=matrix, param=param)
 
     @classmethod
     def block(cls, matrix: np.ndarray, wires: Sequence[int]) -> "Gate":
-        # A private read-only copy: no write after the unitarity check can reach the gate.
-        matrix = np.array(matrix, dtype=np.complex128)
-        matrix.flags.writeable = False
         return cls(name="BLOCK", wires=tuple(wires), matrix=matrix)
 
     def rewired(self, wires: Sequence[int]) -> "Gate":
-        """The same gate on other wires, sharing this gate's matrix.
+        """The same gate on other wires, sharing this gate's read-only matrix.
 
-        A read-only matrix is the very array that passed the unitarity check
-        when this gate was built, so only the wires are checked.  A writable
-        matrix may have changed since, and goes through the full check again.
+        That matrix passed the unitarity check when this gate was built, so
+        only the wires are checked.
         """
         wires = tuple(wires)
-        if self.matrix.flags.writeable:
-            return replace(self, wires=wires)
         if len(set(wires)) != len(wires):
             raise SimulationError("gate wires must be distinct")
         gate = object.__new__(type(self))
@@ -207,6 +198,12 @@ class Gate:
 
     def __post_init__(self) -> None:
         m = self.matrix
+        owned = isinstance(m, np.ndarray) and m.flags.owndata and not m.flags.writeable
+        if not owned or m.dtype != np.complex128:
+            # A private read-only copy: no write after the unitarity check can reach the gate.
+            m = np.array(m, dtype=np.complex128)
+            m.flags.writeable = False
+            object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SimulationError("gate matrix must be square")
         if m.shape[0] > BLOCK_CAP:
@@ -234,11 +231,6 @@ def diffusion_block(dim: int) -> np.ndarray:
     """Reflection about the uniform vector, 2|u><u| - I."""
     u = np.full(dim, 1.0 / math.sqrt(dim))
     return (2.0 * np.outer(u, u) - np.eye(dim)).astype(np.complex128)
-
-
-def phase_marks_block() -> np.ndarray:
-    """Phase flip on the weak symbol values 2 and 3 (star and dagger)."""
-    return np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 
 
 def xor_controlled_block(control_dim: int, control_values: Iterable[int]) -> np.ndarray:
@@ -275,36 +267,32 @@ class QueryAlgorithm:
     layout: RegisterLayout
     steps: tuple[Step, ...]
     measure: Measurement | None = None
+    query_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise SimulationError("algorithm needs at least one step")
-        if self.steps[0] in (QUERY, QUERY_INV) or self.steps[-1] in (QUERY, QUERY_INV):
+        queries = [step in (QUERY, QUERY_INV) for step in self.steps]
+        if queries[0] or queries[-1]:
             raise SimulationError("algorithm must begin and end with a unitary step")
-        dims = self.layout.dims
-        previous_query = False
-        for step in self.steps:
-            if step in (QUERY, QUERY_INV):
-                if previous_query:
-                    raise SimulationError("query steps must alternate with unitary steps")
-                previous_query = True
-                continue
-            previous_query = False
-            for gate in step:  # type: ignore[union-attr]
-                if any(not 0 <= w < len(dims) for w in gate.wires):
-                    raise SimulationError(f"gate {gate.name} wires {gate.wires} out of range")
-                need = math.prod(dims[w] for w in gate.wires)
-                if need != gate.matrix.shape[0]:
-                    raise SimulationError(
-                        f"gate {gate.name} on wires {gate.wires} needs dimension {need}"
-                    )
+        if any(a and b for a, b in zip(queries, queries[1:])):
+            raise SimulationError("query steps must alternate with unitary steps")
+        object.__setattr__(self, "query_count", sum(queries))
+        # Each distinct gate is fitted once, by the plan apply_block will use.
+        gates = {id(g): g for step, q in zip(self.steps, queries) if not q for g in step}
+        for gate in gates.values():
+            try:
+                size = _axis_plan(self.layout.dims, gate.wires)[0]
+            except ValueError:
+                raise SimulationError(f"gate {gate.name} wires {gate.wires} out of range") from None
+            if size != gate.matrix.shape[0]:
+                raise SimulationError(f"gate {gate.name} on wires {gate.wires} needs dimension {size}")
         if self.measure is not None:
-            for reg in self.measure.registers:
+            registers = self.measure.registers
+            if len(set(registers)) != len(registers):
+                raise SimulationError(f"measured registers {registers} repeat a register")
+            for reg in registers:
                 self.layout.wire(reg)
-
-    @property
-    def query_count(self) -> int:
-        return sum(1 for s in self.steps if s in (QUERY, QUERY_INV))
 
 
 class Oracle:
@@ -329,33 +317,37 @@ class Oracle:
         return f"Oracle({self.kind}, {self.label})"
 
 
+def _oracle(kind: str, values: Sequence, label: str) -> Oracle:
+    """Add component r of each input entry into symbol register r, modulo its dimension.
+
+    On a qubit register, addition mod 2 is XOR.  ``values`` holds one entry
+    per position: a number for one symbol register, a tuple for several.
+    """
+    dims = list(_SYMBOL_REGISTERS[kind].values())
+    ones = (1,) * len(dims)
+    v = np.array(values, dtype=np.int64).reshape(-1, len(dims))
+    n = len(v)
+    forward = np.arange(n, dtype=np.int64).reshape(n, *ones)
+    for r, d in enumerate(dims):
+        b = np.arange(d, dtype=np.int64).reshape(d, *ones[r + 1 :])
+        forward = forward * d + (b + v[:, r].reshape(n, *ones)) % d
+    return Oracle(kind, n, forward.reshape(-1), label)
+
+
 def oracle_bit(x: BitString | str) -> Oracle:
     """Standard Boolean oracle: the target bit is XORed with x_j."""
     xb = BitString.coerce(x)
-    n = len(xb)
-    j, b = np.arange(n, dtype=np.int64)[:, None], np.arange(2, dtype=np.int64)
-    xj = np.array(xb.bits, dtype=np.int64)[:, None]
-    return Oracle("bit", n, (2 * j + (b ^ xj)).reshape(-1), str(xb))
+    return _oracle("bit", xb.bits, str(xb))
 
 
 def oracle_weak(z: SabString) -> Oracle:
     """Weak sabotage oracle: cyclic mod-4 addition of the symbol z_j."""
-    n = len(z)
-    j, b = np.arange(n, dtype=np.int64)[:, None], np.arange(4, dtype=np.int64)
-    zj = np.array(z.symbols, dtype=np.int64)[:, None]
-    return Oracle("weak", n, (4 * j + (b + zj) % 4).reshape(-1), str(z))
+    return _oracle("weak", z.symbols, str(z))
 
 
 def oracle_strong(w: StrongInput) -> Oracle:
     """Strong sabotage oracle returning the whole tuple (x_j, y_j, z_j)."""
-    n = len(w)
-    j = np.arange(n, dtype=np.int64).reshape(n, 1, 1, 1)
-    bx = np.arange(2, dtype=np.int64).reshape(2, 1, 1)
-    by = np.arange(2, dtype=np.int64).reshape(2, 1)
-    bz = np.arange(4, dtype=np.int64)
-    xj, yj, zj = np.array(w.tuples, dtype=np.int64).T.reshape(3, n, 1, 1, 1)
-    forward = ((j * 2 + (bx ^ xj)) * 2 + (by ^ yj)) * 4 + (bz + zj) % 4
-    return Oracle("strong", n, forward.reshape(-1), str(w))
+    return _oracle("strong", w.tuples, str(w))
 
 
 @dataclass(frozen=True)
@@ -372,13 +364,6 @@ class SimTrace:
 def initial_state(layout: RegisterLayout) -> np.ndarray:
     state = np.zeros(layout.total_dim, dtype=np.complex128)
     state[0] = 1.0
-    return state
-
-
-def apply_gates(state: np.ndarray, layout: RegisterLayout, gates: Iterable[Gate]) -> np.ndarray:
-    dims = layout.dims
-    for gate in gates:
-        state = apply_block(state, dims, gate.wires, gate.matrix)
     return state
 
 
@@ -436,8 +421,9 @@ def evolve(alg: QueryAlgorithm, oracle: Oracle | None = None) -> Iterator[np.nda
         if step in (QUERY, QUERY_INV):
             yield state
             state = oracle.apply(state, adjoint=step == QUERY_INV)  # type: ignore[union-attr]
-        else:
-            state = apply_gates(state, layout, step)  # type: ignore[arg-type]
+        else:  # one state is held between gates: each replaces the last
+            for gate in step:  # type: ignore[union-attr]
+                state = apply_block(state, layout.dims, gate.wires, gate.matrix)
         norm = math.sqrt(np.vdot(state, state).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm}")
@@ -488,7 +474,23 @@ def _index_gates(n: int) -> tuple[Gate, Gate]:
 # Wire-1 gates shared by every catalog circuit: X and H on the bit target, the weak phase mark.
 _TARGET_X = Gate.named("X", (1,))
 _TARGET_H = Gate.named("H", (1,))
-_PHASE_MARK = Gate.block(phase_marks_block(), (1,))
+_PHASE_MARK = Gate.block(np.diag([1.0, 1.0, -1.0, -1.0]), (1,))  # weak symbols 2, 3: star, dagger
+
+
+def _grover(
+    symbol: str, n: int, iterations: int, prep: tuple[Gate, ...], query: tuple[Step, ...]
+) -> QueryAlgorithm:
+    """Prepare, then ``iterations`` times the query steps and a diffusion; measure the index."""
+    if not 1 <= n <= BLOCK_CAP:
+        raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
+    if iterations < 0:
+        raise SimulationError(f"iterations must be >= 0, got {iterations}")
+    uniform, diffuse = _index_gates(n)
+    steps = [(*prep, uniform)] + [*query, (diffuse,)] * iterations  # the same gates every iteration
+    if iterations == 0:
+        steps.append(())  # an algorithm ends on a unitary step
+    measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
+    return QueryAlgorithm(RegisterLayout(n=n, symbol=symbol), tuple(steps), measure)
 
 
 def grover_or(n: int, iterations: int) -> QueryAlgorithm:
@@ -496,17 +498,7 @@ def grover_or(n: int, iterations: int) -> QueryAlgorithm:
 
     Marked positions are phase-flipped through a target qubit held in |->.
     """
-    if not 1 <= n <= BLOCK_CAP:
-        raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
-    layout = RegisterLayout(n=n, symbol="bit", workspace=1)
-    prep, diffuse = _index_gates(n)
-    steps: list[Step] = [(_TARGET_X, _TARGET_H, prep)]
-    if iterations == 0:
-        steps.append(())
-    else:  # one diffusion gate serves every iteration
-        steps += [QUERY, (diffuse,)] * iterations
-    measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
-    return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
+    return _grover("bit", n, iterations, (_TARGET_X, _TARGET_H), (QUERY,))
 
 
 def grover_marks(n: int, iterations: int) -> QueryAlgorithm:
@@ -515,23 +507,15 @@ def grover_marks(n: int, iterations: int) -> QueryAlgorithm:
     Each iteration queries, phase-flips symbol values 2 and 3, then
     uncomputes with an inverse query before the diffusion step.
     """
-    if not 1 <= n <= BLOCK_CAP:
-        raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
-    layout = RegisterLayout(n=n, symbol="weak", workspace=1)
-    prep, diffuse = _index_gates(n)
-    steps: list[Step] = [(prep,)]
-    if iterations == 0:
-        steps.append(())
-    else:  # one mark and one diffusion gate serve every iteration
-        steps += [QUERY, (_PHASE_MARK,), QUERY_INV, (diffuse,)] * iterations
-    measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
-    return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
+    return _grover("weak", n, iterations, (), (QUERY, (_PHASE_MARK,), QUERY_INV))
 
 
 def random_query_algorithm(
     n: int, queries: int, rng: np.random.Generator, workspace: int = 2
 ) -> QueryAlgorithm:
     """Haar-random interleaving circuit over the bit-oracle layout."""
+    if queries < 0:
+        raise SimulationError(f"queries must be >= 0, got {queries}")
     layout = RegisterLayout(n=n, symbol="bit", workspace=workspace)
 
     def haar(dim: int) -> np.ndarray:
@@ -700,29 +684,46 @@ def algorithm_to_json(alg: QueryAlgorithm) -> str:
 
 
 def algorithm_from_json(text: str) -> QueryAlgorithm:
-    payload = json.loads(text)
-    lay = payload["layout"]
-    layout = RegisterLayout(n=lay["n"], symbol=lay["symbol"], workspace=lay.get("workspace", 1))
-    steps: list[Step] = []
-    for step in payload["steps"]:
-        if step in (QUERY, QUERY_INV):
-            steps.append(step)
-            continue
-        gates = []
-        for entry in step["gates"]:
-            name = entry["gate"].upper()
-            wires = tuple(entry["wires"])
-            if name == "BLOCK":
-                matrix = np.array(
-                    [[complex(re, im) for re, im in row] for row in entry["matrix"]],
-                    dtype=np.complex128,
-                )
-                gates.append(Gate.block(matrix, wires))
-            else:
-                gates.append(Gate.named(name, wires, entry.get("param")))
-        steps.append(tuple(gates))
-    measure = None
-    if payload.get("measure") is not None:
-        m = payload["measure"]
-        measure = Measurement(registers=tuple(m["registers"]), outcome_map=dict(m.get("map", {})))
-    return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
+    """Parse an algorithm file; a malformed one raises SimulationError naming the bad field."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SimulationError(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SimulationError("algorithm file must be a JSON object")
+    where = "file"
+    try:
+        lay, steps_in = payload["layout"], payload["steps"]
+        where = "layout"
+        layout = RegisterLayout(n=lay["n"], symbol=lay["symbol"], workspace=lay.get("workspace", 1))
+        where = "steps"
+        steps: list[Step] = []
+        for i, step in enumerate(steps_in):
+            if step in (QUERY, QUERY_INV):
+                steps.append(step)
+                continue
+            where = f"steps[{i}]"
+            gates = []
+            for k, entry in enumerate(step["gates"]):
+                where = f"steps[{i}].gates[{k}]"
+                name = entry["gate"].upper()
+                wires = tuple(entry["wires"])
+                if name == "BLOCK":
+                    matrix = [[complex(re, im) for re, im in row] for row in entry["matrix"]]
+                    gates.append(Gate.block(matrix, wires))
+                else:
+                    gates.append(Gate.named(name, wires, entry.get("param")))
+            steps.append(tuple(gates))
+        where = "measure"
+        measure = None
+        if payload.get("measure") is not None:
+            m = payload["measure"]
+            measure = Measurement(registers=tuple(m["registers"]), outcome_map=dict(m.get("map", {})))
+        where = "steps"
+        return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
+    except KeyError as exc:
+        raise SimulationError(f"algorithm {where} has no field {exc.args[0]!r}") from None
+    except SimulationError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SimulationError(f"algorithm {where} is malformed: {exc}") from None

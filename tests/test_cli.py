@@ -184,6 +184,40 @@ def test_protocol_errors_exit_2(capsys):
         assert err.startswith("sablab: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"layout": {"n": 2}, "steps": []}', "'symbol'"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "H"}]}]}', "'wires'"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "H", "wires": 1}]}]}', "steps[0].gates[0]"),
+        ('{"layout": {"n": 2, "symbol": "bit"}}', "'steps'"),
+        ("[1,2]", "JSON object"),
+        ("nope", "invalid JSON"),
+    ],
+    ids=["no-symbol", "gate-without-wires", "wires-not-a-list", "no-steps", "not-an-object", "not-json"],
+)
+def test_malformed_algorithm_file_exits_2(capsys, tmp_path, text, field):
+    path = tmp_path / "alg.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ("protocol", "convert-strong", "--alg-file", str(path), "--pair", "00,01")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("sablab: ") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("protocol", "convert-strong", "--pair", "00,01", "--alg-file"), ("fbs", "--file")],
+    ids=["alg-file", "function-file"],
+)
+def test_undecodable_input_file_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("sablab: ") and "decode" in err
+
+
 @pytest.mark.parametrize("block", ["1,a", "1,,2", "0,1", "3"])
 def test_hybrid_bad_block_exits_2(capsys, block):
     argv = ("protocol", "hybrid", "--alg", "deutsch", "--x", "00", "--block", block)
@@ -307,16 +341,28 @@ def test_relation_model_defaults_to_weak(capsys):
     assert default == weak and json.loads(default)["model"] == "weak"
 
 
-def test_readme_examples_parse():
+def readme_examples() -> list[str]:
     text = README.read_text(encoding="utf-8")
     block = text.split("## CLI examples", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    examples = [line for line in block.splitlines() if line.startswith("sablab ")]
+    return [line for line in block.splitlines() if line.startswith("sablab ")]
+
+
+def test_readme_examples_parse():
+    examples = readme_examples()
     assert len(examples) >= 12
     parser = build_parser()
     for line in examples:
         words = shlex.split(line, comments=True)
         assert words[0] == "sablab"
         parser.parse_args(words[1:])
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # verify-all --out writes report.json here
+    monkeypatch.delenv("SABLAB_SEED", raising=False)
+    for line in readme_examples():
+        code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
 
 
 def test_bad_seed_env_is_usage_error(capsys, monkeypatch):

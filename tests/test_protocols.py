@@ -23,6 +23,7 @@ from sablab.qsim import (
     grover_or,
     hybrid_sum,
     oracle_bit,
+    oracle_strong,
     random_query_algorithm,
     run,
 )
@@ -150,6 +151,53 @@ def test_per_trial_identity_links_to_hybrid():
         hb = hybrid_sum(alg, w.x, sorted(w.z.mark_positions))
         identity = (hb.sum_x + hb.sum_y) / (2 * alg.query_count)
         assert abs(rep.exact_success - identity) < 1e-10
+
+
+def random_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def former_per_trial_success(alg, w):
+    """The former sum: index_block_mass of every interrupt state, branch 0 then branch 1."""
+    block = set(sorted(w.z.mark_positions))
+    n = alg.layout.n
+    sums = []
+    for branch in (0, 1):
+        masses = []
+        for state in protocols._interrupt_states(alg, branch, oracle_strong(w)):
+            probs = np.abs(state.reshape(n, -1)) ** 2
+            masses.append(float(sum(probs[j - 1].sum() for j in block)))
+        sums.append(sum(masses))
+    return (sums[0] + sums[1]) / (2.0 * alg.query_count)
+
+
+def test_per_trial_success_is_bitwise_the_former_block_mass_sum():
+    instances = [(deutsch_parity(), w) for w in all_strong_inputs(XOR2)]
+    rng = np.random.default_rng(15)
+    # "001000001100" marks {3, 9, 10}, which a set iterates as 9, 10, 3.
+    for n, k in ((4, 1), (6, 2), (12, 2), (12, 3)):
+        for y in ("001000001100", *(rng.integers(0, 2, n) | (np.arange(n) == k) for _ in range(4))):
+            y = "".join(map(str, y))[:n]
+            w = make_strong(make_named("OR", n), "0" * n, y, "*+"[len(instances) % 2])
+            instances.append((grover_or(n, k), w))
+    for trial in range(24):
+        n = int(rng.integers(2, 9))
+        x = rng.integers(0, 2, n)
+        flip = rng.random(n) < 0.4
+        flip[trial % n] = True
+        x, y = (BitString(tuple(v.tolist())) for v in (x, x ^ flip))
+        w = StrongInput.from_pair(x, y, "*+"[trial % 2])
+        instances.append((random_query_algorithm(n, int(rng.integers(1, 4)), rng), w))
+    # Random index rotations, where the summation order shows in the last bit.
+    layout = RegisterLayout(n=12, symbol="bit", workspace=1)
+    for y in ("001000001100", "101000001011") * 8:
+        layer = (Gate.block(random_unitary(rng, 12), (0,)), Gate.block(random_unitary(rng, 2), (1,)))
+        alg = QueryAlgorithm(layout, (layer, QUERY, layer, QUERY, layer))
+        instances.append((alg, make_strong(make_named("OR", 12), "0" * 12, y, "+")))
+    for alg, w in instances:
+        got = protocols._interrupt_traces(alg, w).per_trial_success
+        assert got == former_per_trial_success(alg, w), (alg.layout, str(w))
 
 
 def test_sample_interrupt_lower_bound_via_overlap():

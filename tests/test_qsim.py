@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_matrix, total_variation
 from sablab.boolfn import BitString
+from sablab import qsim
 from sablab.sabotage import SabotageError, SabString, StrongInput
 from sablab.qsim import (
     QUERY,
@@ -700,13 +702,18 @@ def test_rewired_gate_shares_its_matrix_without_a_check(gate_checks):
         source.rewired((3, 3))
 
 
-def test_rewiring_a_writable_matrix_runs_the_unitarity_check(gate_checks):
+def test_gate_built_from_a_writable_array_holds_a_read_only_copy(gate_checks):
     matrix = np.eye(2, dtype=np.complex128)
     gate = Gate(name="BLOCK", wires=(0,), matrix=matrix)
-    assert gate.rewired((1,)).wires == (1,) and len(gate_checks) == 2
+    assert gate.matrix is not matrix and not np.shares_memory(gate.matrix, matrix)
+    assert not gate.matrix.flags.writeable
+    moved = gate.rewired((1,))
+    assert moved.wires == (1,) and moved.matrix is gate.matrix
+    assert gate_checks == ["BLOCK"]  # rewiring ran no check
     matrix[0, 0] = 2.0  # written after the gate was built
-    with pytest.raises(SimulationError, match="not unitary"):
-        gate.rewired((1,))
+    assert np.array_equal(gate.matrix, np.eye(2)) and np.array_equal(moved.matrix, np.eye(2))
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = 2.0
 
 
 def test_second_mark_search_at_a_seen_size_builds_no_gate(gate_checks):
@@ -727,3 +734,85 @@ def test_catalog_gates_are_shared_and_read_only():
         gates = [g for step in alg.steps if step not in (QUERY, QUERY_INV) for g in step]
         assert all(not g.matrix.flags.writeable for g in gates)
 
+
+# ---------------------------------------------------------------------------
+# Each circuit fact is stated once
+
+LAYOUT_FIELDS = {
+    "bit": ((2,), ("symbol",)),
+    "weak": ((4,), ("symbol",)),
+    "strong": ((2, 2, 4), ("bx", "by", "bz")),
+}
+
+
+@pytest.mark.parametrize("symbol", sorted(LAYOUT_FIELDS))
+@pytest.mark.parametrize("workspace, qubits", [(1, 0), (2, 1), (8, 3)])
+def test_layout_dims_and_register_names(symbol, workspace, qubits):
+    symbol_dims, symbol_names = LAYOUT_FIELDS[symbol]
+    layout = RegisterLayout(n=5, symbol=symbol, workspace=workspace)
+    assert layout.dims == (5, *symbol_dims) + (2,) * qubits
+    assert layout.register_names == ("index", *symbol_names) + tuple(f"work{i}" for i in range(qubits))
+    assert layout.total_dim == 5 * math.prod(symbol_dims) * workspace
+    assert [layout.wire(name) for name in layout.register_names] == list(range(len(layout.dims)))
+
+
+def test_replace_recomputes_derived_fields():
+    layout = RegisterLayout(n=3, symbol="bit", workspace=2)
+    wider = replace(layout, symbol="strong", workspace=4)
+    assert wider.dims == (3, 2, 2, 4, 2, 2)
+    assert wider.register_names == ("index", "bx", "by", "bz", "work0", "work1")
+    assert wider == RegisterLayout(n=3, symbol="strong", workspace=4)
+    alg = grover_or(4, 3)
+    assert alg.query_count == 3
+    assert replace(alg, steps=alg.steps[:3]).query_count == 1
+    assert replace(alg, steps=alg.steps[:1]).query_count == 0
+
+
+def test_grover_or_fits_each_distinct_gate_once(monkeypatch):
+    calls = []
+    plan = qsim._axis_plan
+
+    def counting(dims, axes):
+        calls.append(axes)
+        return plan(dims, axes)
+
+    monkeypatch.setattr(qsim, "_axis_plan", counting)
+    alg = grover_or(12, 40)
+    assert alg.query_count == 40
+    # X and H on the target, the uniform prep and the one diffusion gate on the index.
+    assert sorted(calls) == [(0,), (0,), (1,), (1,)]
+
+
+def test_run_holds_one_state_between_gates():
+    # 4 x 2 x 2^13 = 2^16 amplitudes; four gates per step, on leading and trailing wires.
+    layout = RegisterLayout(n=4, symbol="bit", workspace=2**13)
+    rng = np.random.default_rng(16)
+    wires = ((0, 1), (1, 2), (3, 4), (14,))
+    step = tuple(
+        Gate.block(random_unitary(rng, math.prod(layout.dims[w] for w in ws)), ws) for ws in wires
+    )
+    alg = QueryAlgorithm(layout, (step, QUERY, step, QUERY, step))
+    tracemalloc.start()
+    try:
+        run(alg, oracle_bit("0110"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (layout.total_dim * 16) < 4.5
+
+
+def test_grover_builders_refuse_negative_iterations():
+    with pytest.raises(SimulationError, match="iterations must be >= 0, got -1"):
+        grover_find_mark(SabString.from_text("0*00"), -1)
+    for build in (grover_or, grover_marks):
+        with pytest.raises(SimulationError, match="iterations must be >= 0, got -3"):
+            build(4, -3)
+    with pytest.raises(SimulationError, match="queries must be >= 0, got -1"):
+        random_query_algorithm(3, -1, np.random.default_rng(0))
+
+
+def test_repeated_measured_register_is_refused():
+    layout = RegisterLayout(n=2, symbol="bit", workspace=2)
+    for registers in (("index", "index"), ("symbol", "work0", "symbol")):
+        with pytest.raises(SimulationError, match="repeat"):
+            QueryAlgorithm(layout, ((),), Measurement(registers=registers))
