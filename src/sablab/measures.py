@@ -9,9 +9,14 @@ restriction, computed exactly by disjoint-block set packing.
 is a weight u >= 0 on coordinates covering every opposite y with weight at
 least 1.  Any u >= 0 whose worst coverage c at x is positive becomes a dual
 solution at x after division by c, so by weak duality fbs(f, x) <= sum(u) / c.
-The sweep keeps the duals of the points it solved and skips a point when one
-of them bounds it by the current best.  It returns exactly what a solve at
-every point would.
+Here c(x) is the u-weighted Hamming distance from x to the nearest opposite
+input.  Each new dual of a solved point gets its coverage at every later
+point at once: by a min-plus distance transform over the cube when
+n 2^n <= |D0| |D1|, otherwise by one pairwise product over the domain.  Each
+point keeps the tightest of these bounds, and the sweep skips it when that
+bound does not exceed the current best; float mode allows FEAS_TOL / 2 of
+slack there, which cannot change the tie rule's ``FEAS_TOL`` decision.  It
+returns exactly what a solve at every point would.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .boolfn import BitString, BoolFnError, PartialFunction, require_general_siz
 
 FEAS_TOL = 1e-9
 DUALITY_TOL = 1e-7
+# An exact dual whose sum is below this keeps every coverage, sum and cross
+# product of two in int64; a larger one is handled in Python ints.
+_INT64_SAFE = 1 << 31
+# Entries per temporary of the pairwise coverage kernel: 8 MB of 8-byte entries.
+_CHUNK_ENTRIES = 1 << 20
 
 
 class MeasureError(BoolFnError):
@@ -156,45 +166,110 @@ def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolut
     return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)
 
 
+def _transform_coverage(f: PartialFunction, u: np.ndarray, start: int = 0) -> np.ndarray:
+    """Coverage of the dual u at the domain points from row ``start`` on, by a
+    min-plus distance transform over the whole cube.
+
+    Row v of the table holds the u-weighted distance to the nearest point of
+    value v: 0 on those points, and at first sum(u) + 1, above every distance,
+    everywhere else, off-domain points included.  Pass j sets
+    d <- min(d, d o flip_j + u_j).  Since u >= 0, a shortest path flips each
+    differing coordinate once, so after n passes every distance is exact.
+    O(n 2^n) per dual, in ``u.dtype``.
+    """
+    bits, vals = f.arrays()
+    n = f.n
+    codes = bits @ (1 << np.arange(n - 1, -1, -1))
+    d = np.full((2, 1 << n), u.sum() + 1, dtype=u.dtype)
+    d[vals, codes] = 0
+    for j, w in enumerate(u):
+        halves = d.reshape(2, -1, 2, 1 << (n - 1 - j))  # axis 2 is coordinate j
+        lo, hi = halves[:, :, 0], halves[:, :, 1]
+        step = np.minimum(lo, hi + w)
+        np.minimum(hi, lo + w, out=hi)
+        lo[...] = step
+    return d[1 - vals[start:], codes[start:]]
+
+
+def _pairwise_coverage(f: PartialFunction, u: np.ndarray, start: int = 0) -> np.ndarray:
+    """The coverage of ``_transform_coverage``, by one product over the domain's rows.
+
+    The u-weighted distance from x to y is x.u + y.u - 2 (x o u).y.  The rows of
+    each value are taken in chunks, so that no temporary holds more than
+    ``_CHUNK_ENTRIES`` entries.  O(|D0| |D1| n) per dual, in ``u.dtype``.
+    """
+    bits, vals = f.arrays()
+    b = bits.astype(u.dtype)
+    bu = b @ u
+    cov = np.empty(vals.size - start, dtype=u.dtype)
+    for v in (0, 1):
+        rows = start + np.flatnonzero(vals[start:] == v)
+        opp = vals != v
+        opp_bits, opp_bu = b[opp].T, bu[opp]
+        chunk = max(1, _CHUNK_ENTRIES // opp_bu.size)
+        for lo in range(0, rows.size, chunk):
+            r = rows[lo:lo + chunk]
+            dist = bu[r, None] + opp_bu - 2 * (b[r] * u) @ opp_bits
+            cov[r - start] = dist.min(axis=1)
+    return cov
+
+
 def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fraction, BitString]:
     """Maximum fbs over the declared domain; ties go to the smallest x.
 
-    The LP is solved only where it could change the answer.  The dual u of
-    each solved point, clipped at 0, bounds a later point x by sum(u) / c,
-    where c > 0 is the least weight u puts on the coordinates where x differs
-    from an opposite input.  A point bounded by the current best is skipped,
-    since the full sweep would not replace the best there, so the result is
-    the full sweep's ``(fbs(f, x).value, x)``.  Exact mode compares in exact
-    arithmetic (each dual scaled to integers, which leaves sum(u) / c as it
-    is); in float mode the bound's rounding is far below the ``FEAS_TOL``
-    margin of the tie rule.
+    The LP is solved only where it could change the answer.  When a solved
+    point's dual u, clipped at 0, is new, its coverage c(x), the u-weighted
+    Hamming distance from x to the nearest opposite input, is computed once for
+    every later point, and each point keeps the pair (sum(u), c) of the dual
+    with the least bound sum(u) / c.  The coverage comes from a distance
+    transform over the cube when n 2^n <= |D0| |D1|, else from one pairwise
+    product over the domain.  A point whose bound does not exceed the current
+    best is skipped, since the full sweep would not replace the best there, so
+    the result is the full sweep's ``(fbs(f, x).value, x)``.
+
+    Exact mode scales each dual to integers, which leaves sum(u) / c as it is,
+    and compares exactly: in int64 while a dual's sum stays below
+    ``_INT64_SAFE``, in Python ints past it.  Float mode skips x when
+    sum(u) <= (best + FEAS_TOL / 2) c: then fbs(f, x) <= best + FEAS_TOL / 2,
+    so x cannot beat the best by the tie rule's ``FEAS_TOL`` margin, and the
+    slack absorbs the kernels' rounding.
     """
     require_general_size(f, "fbs_global", MeasureError)
     bits, vals = f.arrays()
     if vals.min() == vals.max():
         raise MeasureError(f"{f.name} is constant on its domain")
-    dtype = object if exact else np.float64
-    by_value = [bits[vals == v].astype(dtype) for v in (0, 1)]
-    pool = np.zeros((0, f.n), dtype=dtype)  # distinct clipped duals, one per row
+    sizes = np.bincount(vals, minlength=2)
+    coverage = _transform_coverage if f.n << f.n <= sizes[0] * sizes[1] else _pairwise_coverage
+    dtype = np.int64 if exact else np.float64
+    # Per point: the (sum(u), c) pair of its best dual so far; c = 0 means no bound yet.
+    bound_s, bound_c = np.ones(vals.size, dtype), np.zeros(vals.size, dtype)
+    pool: set[tuple] = set()  # distinct clipped duals
     best_value: float | Fraction | None = None
     best_x: BitString | None = None
-    for row, fx in zip(bits, vals):
-        if len(pool):
-            xbits = row.astype(dtype)
-            # coverage[y, k] = sum of pool[k, j] over j with x_j != y_j
-            coverage = by_value[1 - fx] @ (pool * (1 - 2 * xbits)).T + pool @ xbits
-            worst = coverage.min(axis=0)
-            if np.any((worst > 0) & (pool.sum(axis=1) <= best_value * worst)):
-                continue
-        x = BitString(tuple(row.tolist()))
+    num, den = 0, 1  # the skip limit num / den: the best, plus FEAS_TOL / 2 in float mode
+    for i in range(vals.size):
+        c = bound_c.item(i)
+        if c > 0 and bound_s.item(i) * den <= num * c:
+            continue
+        x = BitString(tuple(bits[i].tolist()))
         sol = fbs(f, x, exact=exact)
         if best_value is None or sol.value > best_value + (0 if exact else FEAS_TOL):
             best_value, best_x = sol.value, x
-        dual = [max(u, 0) for u in sol.dual]
+            num, den = (sol.value.numerator, sol.value.denominator) if exact else (sol.value + FEAS_TOL / 2, 1)
+        dual = tuple(max(u, 0) for u in sol.dual)
         if exact:
             scale = math.lcm(*(u.denominator for u in dual))
-            dual = [int(u * scale) for u in dual]
-        if not (pool == dual).all(axis=1).any():
-            pool = np.vstack([pool, np.array([dual], dtype=dtype)])
+            dual = tuple(int(u * scale) for u in dual)
+        if dual in pool:
+            continue
+        pool.add(dual)
+        total = sum(dual)
+        wide = exact and total >= _INT64_SAFE
+        if wide:
+            bound_s, bound_c = bound_s.astype(object), bound_c.astype(object)
+        cov = coverage(f, np.array(dual, dtype=object if wide else dtype), i + 1)
+        tighter = total * bound_c[i + 1:] < bound_s[i + 1:] * cov
+        bound_s[i + 1:][tighter] = total
+        bound_c[i + 1:][tighter] = cov[tighter]
     assert best_value is not None and best_x is not None
     return best_value, best_x

@@ -131,6 +131,9 @@ class RegisterLayout:
     register_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.workspace) is not int:  # refuses bool too
+            name = "n" if type(self.n) is not int else "workspace"
+            raise SimulationError(f"layout {name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise SimulationError("index register needs at least one position")
         if not isinstance(self.symbol, str) or self.symbol not in _SYMBOL_REGISTERS:
@@ -195,6 +198,18 @@ class Gate:
         gate = object.__new__(type(self))
         gate.__dict__.update(self.__dict__, wires=wires)
         return gate
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Gate):
+            return NotImplemented
+        return (
+            (self.name, self.wires, self.param) == (other.name, other.wires, other.param)
+            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
+        )
+
+    def __hash__(self) -> int:
+        # + 0 turns -0.0 into 0.0, which compare equal, so equal gates hash alike.
+        return hash((self.name, self.wires, self.param, (self.matrix + 0).tobytes()))
 
     def __post_init__(self) -> None:
         m = self.matrix

@@ -29,16 +29,24 @@ def bitstrings(draw, min_size: int = 1, max_size: int = 6) -> BitString:
 
 
 @st.composite
-def partial_functions(draw, max_arity: int = 4) -> PartialFunction:
-    """Random non-constant partial function with at least two domain points."""
+def partial_functions(draw, max_arity: int = 4, max_points: int | None = None) -> PartialFunction:
+    """Random non-constant partial function with at least two domain points.
+
+    With ``max_points``, the domain is at most that many distinct points drawn
+    from the whole cube, so large arities give sparse domains.
+    """
     n = draw(st.integers(2, max_arity))
-    universe = list(all_bitstrings(n))
-    included = draw(
-        st.lists(st.booleans(), min_size=len(universe), max_size=len(universe))
-    )
-    domain = [x for x, keep in zip(universe, included) if keep]
+    if max_points is None:
+        universe = list(all_bitstrings(n))
+        included = draw(
+            st.lists(st.booleans(), min_size=len(universe), max_size=len(universe))
+        )
+        domain = [x for x, keep in zip(universe, included) if keep]
+    else:
+        codes = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=min(max_points, 1 << n)))
+        domain = [BitString(tuple(int(b) for b in f"{c:0{n}b}")) for c in sorted(codes)]
     if len(domain) < 2:
-        domain = universe[:2]
+        domain = [BitString((0,) * (n - 1) + (b,)) for b in (0, 1)]
     values = draw(
         st.lists(st.integers(0, 1), min_size=len(domain), max_size=len(domain))
     )

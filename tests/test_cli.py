@@ -193,8 +193,14 @@ def test_protocol_errors_exit_2(capsys):
         ('{"layout": {"n": 2, "symbol": "bit"}}', "'steps'"),
         ("[1,2]", "JSON object"),
         ("nope", "invalid JSON"),
+        ('{"layout": {"n": 2.5, "symbol": "bit"}, "steps": [{"gates": []}], "measure": {"registers": ["index"]}}',
+         "layout n must be an integer, got 2.5"),
+        ('{"layout": {"n": true, "symbol": "bit"}, "steps": [{"gates": []}]}', "layout n must be an integer"),
+        ('{"layout": {"n": 2, "symbol": "bit", "workspace": 2.0}, "steps": [{"gates": []}]}',
+         "layout workspace must be an integer"),
     ],
-    ids=["no-symbol", "gate-without-wires", "wires-not-a-list", "no-steps", "not-an-object", "not-json"],
+    ids=["no-symbol", "gate-without-wires", "wires-not-a-list", "no-steps", "not-an-object", "not-json",
+         "fractional-n", "boolean-n", "float-workspace"],
 )
 def test_malformed_algorithm_file_exits_2(capsys, tmp_path, text, field):
     path = tmp_path / "alg.json"

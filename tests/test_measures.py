@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,16 @@ def test_fbs_global_matches_full_sweep_random(f, exact):
         _check_against_full_sweep(f, exact, monkeypatch)
 
 
+def _threshold(k):
+    """0^n and the weight-1 points (value 0), and the weight-k points (value 1); n = k + 1."""
+    n = k + 1
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    entries = {(0,) * n: 0}
+    entries.update({u: 0 for u in units})
+    entries.update({tuple(1 - b for b in u): 1 for u in units})
+    return PartialFunction(f"THR_{k}", n, entries)
+
+
 @pytest.mark.parametrize("k, exact", [(7, False), (7, True), (19, False)])
 def test_fbs_global_solves_where_the_bound_is_nearly_tight(k, exact, monkeypatch):
     """An earlier dual can bound a better point within a factor k / (k - 1).
@@ -214,11 +225,7 @@ def test_fbs_global_solves_where_the_bound_is_nearly_tight(k, exact, monkeypatch
     only by n/(k-1), so the sweep has to solve there.
     """
     n = k + 1
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    entries = {(0,) * n: 0}
-    entries.update({u: 0 for u in units})
-    entries.update({tuple(1 - b for b in u): 1 for u in units})
-    f = PartialFunction(f"THR_{k}", n, entries)
+    f = _threshold(k)
     (value, x), _ = _check_against_full_sweep(f, exact, monkeypatch)
     assert abs(value - Fraction(n - 1, k - 1)) < 1e-12 and str(x) == "0" * k + "1"
 
@@ -236,6 +243,110 @@ def test_fbs_global_exact_mode_prunes(monkeypatch):
     f = make_named("MAJ", 5)
     _, calls = _check_against_full_sweep(f, True, monkeypatch)
     assert 0 < len(calls) < len(f.domain())
+
+
+def _random_function(rng, n, points):
+    """Random non-constant partial function on ``points`` distinct points of the n-cube."""
+    codes = np.sort(rng.choice(1 << n, size=points, replace=False))
+    vals = rng.integers(0, 2, size=points)
+    vals[:2] = (0, 1)
+    return PartialFunction("random", n, {f"{c:0{n}b}": int(v) for c, v in zip(codes, vals)})
+
+
+def brute_coverage(f, u):
+    """Least u-weight on the coordinates where x differs from an opposite input, per x."""
+    bits, vals = f.arrays()
+    u = np.asarray(u)
+    return [((bits[vals != v] ^ x) @ u).min() for x, v in zip(bits, vals)]
+
+
+COVERAGE_KERNELS = [measures._transform_coverage, measures._pairwise_coverage]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_coverage_kernels_match_brute_force(seed):
+    """Both kernels give the brute-force coverage: equal in integers, to 1e-12 in floats."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 11
+    for points in sorted({2, min(1 << n, 12), 1 << max(1, n - 4), (1 << n) // 2, 1 << n}):
+        f = _random_function(rng, n, points)
+        ints = rng.integers(0, 7, size=n)
+        floats = rng.random(n) * (rng.random(n) < 0.8)
+        want_int, want_float = brute_coverage(f, ints), brute_coverage(f, floats)
+        for kernel in COVERAGE_KERNELS:
+            got = kernel(f, ints)
+            assert got.dtype == np.int64 and got.tolist() == want_int, (kernel.__name__, n, points)
+            got = kernel(f, floats)
+            assert np.allclose(got, want_float, rtol=0, atol=1e-12), (kernel.__name__, n, points)
+            start = points // 2
+            assert kernel(f, ints, start).tolist() == want_int[start:]
+
+
+def test_coverage_of_a_dual_near_2_to_62_is_exact_in_python_ints():
+    f = _threshold(5)
+    u = np.array([(1 << 62) - 3 * j for j in range(6)], dtype=object)
+    want = brute_coverage(f, u)
+    assert max(want) >= 1 << 63  # int64 would have wrapped
+    for kernel in COVERAGE_KERNELS:
+        assert kernel(f, u).tolist() == want
+
+
+@pytest.mark.parametrize("make", [lambda: make_indexing(2), lambda: make_named("MAJ", 5),
+                                  lambda: _threshold(7)], ids=["IND_2", "MAJ_5", "THR_7"])
+def test_fbs_global_sweeps_duals_near_2_to_62_in_python_ints(make, monkeypatch):
+    """Scaling every dual by 2^60 leaves each bound as it is but takes the Python-int path."""
+    f = make()
+    calls = _record_lp_solves(monkeypatch)
+    want, plain = fbs_global(f, exact=True), list(calls)
+    calls.clear()
+    solve, dtypes = measures.fbs, set()
+
+    def scaled(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, dual=tuple(u * (1 << 60) for u in sol.dual))
+
+    def recording(kernel):
+        def run(f, u, start=0):
+            dtypes.add(u.dtype)
+            return kernel(f, u, start)
+        return run
+
+    monkeypatch.setattr(measures, "fbs", scaled)
+    for kernel in COVERAGE_KERNELS:
+        monkeypatch.setattr(measures, kernel.__name__, recording(kernel))
+    assert fbs_global(f, exact=True) == want
+    assert calls == plain and dtypes == {np.dtype(object)}
+
+
+@given(partial_functions(max_arity=12, max_points=24), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_fbs_global_matches_full_sweep_on_sparse_domains(f, exact):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_against_full_sweep(f, exact, monkeypatch)
+
+
+def test_fbs_global_pinned_results_and_lp_counts(monkeypatch):
+    calls = _record_lp_solves(monkeypatch)
+    assert fbs_global(make_indexing(3), exact=True) == (Fraction(4), BitString((0,) * 11))
+    assert len(calls) <= 8
+    calls.clear()
+    assert fbs_global(make_indexing(3))[1] == BitString((0,) * 11) and len(calls) <= 8
+    calls.clear()
+    value, x = fbs_global(make_named("MAJ", 9))
+    assert abs(value - 5) < 1e-9 and str(x) == "000001111" and len(calls) <= 137
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_fbs_global_on_a_sparse_arity_20_domain_builds_no_cube_array(exact):
+    """THR_19 has 41 points at arity 20: the pairwise kernel, not a 2^20-entry transform."""
+    f = _threshold(19)
+    tracemalloc.start()
+    try:
+        fbs_global(f, exact=exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_fbs_global_rejects_constant():

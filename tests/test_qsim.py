@@ -816,3 +816,34 @@ def test_repeated_measured_register_is_refused():
     for registers in (("index", "index"), ("symbol", "work0", "symbol")):
         with pytest.raises(SimulationError, match="repeat"):
             QueryAlgorithm(layout, ((),), Measurement(registers=registers))
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"n": True}, "n"), ({"n": 2.0}, "n"), ({"n": "2"}, "n"), ({"n": 2, "workspace": 2.0}, "workspace"),
+     ({"n": 2, "workspace": False}, "workspace")],
+)
+def test_layout_refuses_non_integer_sizes(fields, name):
+    with pytest.raises(SimulationError, match=f"layout {name} must be an integer"):
+        RegisterLayout(symbol="bit", **fields)
+
+
+def test_gates_compare_by_value():
+    eye = Gate.block(np.eye(2), (0,))
+    assert eye == Gate.block(np.eye(2), (0,)) and hash(eye) == hash(Gate.block(np.eye(2), (0,)))
+    assert eye == eye.rewired((0,)) and eye != eye.rewired((1,))
+    assert eye != Gate.block(np.eye(2), (1,))
+    assert eye != Gate.block(np.array([[0, 1], [1, 0]]), (0,))
+    assert eye != Gate.block(np.eye(4), (0,))
+    assert Gate.named("X", (0,)) != Gate.block(np.array([[0, 1], [1, 0]]), (0,))
+    assert Gate.named("CPHASE", (0, 1), 0.5) != Gate.named("CPHASE", (0, 1), 0.25)
+    assert Gate.named("CPHASE", (0, 1), 0.5) == Gate.named("CPHASE", (0, 1), 0.5)
+    assert len({eye, Gate.block(np.eye(2), (0,)), Gate.named("H", (0,)), Gate.named("H", (0,))}) == 2
+    assert eye != "BLOCK"
+
+
+def test_algorithms_compare_by_value():
+    assert deutsch_parity() == deutsch_parity()
+    assert grover_or(4, 1) == grover_or(4, 1)
+    assert grover_or(4, 1) != grover_or(4, 2)
+    assert deutsch_parity() != grover_or(2, 1)
