@@ -150,8 +150,8 @@ def _lp_data(f: PartialFunction, x: BitString) -> tuple[np.ndarray, np.ndarray]:
 def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolution:
     """Fractional block sensitivity at x, with weights and dual certificate."""
     xb = BitString.coerce(x)
-    opp, diff = _lp_data(f, xb)
-    if opp.size == 0:
+    opp, sol = _fbs_lp(f, xb, exact)
+    if sol is None:
         zeros = (Fraction(0),) * f.n if exact else (0.0,) * f.n
         return FbsSolution(
             x=xb,
@@ -160,10 +160,17 @@ def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolut
             dual=zeros,
             exact=exact,
         )
-    c, A, b = np.ones(opp.size), diff.T.astype(np.float64), np.ones(f.n)  # row j: ys differing at j
-    sol = simplex.solve_exact(c, A, b) if exact else simplex.solve_float(c, A, b)
     weights = {BitString(tuple(f.arrays()[0][i].tolist())): w for i, w in zip(opp, sol.weights) if w > 0}
     return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)
+
+
+def _fbs_lp(f: PartialFunction, x: BitString, exact: bool) -> tuple[np.ndarray, simplex.LpSolution | None]:
+    """The rows of x's opposite inputs and the fbs LP's solution at x (None when there are none)."""
+    opp, diff = _lp_data(f, x)
+    if opp.size == 0:
+        return opp, None
+    c, A, b = np.ones(opp.size), diff.T.astype(np.float64), np.ones(f.n)  # row j: ys differing at j
+    return opp, simplex.solve_exact(c, A, b) if exact else simplex.solve_float(c, A, b)
 
 
 def _transform_coverage(f: PartialFunction, u: np.ndarray, start: int = 0) -> np.ndarray:
@@ -252,7 +259,7 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
         if c > 0 and bound_s.item(i) * den <= num * c:
             continue
         x = BitString(tuple(bits[i].tolist()))
-        sol = fbs(f, x, exact=exact)
+        sol = _fbs_lp(f, x, exact)[1]  # x has opposite inputs: f is not constant
         if best_value is None or sol.value > best_value + (0 if exact else FEAS_TOL):
             best_value, best_x = sol.value, x
             num, den = (sol.value.numerator, sol.value.denominator) if exact else (sol.value + FEAS_TOL / 2, 1)

@@ -108,7 +108,88 @@ def permute_rows(state: np.ndarray, perm: np.ndarray, row_size: int) -> np.ndarr
 
     Returns a fresh flat state and never writes into ``state``.
     """
-    return np.ascontiguousarray(state.reshape(len(perm), row_size)[perm]).reshape(-1)
+    return _gather(state, 1, perm, row_size)
+
+
+def _gather(state: np.ndarray, pre: int, src: np.ndarray, post: int) -> np.ndarray:
+    """Over the ``(pre, len(src), post)`` view, ``out[p, s, q] = in[p, src[s], q]``; a fresh flat state."""
+    return np.take(state.reshape(pre, len(src), post), src, axis=1).reshape(-1)
+
+
+def apply_gate(state: np.ndarray, dims: tuple[int, ...], gate: "Gate") -> np.ndarray:
+    """Apply a gate to the dense state tensor; a fresh flat state, as from :func:`apply_block`.
+
+    A monomial gate (one non-zero per row and column) moves amplitudes by a
+    gather over the wires from its lowest to its highest, then multiplies by
+    its phases unless all are 1, so it is exact for phases of ±1 and ±i.
+    Any other gate is a dense :func:`apply_block`.
+    """
+    if gate.monomial is None:
+        return apply_block(state, dims, gate.wires, gate.matrix)
+    pre, post, src, phases = _gather_plan(dims, gate.wires, gate.monomial)
+    if src is None:  # diagonal: the multiply alone
+        return state.copy() if phases is None else (state.reshape(pre, -1, post) * phases).reshape(-1)
+    out = _gather(state, pre, src, post)
+    if phases is not None:
+        view = out.reshape(pre, -1, post)
+        view *= phases
+    return out
+
+
+class _Monomial:
+    """A ``size``-square matrix with one non-zero per row and column: row r holds
+    ``phases[r]`` in column ``cols[r]``.
+
+    ``cols`` is None for a diagonal matrix and ``phases`` None when every
+    phase is 1.  Hashed by identity: a gate and its rewirings share one.
+    """
+
+    __slots__ = ("size", "cols", "phases")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.size = matrix.shape[0]
+        rows, cols = np.nonzero(matrix)
+        phases = matrix[rows, cols]
+        self.cols = None if np.array_equal(cols, rows) else cols
+        self.phases = None if (phases == 1).all() else phases
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_plan(
+    dims: tuple[int, ...], wires: tuple[int, ...], mono: _Monomial
+) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
+    """``(pre, post, src, phases)`` of a monomial gate on ``wires``, over the ``(pre, span, post)`` view.
+
+    The span runs over axes min(wires)..max(wires).  ``src`` is the source
+    span entry of each span entry (None when the gate is diagonal) and
+    ``phases`` a ``(span, 1)`` column (None when all are 1), so a plan holds
+    at most span entries.  Cached per layout, wire tuple and monomial; a bad
+    call raises as :func:`apply_block` does, every time.
+    """
+    if _axis_plan(dims, wires)[0] != mono.size:
+        raise ValueError("matrix size does not match the selected axes")
+    lo, hi = min(wires), max(wires)
+    sub = dims[lo : hi + 1]
+    pre, post = math.prod(dims[:lo]), math.prod(dims[hi + 1 :])
+    if mono.cols is None and mono.phases is None:
+        return pre, post, None, None
+    # The gate row of each span entry, wires[0] most significant.
+    row = np.zeros(sub, dtype=np.intp)
+    weight = 1
+    for w in reversed(wires):
+        row += np.arange(dims[w]).reshape([dims[w] if a == w else 1 for a in range(lo, hi + 1)]) * weight
+        weight *= dims[w]
+    row = row.reshape(-1)
+    src = phases = None
+    if mono.cols is not None:
+        # Span offset of each gate row's digits; entry s reads s - offset[r] + offset[cols[r]].
+        digits = np.unravel_index(np.arange(weight), [dims[w] for w in wires])
+        offset = sum(d * math.prod(dims[w + 1 : hi + 1]) for w, d in zip(wires, digits))
+        src = (offset[mono.cols] - offset)[row]
+        src += np.arange(row.size)
+    if mono.phases is not None:
+        phases = mono.phases[row].reshape(-1, 1)
+    return pre, post, src, phases
 
 
 # Symbol registers of each oracle kind, name: dimension, in wire order after the index.
@@ -166,6 +247,8 @@ class Gate:
     wires: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
     param: float | None = None
+    # Set by the unitarity check; None for a dense matrix.  See apply_gate.
+    monomial: _Monomial | None = field(init=False, repr=False, compare=False)
 
     @classmethod
     def named(cls, name: str, wires: Sequence[int], param: float | None = None) -> "Gate":
@@ -187,7 +270,7 @@ class Gate:
         return cls(name="BLOCK", wires=tuple(wires), matrix=matrix)
 
     def rewired(self, wires: Sequence[int]) -> "Gate":
-        """The same gate on other wires, sharing this gate's read-only matrix.
+        """The same gate on other wires, sharing this gate's read-only matrix and monomial.
 
         That matrix passed the unitarity check when this gate was built, so
         only the wires are checked.
@@ -228,6 +311,9 @@ class Gate:
         err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if err > UNITARY_TOL:
             raise SimulationError(f"gate is not unitary (defect {err:.2e})")
+        # Every row of a unitary is non-zero, so k exact non-zeros are one per row and column.
+        mono = _Monomial(m) if np.count_nonzero(m) == m.shape[0] else None
+        object.__setattr__(self, "monomial", mono)
 
 
 def uniform_prep_block(dim: int) -> np.ndarray:
@@ -438,7 +524,7 @@ def evolve(alg: QueryAlgorithm, oracle: Oracle | None = None) -> Iterator[np.nda
             state = oracle.apply(state, adjoint=step == QUERY_INV)  # type: ignore[union-attr]
         else:  # one state is held between gates: each replaces the last
             for gate in step:  # type: ignore[union-attr]
-                state = apply_block(state, layout.dims, gate.wires, gate.matrix)
+                state = apply_gate(state, layout.dims, gate)
         norm = math.sqrt(np.vdot(state, state).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm}")
@@ -569,9 +655,10 @@ class GroverResult:
 def grover_find_mark(z: SabString, iterations: int) -> GroverResult:
     """Run mark search on a sabotaged input; distribution is exact."""
     n = len(z)
-    trace = run(grover_marks(n, iterations), oracle_weak(z))
-    assert trace.distribution is not None
-    probs = tuple(float(trace.distribution.get(j, 0.0)) for j in range(1, n + 1))
+    for state in evolve(grover_marks(n, iterations), oracle_weak(z)):
+        pass
+    # The index marginal, summed as measure_distribution sums it.
+    probs = tuple((np.abs(state.reshape(n, -1)) ** 2).sum(axis=1).tolist())
     success = sum(probs[j - 1] for j in z.mark_positions)
     return GroverResult(
         position_probs=probs,

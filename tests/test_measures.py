@@ -168,20 +168,22 @@ def full_sweep(f, exact):
 
 
 def _record_lp_solves(monkeypatch):
-    """Record (x, exact) of every fbs call fbs_global makes."""
+    """Record (x, exact) of every LP solve fbs_global makes."""
     calls = []
+    solve = measures._fbs_lp
 
-    def recording(f, x, exact=False, **kwargs):
+    def recording(f, x, exact):
         calls.append((x, exact))
-        return fbs(f, x, exact=exact, **kwargs)
+        return solve(f, x, exact)
 
-    monkeypatch.setattr(measures, "fbs", recording)
+    monkeypatch.setattr(measures, "_fbs_lp", recording)
     return calls
 
 
 def _check_against_full_sweep(f, exact, monkeypatch):
     calls = _record_lp_solves(monkeypatch)
     result = fbs_global(f, exact=exact)
+    calls = list(calls)  # the full sweep's own solves are not fbs_global's
     records = full_sweep(f, exact)
     assert result == records[-1], f.name
     assert isinstance(result[0], Fraction if exact else float)
@@ -245,6 +247,15 @@ def test_fbs_global_exact_mode_prunes(monkeypatch):
     assert 0 < len(calls) < len(f.domain())
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_fbs_global_builds_no_fbs_solution(exact, monkeypatch):
+    """The sweep reads only each LP's value and dual, so it builds no weights dict."""
+    f = make_named("MAJ", 5)
+    want = fbs_global(f, exact=exact)
+    monkeypatch.setattr(measures, "fbs", lambda *args, **kwargs: pytest.fail("fbs_global called fbs"))
+    assert fbs_global(f, exact=exact) == want
+
+
 def _random_function(rng, n, points):
     """Random non-constant partial function on ``points`` distinct points of the n-cube."""
     codes = np.sort(rng.choice(1 << n, size=points, replace=False))
@@ -299,11 +310,11 @@ def test_fbs_global_sweeps_duals_near_2_to_62_in_python_ints(make, monkeypatch):
     calls = _record_lp_solves(monkeypatch)
     want, plain = fbs_global(f, exact=True), list(calls)
     calls.clear()
-    solve, dtypes = measures.fbs, set()
+    solve, dtypes = measures._fbs_lp, set()
 
-    def scaled(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        return dataclasses.replace(sol, dual=tuple(u * (1 << 60) for u in sol.dual))
+    def scaled(f, x, exact):
+        opp, sol = solve(f, x, exact)
+        return opp, dataclasses.replace(sol, dual=tuple(u * (1 << 60) for u in sol.dual))
 
     def recording(kernel):
         def run(f, u, start=0):
@@ -311,7 +322,7 @@ def test_fbs_global_sweeps_duals_near_2_to_62_in_python_ints(make, monkeypatch):
             return kernel(f, u, start)
         return run
 
-    monkeypatch.setattr(measures, "fbs", scaled)
+    monkeypatch.setattr(measures, "_fbs_lp", scaled)
     for kernel in COVERAGE_KERNELS:
         monkeypatch.setattr(measures, kernel.__name__, recording(kernel))
     assert fbs_global(f, exact=True) == want

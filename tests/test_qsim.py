@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_matrix, total_variation
 from sablab.boolfn import BitString
-from sablab import qsim
+from sablab import protocols, qsim
 from sablab.sabotage import SabotageError, SabString, StrongInput
 from sablab.qsim import (
     QUERY,
@@ -29,6 +29,7 @@ from sablab.qsim import (
     algorithm_to_json,
     amplitude_amplify,
     apply_block,
+    apply_gate,
     deutsch_parity,
     diffusion_block,
     evolve,
@@ -847,3 +848,160 @@ def test_algorithms_compare_by_value():
     assert grover_or(4, 1) == grover_or(4, 1)
     assert grover_or(4, 1) != grover_or(4, 2)
     assert deutsch_parity() != grover_or(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Monomial gates run on the gather kernel
+
+
+def monomial_matrix(perm, phases):
+    m = np.zeros((len(perm), len(perm)), dtype=np.complex128)
+    m[np.arange(len(perm)), perm] = phases
+    return m
+
+
+@st.composite
+def monomial_cases(draw):
+    """Dims of 2-4 on up to 6 axes, distinct wires in any order, a permutation with phases."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=6)))
+    order = draw(st.permutations(range(len(dims))))
+    count = draw(st.integers(1, len(dims)))
+    wires: list[int] = []
+    for a in order[:count]:  # the longest prefix whose block fits BLOCK_CAP
+        if math.prod(dims[w] for w in wires) * dims[a] > qsim.BLOCK_CAP:
+            break
+        wires.append(a)
+    k = math.prod(dims[w] for w in wires)
+    perm = draw(st.permutations(range(k)))
+    phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=k, max_size=k))
+    return dims, tuple(wires), monomial_matrix(perm, phases), draw(st.integers(0, 2**32 - 1))
+
+
+def check_gather(dims, wires, matrix, seed):
+    gate = Gate.block(matrix, wires)
+    assert gate.monomial is not None
+    state = random_state(np.random.default_rng(seed), math.prod(dims))
+    before = state.copy()
+    got = apply_gate(state, dims, gate)
+    assert np.array_equal(got, moveaxis_apply_block(before, dims, wires, gate.matrix))
+    assert np.array_equal(state, before) and not np.shares_memory(got, state)
+
+
+@given(monomial_cases())
+@settings(max_examples=150, deadline=None)
+def test_gather_matches_moveaxis_reference(case):
+    check_gather(*case)
+
+
+@pytest.mark.parametrize(
+    "dims, wires",
+    [((3, 2, 2, 4, 2, 2), (3, 1, 4)), ((3, 2, 2, 4, 2), (4, 0)), ((2, 3, 2), (2, 1, 0)), ((5,), (0,))],
+)
+def test_gather_on_descending_and_non_adjacent_wires(dims, wires):
+    rng = np.random.default_rng(len(dims) + sum(wires))
+    k = math.prod(dims[w] for w in wires)
+    for phases in (np.ones(k), rng.choice([1, -1, 1j, -1j], size=k)):
+        check_gather(dims, wires, monomial_matrix(rng.permutation(k), phases), int(rng.integers(2**32)))
+        check_gather(dims, wires, monomial_matrix(np.arange(k), phases), int(rng.integers(2**32)))
+
+
+def test_gather_with_general_unit_phases_matches_within_1e_15():
+    rng = np.random.default_rng(18)
+    dims = (4, 2, 2, 4, 2, 2)
+    for wires in [(3, 1, 4), (5, 0), (2,), (0, 1)]:
+        k = math.prod(dims[w] for w in wires)
+        for perm in (rng.permutation(k), np.arange(k)):
+            gate = Gate.block(monomial_matrix(perm, np.exp(2j * np.pi * rng.random(k))), wires)
+            assert gate.monomial is not None and gate.monomial.phases is not None
+            state = random_state(rng, math.prod(dims))
+            state /= np.linalg.norm(state)
+            want = moveaxis_apply_block(state, dims, wires, gate.matrix)
+            assert np.abs(apply_gate(state, dims, gate) - want).max() < 1e-15
+    cphase = Gate.named("CPHASE", (4, 1), 0.7)
+    want = moveaxis_apply_block(state, dims, (4, 1), cphase.matrix)
+    assert np.abs(apply_gate(state, dims, cphase) - want).max() < 1e-15
+
+
+def test_dense_and_nearly_monomial_gates_stay_on_the_matmul_path(monkeypatch):
+    rng = np.random.default_rng(19)
+    nearly = monomial_matrix(rng.permutation(4), np.ones(4))
+    nearly[0, 1 if nearly[0, 0] else 0] = 1e-17  # unitary within the check, but not monomial
+    calls = []
+    monkeypatch.setattr(qsim, "apply_block", lambda *args: calls.append(args[2]) or apply_block(*args))
+    dims = (3, 2, 2)
+    for gate in (Gate.block(random_unitary(rng, 4), (2, 1)), Gate.block(nearly, (2, 1)), Gate.named("H", (1,))):
+        assert gate.monomial is None
+        state = random_state(rng, 12)
+        assert np.array_equal(apply_gate(state, dims, gate), apply_block(state, dims, gate.wires, gate.matrix))
+    assert calls == [(2, 1), (2, 1), (1,)]
+
+
+def test_catalog_monomials_are_detected():
+    named = [Gate.named(name, (0,)) for name in ("X", "Z")]
+    named += [Gate.named(name, (0, 1)) for name in ("CNOT", "CZ", "SWAP")]
+    named.append(Gate.named("CPHASE", (0, 1), 0.3))
+    gadgets = [qsim._PHASE_MARK, *protocols._RESOLVE_GATES, *(g for (g,) in protocols._BRANCH_GATES)]
+    for gate in named + gadgets:
+        assert gate.monomial is not None, (gate.name, gate.wires)
+    diagonal = {"Z", "CZ", "CPHASE"}
+    assert all((g.monomial.cols is None) == (g.name in diagonal) for g in named)
+    assert qsim._PHASE_MARK.monomial.cols is None  # a pure phase gate needs only the multiply
+    assert all(g.monomial.phases is None for g in gadgets[1:])  # the gadgets only move amplitudes
+    assert qsim._PHASE_MARK.monomial.phases is not None
+    for gate in (qsim._TARGET_H, *qsim._index_gates(5)):
+        assert gate.monomial is None
+    moved = protocols._RESOLVE_GATES[1].rewired((5, 2, 6))
+    assert moved.monomial is protocols._RESOLVE_GATES[1].monomial  # shared, not detected again
+
+
+def test_wrapped_run_routes_the_gadget_through_the_gather(monkeypatch):
+    conv = protocols.convert_strong(grover_or(3, 1))
+    calls = []
+    monkeypatch.setattr(qsim, "apply_block", lambda *args: calls.append(args[2]) or apply_block(*args))
+    w = StrongInput.from_pair(BitString.coerce("010"), BitString.coerce("011"), "*")
+    got = protocols.run_converted(conv, w)
+    assert not set(calls) & {g.wires for g in protocols._RESOLVE_GATES}
+    assert total_variation(got, run(grover_or(3, 1), oracle_bit("010")).distribution) < 1e-12
+
+
+def test_gather_of_a_spread_cnot_holds_its_output_and_a_span_plan():
+    """A CNOT on the first and last of 16 qubits: the span is the whole 2^16-entry state."""
+    dims = (2,) * 16
+    gate = Gate.named("CNOT", (0, 15))
+    state = random_state(np.random.default_rng(20), 2**16)
+    qsim._gather_plan.cache_clear()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the first call builds the plan, the second reuses it
+            got = None
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            got = apply_gate(state, dims, gate)
+            peaks.append((tracemalloc.get_traced_memory()[1] - held) / state.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 2.5 and peaks[1] < 1.25  # a dense apply_block peaks at 2 states
+    assert np.array_equal(got, moveaxis_apply_block(state, dims, (0, 15), gate.matrix))
+    span = state.size
+    for pre, post, *arrays in [qsim._gather_plan(dims, gate.wires, gate.monomial)]:
+        assert pre * post == 1 and all(a is None or a.size <= span for a in arrays)
+    assert qsim._gather_plan.cache_info().maxsize == qsim._axis_plan.cache_info().maxsize
+
+
+def test_mark_search_reads_the_index_marginal_of_the_final_state():
+    for text, k in [("01*0*1", 2), ("+00100", 1), ("0*", 0), ("*" * 16, 3), ("0+00+00+000", 4)]:
+        z = SabString.from_text(text)
+        n = len(z)
+        trace = run(grover_marks(n, k), oracle_weak(z))
+        want = tuple(float(trace.distribution.get(j, 0.0)) for j in range(1, n + 1))
+        assert grover_find_mark(z, k).position_probs == want
+
+
+def test_apply_gate_refuses_what_apply_block_refuses():
+    state = np.zeros(8, dtype=complex)
+    for gate in (Gate.named("X", (0,)), Gate.named("H", (0,))):
+        for wires, message in [((3,), "distinct and in 0..2"), ((0, 1), "matrix size")]:
+            for _ in range(2):  # plans are cached, refusals are not
+                with pytest.raises(ValueError, match=message):
+                    apply_gate(state, (2, 2, 2), gate.rewired(wires))
