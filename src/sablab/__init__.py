@@ -73,7 +73,6 @@ from .sabotage import (
     make_strong,
     sabotage_dagger,
     sabotage_star,
-    valid_index_answers,
 )
 
 __version__ = "0.1.0"

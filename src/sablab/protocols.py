@@ -6,9 +6,12 @@
   x exactly; on a dagger input, the run on y.
 * ``sample_interrupt`` / ``find_index_repeat``: stop a distinguisher at a
   random time, measure the query register, verify the position with one
-  extra query.
+  extra query.  The branch runs are the source on x and on y through the
+  bit oracle, which their strong-oracle wrapping reproduces exactly.
 * ``find_index_amplified``: the coherent version with a branch qubit and a
-  clock register, boosted by amplitude amplification.
+  clock register, boosted by amplitude amplification.  Its dilation keeps
+  the wrapped layout and T+1 clock slots until the benchmark's oversized
+  request, refused on that size, is resized.
 * ``grover_baseline``: weak-model mark search with a doubling schedule.
 """
 
@@ -20,18 +23,19 @@ from typing import Iterator
 
 import numpy as np
 
-from .sabotage import SabString, StrongInput, valid_index_answers
+from .boolfn import BitString
+from .sabotage import SabString, StrongInput
 from .qsim import (
     DIM_CAP,
     QUERY,
     QUERY_INV,
     Gate,
-    Oracle,
     QueryAlgorithm,
     RegisterLayout,
     amplitude_amplify,
     evolve,
     grover_find_mark,
+    oracle_bit,
     oracle_strong,
     run,
     xor_controlled_block,
@@ -164,22 +168,6 @@ def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
 # Random-time interruption
 
 
-# Branch b XORs the answer qubit from the bx (b = 0) or by (b = 1) slot.
-_BRANCH_GATES = tuple(
-    (Gate.block(xor_controlled_block(2, [1]), (source_wire, 4)),) for source_wire in (1, 2)
-)
-
-
-def _branch_algorithm(alg: QueryAlgorithm, branch: int) -> QueryAlgorithm:
-    """Run the source on x (branch 0) or y (branch 1) via the strong oracle.
-
-    Same gadget as the conversion with the symbol test removed: the answer
-    qubit is XORed from the bx (or by) slot, and everything acts as the
-    identity on the bz register.
-    """
-    return _wrap_strong(alg, _BRANCH_GATES[branch])
-
-
 @dataclass(frozen=True)
 class _BranchTraces:
     """Per branch (0: the run on x, 1: on y), the index marginal before each query."""
@@ -196,31 +184,36 @@ class _BranchTraces:
 
 
 def _check_distinguisher(alg: QueryAlgorithm, w: StrongInput) -> None:
+    if alg.layout.symbol != "bit":
+        raise ProtocolError(
+            f"source algorithms must query the standard bit oracle, not a {alg.layout.symbol} layout"
+        )
+    if QUERY_INV in alg.steps:
+        raise ProtocolError("source algorithms must use forward queries only")
     if alg.query_count == 0:
         raise ProtocolError("distinguisher makes no queries")
     if alg.layout.n != len(w):
         raise ProtocolError("input length does not match the algorithm arity")
 
 
-def _interrupt_states(alg: QueryAlgorithm, branch: int, oracle: Oracle) -> Iterator[np.ndarray]:
-    """Stream the branch run's states right before each source query.
+def _interrupt_states(alg: QueryAlgorithm, x: BitString) -> Iterator[np.ndarray]:
+    """Stream the source run on ``x`` through the bit oracle: the state right before each query.
 
-    Each source query turns into QUERY + QUERY_INV and interrupts happen
-    before the forward queries only: every other pre-query state, never the
-    final one.  The run is drained to its end, so every norm check runs.
+    This is the strong-oracle branch run with its symbol registers
+    uncomputed.  The run is drained to its end, so every norm check runs.
     """
-    for k, state in enumerate(evolve(_branch_algorithm(alg, branch), oracle)):
-        if k % 2 == 0 and k < 2 * alg.query_count:
+    for k, state in enumerate(evolve(alg, oracle_bit(x))):
+        if k < alg.query_count:
             yield state
 
 
 def _interrupt_traces(alg: QueryAlgorithm, w: StrongInput) -> _BranchTraces:
     _check_distinguisher(alg, w)
-    block = tuple(sorted(valid_index_answers(w)))
-    oracle, n = oracle_strong(w), alg.layout.n
+    block = tuple(sorted(w.z.mark_positions))
+    n = alg.layout.n
     index_probs = tuple(
-        tuple((np.abs(s.reshape(n, -1)) ** 2).sum(axis=1) for s in _interrupt_states(alg, b, oracle))
-        for b in (0, 1)
+        tuple((np.abs(s.reshape(n, -1)) ** 2).sum(axis=1) for s in _interrupt_states(alg, x))
+        for x in (w.x, w.y)
     )
     return _BranchTraces(block, alg.query_count, index_probs)
 
@@ -293,8 +286,13 @@ def find_index_amplified(
     """Amplitude-amplified interruption.
 
     The dilation holds a branch qubit, a clock of T+1 states in uniform
-    superposition over 1..T, the wrapped registers, and a flag qubit set by
-    one strong query checking for a star/dagger at the measured index.
+    superposition over 1..T, the strong-oracle wrapped registers, and a flag
+    qubit set by one strong query checking for a star/dagger at the measured
+    index.  Branch c runs the source on x (c = 0) or y (c = 1) through the bit
+    oracle: that is the wrapped run with its symbol registers uncomputed, so
+    each interrupt state fills the bx = by = bz = 0 slice.  The dilation keeps
+    the wrapped shape and the T+1 clock slots, on which the size refusal
+    rests, until the benchmark's oversized request is resized.
     Reported query cost is (2 rounds + 1) * (2 T + 1) strong queries.
     """
     _check_distinguisher(alg, w)
@@ -302,28 +300,27 @@ def find_index_amplified(
         raise ProtocolError(f"rounds must be >= 0, got {rounds}")
     _check_seed(seed)
     # The dilation size follows from the layout alone: refuse before simulating.
-    t_count = alg.query_count
-    source_dim = _wrapped_layout(alg.layout).total_dim
-    dims = (2, t_count + 1, source_dim, 2)
+    t_count, n = alg.query_count, alg.layout.n
+    wrapped_dim = _wrapped_layout(alg.layout).total_dim
+    dims = (2, t_count + 1, wrapped_dim, 2)
     total = math.prod(dims)
     if total > DIM_CAP:
         raise ProtocolError(
             f"coherent dilation needs dimension {total} > {DIM_CAP}; use find_index_repeat"
         )
-    block = tuple(sorted(valid_index_answers(w)))
-    oracle = oracle_strong(w)
+    marks = w.z.mark_positions
+    in_block = np.array([j in marks for j in range(1, n + 1)])
 
-    row = source_dim // alg.layout.n
-    flat_block = np.zeros(source_dim, dtype=bool)
-    for j in block:
-        flat_block[(j - 1) * row : j * row] = True
-
+    row = wrapped_dim // n
     amp = 1.0 / math.sqrt(2.0 * t_count)
     prep = np.zeros(dims, dtype=np.complex128)
-    for c in (0, 1):
-        for t, state in enumerate(_interrupt_states(alg, c, oracle), start=1):
-            prep[c, t, :, 1] = amp * np.where(flat_block, state, 0.0)
-            prep[c, t, :, 0] = amp * np.where(flat_block, 0.0, state)
+    # (branch, clock, index, bx by bz, answer and workspace, flag): the zero-symbol slice.
+    slots = prep.reshape(2, t_count + 1, n, 16, row // 16, 2)[:, :, :, 0]
+    for c, x in enumerate((w.x, w.y)):
+        for t, state in enumerate(_interrupt_states(alg, x), start=1):
+            rows = amp * state.reshape(n, -1)
+            slots[c, t, in_block, :, 1] = rows[in_block]
+            slots[c, t, ~in_block, :, 0] = rows[~in_block]
     prep = prep.reshape(-1)
 
     good = np.zeros(dims, dtype=bool)
@@ -337,7 +334,7 @@ def find_index_amplified(
     outcome = int(rng.choice(total, p=probs))
     _, _, source_idx, _flag = np.unravel_index(outcome, dims)
     position = int(source_idx // row) + 1
-    valid = position in block  # the one-query verification
+    valid = position in marks  # the one-query verification
     return IndexFinderReport(
         protocol="find-index-amplified",
         queries_used=(2 * rounds + 1) * (2 * t_count + 1),

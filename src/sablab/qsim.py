@@ -127,12 +127,14 @@ def apply_gate(state: np.ndarray, dims: tuple[int, ...], gate: "Gate") -> np.nda
     if gate.monomial is None:
         return apply_block(state, dims, gate.wires, gate.matrix)
     pre, post, src, phases = _gather_plan(dims, gate.wires, gate.monomial)
-    if src is None:  # diagonal: the multiply alone
-        return state.copy() if phases is None else (state.reshape(pre, -1, post) * phases).reshape(-1)
-    out = _gather(state, pre, src, post)
+    out = state.copy() if src is None else _gather(state, pre, src, post)
     if phases is not None:
-        view = out.reshape(pre, -1, post)
-        view *= phases
+        if len(gate.wires) == 1:
+            view = out.reshape(pre, -1, post)
+        else:  # the wires lead: with a wire innermost, numpy would buffer the multiply
+            order = _axis_plan(dims, gate.wires)[1]
+            view = out.reshape(dims) if order is None else out.reshape(dims).transpose(order)
+        np.multiply(view, phases, out=view, order="C")
     return out
 
 
@@ -158,37 +160,39 @@ class _Monomial:
 def _gather_plan(
     dims: tuple[int, ...], wires: tuple[int, ...], mono: _Monomial
 ) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
-    """``(pre, post, src, phases)`` of a monomial gate on ``wires``, over the ``(pre, span, post)`` view.
+    """``(pre, post, src, phases)`` of a monomial gate on ``wires``.
 
-    The span runs over axes min(wires)..max(wires).  ``src`` is the source
-    span entry of each span entry (None when the gate is diagonal) and
-    ``phases`` a ``(span, 1)`` column (None when all are 1), so a plan holds
-    at most span entries.  Cached per layout, wire tuple and monomial; a bad
-    call raises as :func:`apply_block` does, every time.
+    Over the ``(pre, span, post)`` view, the span running over axes
+    min(wires)..max(wires), ``src`` is the source span entry of each span
+    entry (None when the gate is diagonal).  ``phases`` holds the gate's k
+    phases (None when all are 1): for one wire a ``(k, 1)`` column over the
+    ``(pre, k, post)`` view, for more one axis per wire over the state tensor
+    transposed so that its wires lead.  So a plan holds at most span entries.
+    Cached per layout, wire tuple and monomial; a bad call raises as
+    :func:`apply_block` does, every time.
     """
     if _axis_plan(dims, wires)[0] != mono.size:
         raise ValueError("matrix size does not match the selected axes")
     lo, hi = min(wires), max(wires)
-    sub = dims[lo : hi + 1]
     pre, post = math.prod(dims[:lo]), math.prod(dims[hi + 1 :])
-    if mono.cols is None and mono.phases is None:
-        return pre, post, None, None
-    # The gate row of each span entry, wires[0] most significant.
-    row = np.zeros(sub, dtype=np.intp)
-    weight = 1
-    for w in reversed(wires):
-        row += np.arange(dims[w]).reshape([dims[w] if a == w else 1 for a in range(lo, hi + 1)]) * weight
-        weight *= dims[w]
-    row = row.reshape(-1)
     src = phases = None
     if mono.cols is not None:
+        # The gate row of each span entry, wires[0] most significant.
+        sub = dims[lo : hi + 1]
+        row = np.zeros(sub, dtype=np.intp)
+        weight = 1
+        for w in reversed(wires):
+            row += np.arange(dims[w]).reshape([dims[w] if a == w else 1 for a in range(lo, hi + 1)]) * weight
+            weight *= dims[w]
+        row = row.reshape(-1)
         # Span offset of each gate row's digits; entry s reads s - offset[r] + offset[cols[r]].
         digits = np.unravel_index(np.arange(weight), [dims[w] for w in wires])
         offset = sum(d * math.prod(dims[w + 1 : hi + 1]) for w, d in zip(wires, digits))
         src = (offset[mono.cols] - offset)[row]
         src += np.arange(row.size)
     if mono.phases is not None:
-        phases = mono.phases[row].reshape(-1, 1)
+        ones = 1 if len(wires) == 1 else len(dims) - len(wires)
+        phases = mono.phases.reshape([dims[w] for w in wires] + [1] * ones)
     return pre, post, src, phases
 
 

@@ -241,11 +241,6 @@ def make_strong(
     return StrongInput.from_pair(xb, yb, marker)
 
 
-def valid_index_answers(w: StrongInput) -> frozenset[int]:
-    """1-based positions whose z symbol is a star or dagger."""
-    return w.z.mark_positions
-
-
 @dataclass(frozen=True)
 class HardDistribution:
     """Distribution over strong inputs (x, x+B, *) and (x, x+B, dagger).

@@ -19,13 +19,16 @@ from sablab.qsim import (
     Measurement,
     QueryAlgorithm,
     RegisterLayout,
+    amplitude_amplify,
     deutsch_parity,
+    evolve,
     grover_or,
     hybrid_sum,
     oracle_bit,
     oracle_strong,
     random_query_algorithm,
     run,
+    xor_controlled_block,
 )
 from sablab.protocols import (
     ProtocolError,
@@ -163,9 +166,9 @@ def former_per_trial_success(alg, w):
     block = set(sorted(w.z.mark_positions))
     n = alg.layout.n
     sums = []
-    for branch in (0, 1):
+    for x in (w.x, w.y):
         masses = []
-        for state in protocols._interrupt_states(alg, branch, oracle_strong(w)):
+        for state in protocols._interrupt_states(alg, x):
             probs = np.abs(state.reshape(n, -1)) ** 2
             masses.append(float(sum(probs[j - 1].sum() for j in block)))
         sums.append(sum(masses))
@@ -337,15 +340,107 @@ def test_finders_refuse_a_negative_seed(monkeypatch, finder):
         calls[finder]()
 
 
+@pytest.mark.parametrize("finder", ["sample-interrupt", "repeat", "amplified"])
+@pytest.mark.parametrize(
+    "symbol, steps, message",
+    [
+        ("bit", ((), QUERY, (), QUERY_INV, ()), "forward queries only"),
+        ("weak", ((), QUERY, ()), "bit oracle, not a weak layout"),
+        ("strong", ((), QUERY, ()), "bit oracle, not a strong layout"),
+    ],
+)
+def test_finders_refuse_what_the_strong_wrapping_cannot_carry(monkeypatch, finder, symbol, steps, message):
+    _forbid_simulation(monkeypatch, "an unusable source was simulated before it was refused")
+    alg = QueryAlgorithm(RegisterLayout(n=2, symbol=symbol), steps, Measurement(registers=("index",)))
+    _, w = _deutsch_instance()
+    calls = {
+        "sample-interrupt": lambda: sample_interrupt(alg, w, seed=0),
+        "repeat": lambda: find_index_repeat(alg, w, budget=2, seed=0),
+        "amplified": lambda: find_index_amplified(alg, w, rounds=1, seed=0),
+    }
+    with pytest.raises(ProtocolError, match=message):
+        calls[finder]()
+
+
+def wrapped_branch_states(alg, w, branch):
+    """The source moved onto the strong layout, each query turned into QUERY, an
+    XOR of bx (branch 0) or by (branch 1) into the answer qubit, QUERY_INV; its
+    state right before each forward query."""
+    xor = Gate.block(xor_controlled_block(2, [1]), (1 + branch, 4))
+    wrapped = protocols._wrap_strong(alg, (xor,))
+    for k, state in enumerate(evolve(wrapped, oracle_strong(w))):
+        if k % 2 == 0 and k < 2 * alg.query_count:
+            yield state
+
+
+def wrapped_amplified(alg, w, rounds, seed):
+    """Position, validity and good mass of the dilation filled from the wrapped branch runs."""
+    t_count, n = alg.query_count, alg.layout.n
+    wrapped_dim = protocols._wrapped_layout(alg.layout).total_dim
+    dims = (2, t_count + 1, wrapped_dim, 2)
+    row = wrapped_dim // n
+    flat_block = np.repeat([j in w.z.mark_positions for j in range(1, n + 1)], row)
+    amp = 1.0 / math.sqrt(2.0 * t_count)
+    prep = np.zeros(dims, dtype=np.complex128)
+    for c in (0, 1):
+        for t, state in enumerate(wrapped_branch_states(alg, w, c), start=1):
+            prep[c, t, :, 1] = amp * np.where(flat_block, state, 0.0)
+            prep[c, t, :, 0] = amp * np.where(flat_block, 0.0, state)
+    good = np.zeros(dims, dtype=bool)
+    good[:, :, :, 1] = True
+    result = amplitude_amplify(prep.reshape(-1), good.reshape(-1), rounds)
+    probs = np.abs(result.state) ** 2
+    outcome = int(np.random.default_rng([seed]).choice(prep.size, p=probs / probs.sum()))
+    position = int(np.unravel_index(outcome, dims)[2] // row) + 1
+    return position, position in w.z.mark_positions, result.good_mass
+
+
+def test_bit_oracle_branch_runs_match_the_strong_oracle_wrapping():
+    rng = np.random.default_rng(19)
+    exact = [(deutsch_parity(), w) for w in all_strong_inputs(XOR2)]
+    for n in range(2, 13):
+        for k in range(1, 4):
+            y = rng.integers(0, 2, n)
+            y[rng.integers(n)] = 1
+            w = make_strong(make_named("OR", n), "0" * n, "".join(map(str, y)), "*+"[k % 2])
+            exact.append((grover_or(n, k), w))
+    close = []
+    for workspace in (1, 2, 4, 8):
+        for _ in range(4):
+            n = int(rng.integers(2, 7))
+            x = rng.integers(0, 2, n)
+            flip = rng.random(n) < 0.5
+            flip[rng.integers(n)] = True
+            x, y = (BitString(tuple(v.tolist())) for v in (x, x ^ flip))
+            w = StrongInput.from_pair(x, y, "*+"[int(rng.integers(2))])
+            close.append((random_query_algorithm(n, int(rng.integers(1, 4)), rng, workspace), w))
+    for tolerance, instances in ((0.0, exact), (1e-14, close)):
+        for alg, w in instances:
+            got = protocols._interrupt_traces(alg, w).index_probs
+            n = alg.layout.n
+            for b in (0, 1):
+                want = [(np.abs(s.reshape(n, -1)) ** 2).sum(axis=1) for s in wrapped_branch_states(alg, w, b)]
+                assert len(got[b]) == len(want) == alg.query_count
+                for g, v in zip(got[b], want):
+                    if tolerance:
+                        assert np.abs(g - v).max() <= tolerance, (alg.layout, str(w))
+                    else:
+                        assert np.array_equal(g, v), (alg.layout, str(w))
+            for rounds in range(4):
+                seed = int(rng.integers(1 << 32))
+                rep = find_index_amplified(alg, w, rounds, seed)
+                position, valid, mass = wrapped_amplified(alg, w, rounds, seed)
+                assert (rep.position, rep.valid) == (position, valid), (alg.layout, str(w), rounds)
+                assert abs(rep.exact_success - mass) <= tolerance, (alg.layout, str(w), rounds)
+
+
 def test_strong_wrappings_of_a_catalog_circuit_check_no_gate(gate_checks):
     alg = grover_or(5, 2)
     gate_checks.clear()
-    branches = [protocols._branch_algorithm(alg, branch) for branch in (0, 1)]
     converted = convert_strong(alg).wrapped
     assert gate_checks == []
-    for wrapped in (*branches, converted):
-        gates = [g for step in wrapped.steps if step not in (QUERY, QUERY_INV) for g in step]
-        assert all(not g.matrix.flags.writeable for g in gates)
+    gates = [g for step in converted.steps if step not in (QUERY, QUERY_INV) for g in step]
+    assert all(not g.matrix.flags.writeable for g in gates)
     # Each wrapped gate shares the matrix of its source gate.
     source, moved = alg.steps[0] + alg.steps[2], converted.steps[0] + converted.steps[4]
     assert [id(g.matrix) for g in source] == [id(g.matrix) for g in moved]

@@ -940,7 +940,7 @@ def test_catalog_monomials_are_detected():
     named = [Gate.named(name, (0,)) for name in ("X", "Z")]
     named += [Gate.named(name, (0, 1)) for name in ("CNOT", "CZ", "SWAP")]
     named.append(Gate.named("CPHASE", (0, 1), 0.3))
-    gadgets = [qsim._PHASE_MARK, *protocols._RESOLVE_GATES, *(g for (g,) in protocols._BRANCH_GATES)]
+    gadgets = [qsim._PHASE_MARK, *protocols._RESOLVE_GATES]
     for gate in named + gadgets:
         assert gate.monomial is not None, (gate.name, gate.wires)
     diagonal = {"Z", "CZ", "CPHASE"}
@@ -987,6 +987,29 @@ def test_gather_of_a_spread_cnot_holds_its_output_and_a_span_plan():
     for pre, post, *arrays in [qsim._gather_plan(dims, gate.wires, gate.monomial)]:
         assert pre * post == 1 and all(a is None or a.size <= span for a in arrays)
     assert qsim._gather_plan.cache_info().maxsize == qsim._axis_plan.cache_info().maxsize
+
+
+def test_phase_gate_on_distant_wires_holds_its_phases_not_a_span_column():
+    """A CZ on the first and last of 16 qubits: the plan keeps the 4 phases, not 2^16 of them."""
+    dims = (2,) * 16
+    gate = Gate.named("CZ", (0, 15))
+    state = random_state(np.random.default_rng(21), 2**16)
+    # The former plan: one phase per span entry, a (span, 1) column over the (pre, span, post) view.
+    s = np.arange(state.size)
+    column = gate.monomial.phases[2 * (s >> 15) + (s & 1)].reshape(-1, 1)
+    want = (state.reshape(1, -1, 1) * column).reshape(-1)
+    qsim._gather_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        got = apply_gate(state, dims, gate)
+        peak = (tracemalloc.get_traced_memory()[1] - held) / state.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1  # the output state and a k-entry plan
+    assert np.array_equal(got, want)
+    assert qsim._gather_plan(dims, gate.wires, gate.monomial)[3].size == 4
 
 
 def test_mark_search_reads_the_index_marginal_of_the_final_state():

@@ -23,7 +23,6 @@ from sablab.sabotage import (
     make_strong,
     sabotage_dagger,
     sabotage_star,
-    valid_index_answers,
 )
 
 
@@ -190,10 +189,10 @@ def test_strong_input_json_roundtrip():
     assert StrongInput.from_json(w.to_json()) == w
 
 
-def test_valid_index_answers():
-    assert valid_index_answers(StrongInput(((0, 0, 0), (0, 1, STAR)))) == {2}
-    assert valid_index_answers(StrongInput(((0, 1, DAGGER), (0, 1, DAGGER)))) == {1, 2}
-    assert valid_index_answers(StrongInput(((1, 1, 1), (0, 1, STAR), (0, 0, 0)))) == {2}
+def test_strong_input_mark_positions():
+    assert StrongInput(((0, 0, 0), (0, 1, STAR))).z.mark_positions == {2}
+    assert StrongInput(((0, 1, DAGGER), (0, 1, DAGGER))).z.mark_positions == {1, 2}
+    assert StrongInput(((1, 1, 1), (0, 1, STAR), (0, 0, 0))).z.mark_positions == {2}
 
 
 def test_hard_distribution_or2():
