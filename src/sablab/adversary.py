@@ -17,7 +17,7 @@ import numpy as np
 
 from .boolfn import BitString, PartialFunction
 from .measures import FbsSolution
-from .sabotage import DAGGER, STAR, SabString, StrongInput, make_strong
+from .sabotage import DAGGER, STAR, SabString, StrongInput, hard_distribution, weighted_blocks
 
 DIM_CAP = 5000
 SYMMETRY_TOL = 1e-12
@@ -114,54 +114,43 @@ def evaluate_certificate(
     )
 
 
+def _blocks(sol: FbsSolution) -> tuple[tuple[BitString, float], ...]:
+    """The hard distribution's blocks (:func:`weighted_blocks`); refuses an all-zero vector."""
+    blocks = weighted_blocks(sol)
+    if not blocks:
+        raise AdversaryError("weight vector is identically zero")
+    return blocks
+
+
 def build_fbs_adversary(f: PartialFunction, sol: FbsSolution) -> AdversaryCertificate:
-    """Star-shaped certificate with entries sqrt(w_y) between x and each y.
+    """Star-shaped certificate with entries sqrt(w_y) between x and each block's y.
 
     Its norm squares to the fbs value while every per-position norm stays
     at most 1, certifying a sqrt(fbs) lower bound.
     """
-    pairs = [(y, float(w)) for y, w in sorted(sol.weights.items()) if w > 0]
-    if not pairs:
-        raise AdversaryError("weight vector is identically zero")
-    labels: list[Hashable] = [sol.x] + [y for y, _ in pairs]
-    d = len(labels)
-    gamma = np.zeros((d, d))
-    for i, (_, w) in enumerate(pairs, start=1):
-        gamma[0, i] = gamma[i, 0] = math.sqrt(w)
+    blocks = _blocks(sol)
+    labels: list[Hashable] = [sol.x] + [y for y, _ in blocks]
+    gamma = np.zeros((len(labels), len(labels)))
+    gamma[0, 1:] = gamma[1:, 0] = np.sqrt([w for _, w in blocks])
     return evaluate_certificate(
         labels, gamma, arity=f.n, fvalue=lambda lab: f.value(lab)  # type: ignore[arg-type]
     )
 
 
 def build_sabotage_adversary(f: PartialFunction, sol: FbsSolution) -> AdversaryCertificate:
-    """Certificate over strong inputs pairing star and dagger copies of blocks.
+    """Certificate over the support of the hard distribution.
 
-    The entry between (x, y, star) and (x, y', dagger) is sqrt(w_y w_y'), so
-    the matrix is a rank-one block tensored with an off-diagonal 2x2 flip;
-    its norm equals the fbs value and per-position norms stay within
-    1 + sqrt(fbs).
+    The entry between the star input of block a and the dagger input of
+    block b is sqrt(w_a) sqrt(w_b), so the matrix is a rank-one block
+    tensored with an off-diagonal 2x2 flip; its norm equals the fbs value
+    and per-position norms stay within 1 + sqrt(fbs).
     """
-    pairs = [(y, float(w)) for y, w in sorted(sol.weights.items()) if w > 0]
-    if not pairs:
-        raise AdversaryError("weight vector is identically zero")
-    x = sol.x
-    fx = f.value(x)
-    labels: list[Hashable] = []
-    for y, _ in pairs:
-        if fx == 0:
-            star, dagger = make_strong(f, x, y, STAR), make_strong(f, x, y, DAGGER)
-        else:
-            star, dagger = make_strong(f, y, x, STAR), make_strong(f, y, x, DAGGER)
-        labels.extend([star, dagger])
-    d = len(labels)
-    gamma = np.zeros((d, d))
-    roots = [math.sqrt(w) for _, w in pairs]
-    for a, ra in enumerate(roots):
-        for b, rb in enumerate(roots):
-            gamma[2 * a, 2 * b + 1] = gamma[2 * b + 1, 2 * a] = ra * rb
+    _blocks(sol)  # refuse an all-zero vector as an AdversaryError, before the distribution does
+    dist = hard_distribution(f, sol.x, sol)
+    roots = np.sqrt([w for _, w in dist.blocks])
     return evaluate_certificate(
-        labels,
-        gamma,
+        [strong for strong, _ in dist.support],
+        np.kron(np.outer(roots, roots), [[0.0, 1.0], [1.0, 0.0]]),
         arity=f.n,
         fvalue=lambda lab: 0 if lab.marker == STAR else 1,  # type: ignore[union-attr]
     )

@@ -202,13 +202,13 @@ def _cmd_protocol_convert(args) -> int:
     alg = _resolve_algorithm(args.alg, args.alg_file)
     w = _strong_from_args(args)
     conv = protocols.convert_strong(alg)
-    decided = conv.decide(w)
     raw = protocols.run_converted(conv, w)
+    decided = protocols.decision(raw)
     _emit_json(
         args,
         {
             "protocol": "convert-strong",
-            "input": json.loads(w.to_json()),
+            "input": w.to_json_dict(),
             "queries_source": alg.query_count,
             "queries_wrapped": conv.wrapped.query_count,
             "output": {str(k): float(v) for k, v in sorted(raw.items(), key=lambda kv: str(kv[0]))},

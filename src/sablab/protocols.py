@@ -115,12 +115,8 @@ class ConvertedAlgorithm:
     wrapped: QueryAlgorithm
 
     def decide(self, w: StrongInput) -> dict:
-        """Distribution over sabotage guesses: source answer 0 means star."""
-        out: dict = {}
-        for answer, p in run_converted(self, w).items():
-            guess = {0: "*", 1: "+"}.get(answer, answer)
-            out[guess] = out.get(guess, 0.0) + p
-        return out
+        """Distribution over sabotage guesses on ``w`` (see :func:`decision`)."""
+        return decision(run_converted(self, w))
 
 
 def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorithm:
@@ -162,6 +158,15 @@ def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
     trace = run(conv.wrapped, oracle_strong(w))
     assert trace.distribution is not None
     return trace.distribution
+
+
+def decision(distribution: dict) -> dict:
+    """Sabotage guesses from a wrapped run's output distribution: source answer 0 means star."""
+    out: dict = {}
+    for answer, p in distribution.items():
+        guess = {0: "*", 1: "+"}.get(answer, answer)
+        out[guess] = out.get(guess, 0.0) + p
+    return out
 
 
 # ---------------------------------------------------------------------------

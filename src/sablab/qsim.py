@@ -789,6 +789,17 @@ def algorithm_to_json(alg: QueryAlgorithm) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_field(value, container: type, kinds: tuple[type, ...], name: str):
+    """A JSON array as a tuple, or a JSON object, whose values have exactly the types ``kinds``."""
+    if type(value) is not container or not all(
+        type(v) in kinds for v in (value.values() if container is dict else value)
+    ):
+        shape = "an array" if container is list else "an object"
+        kind_names = "/".join(k.__name__ for k in kinds)
+        raise SimulationError(f"algorithm {name} must be {shape} of {kind_names} values, got {value!r}")
+    return value if container is dict else tuple(value)
+
+
 def algorithm_from_json(text: str) -> QueryAlgorithm:
     """Parse an algorithm file; a malformed one raises SimulationError naming the bad field."""
     try:
@@ -813,7 +824,7 @@ def algorithm_from_json(text: str) -> QueryAlgorithm:
             for k, entry in enumerate(step["gates"]):
                 where = f"steps[{i}].gates[{k}]"
                 name = entry["gate"].upper()
-                wires = tuple(entry["wires"])
+                wires = _json_field(entry["wires"], list, (int,), f"{where} wires")
                 if name == "BLOCK":
                     matrix = [[complex(re, im) for re, im in row] for row in entry["matrix"]]
                     gates.append(Gate.block(matrix, wires))
@@ -824,7 +835,9 @@ def algorithm_from_json(text: str) -> QueryAlgorithm:
         measure = None
         if payload.get("measure") is not None:
             m = payload["measure"]
-            measure = Measurement(registers=tuple(m["registers"]), outcome_map=dict(m.get("map", {})))
+            registers = _json_field(m["registers"], list, (str,), "measure registers")
+            answers = _json_field(m.get("map", {}), dict, (str, int, float), "measure map")
+            measure = Measurement(registers=registers, outcome_map=answers)
         where = "steps"
         return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
     except KeyError as exc:

@@ -6,7 +6,6 @@ The quaternary alphabet is encoded numerically as 0, 1, 2 (star) and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,11 +91,8 @@ class StrongInput:
 
     @classmethod
     def from_pair(cls, x: BitString, y: BitString, marker: int | str) -> "StrongInput":
-        mark = _coerce_marker(marker)
-        if len(x) != len(y):
-            raise SabotageError("length mismatch")
-        z = tuple(a if a == b else mark for a, b in zip(x, y))
-        return cls(tuple(zip(x.bits, y.bits, z)))
+        z = _sabotage(x, y, _coerce_marker(marker))
+        return cls(tuple(zip(x.bits, y.bits, z.symbols)))
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -120,20 +116,8 @@ class StrongInput:
     def marker(self) -> int:
         return self.z.marker
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"x": str(self.x), "y": str(self.y), "marker": _SYMBOL_CHARS[self.marker]},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StrongInput":
-        payload = json.loads(text)
-        return cls.from_pair(
-            BitString.from_text(payload["x"]),
-            BitString.from_text(payload["y"]),
-            payload["marker"],
-        )
+    def to_json_dict(self) -> dict:
+        return {"x": str(self.x), "y": str(self.y), "marker": _SYMBOL_CHARS[self.marker]}
 
     def __str__(self) -> str:
         return f"({self.x},{self.y},{_SYMBOL_CHARS[self.marker]})"
@@ -245,11 +229,14 @@ def make_strong(
 class HardDistribution:
     """Distribution over strong inputs (x, x+B, *) and (x, x+B, dagger).
 
-    Each weighted block carries probability w_B / (2 V) on both of its
-    markers, V being the total weight.
+    ``blocks`` holds each block's opposite input x+B with its weight w_B;
+    ``support`` holds the star and then the dagger input of each block, in
+    the same order, each with probability w_B / (2 V), V being the total
+    weight.
     """
 
     base: BitString
+    blocks: tuple[tuple[BitString, float], ...]
     support: tuple[tuple[StrongInput, float], ...]
 
     def __post_init__(self) -> None:
@@ -259,8 +246,14 @@ class HardDistribution:
         if abs(sum(probs) - 1.0) > 1e-12:
             raise SabotageError(f"probabilities sum to {sum(probs)!r}, not 1")
 
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.support)
+
+def weighted_blocks(weights) -> tuple[tuple[BitString, float], ...]:
+    """The opposite inputs of positive weight in sorted order, each with its weight as a float.
+
+    These are the blocks of :func:`hard_distribution` and of both adversary
+    certificates.  ``weights`` is as in :func:`hard_distribution`.
+    """
+    return tuple((y, float(w)) for y, w in sorted(weights.weights.items()) if w > 0)
 
 
 def hard_distribution(f: PartialFunction, x: BitString | str, weights) -> HardDistribution:
@@ -268,22 +261,18 @@ def hard_distribution(f: PartialFunction, x: BitString | str, weights) -> HardDi
 
     ``weights`` is an :class:`sablab.measures.FbsSolution` (or anything with a
     ``weights`` mapping from opposite-value inputs to non-negative weights).
-    Feasible but sub-optimal weight vectors are accepted.
+    Feasible but sub-optimal weight vectors are accepted.  Each strong input
+    pairs the 0-input of {x, x+B} with its 1-input.
     """
     xb = BitString.coerce(x)
-    fx = f.value(xb)
     total = float(sum(weights.weights.values()))
     if total <= 0:
         raise SabotageError("zero total weight")
-    support = []
-    for y, w in sorted(weights.weights.items()):
-        if w <= 0:
-            continue
-        prob = float(w) / (2.0 * total)
-        for marker in (STAR, DAGGER):
-            if fx == 0:
-                strong = make_strong(f, xb, y, marker)
-            else:
-                strong = make_strong(f, y, xb, marker)
-            support.append((strong, prob))
-    return HardDistribution(base=xb, support=tuple(support))
+    blocks = weighted_blocks(weights)
+    fx = f.value(xb)
+    support = tuple(
+        (make_strong(f, *((y, xb) if fx else (xb, y)), marker), w / (2.0 * total))
+        for y, w in blocks
+        for marker in (STAR, DAGGER)
+    )
+    return HardDistribution(base=xb, blocks=blocks, support=support)

@@ -19,7 +19,7 @@ from sablab.adversary import (
     spectral_norm,
     Relation,
 )
-from sablab.boolfn import make_indexing, make_named
+from sablab.boolfn import BitString, catalog, make_indexing, make_named
 from sablab.measures import fbs, fbs_global
 from sablab.sabotage import STAR
 
@@ -180,15 +180,32 @@ def test_sabotage_certificate_ind2():
 
 
 def test_sabotage_certificate_kronecker_identity():
-    f = make_named("PARITY", 3)
-    sol = fbs(f, "000")
-    cert = build_sabotage_adversary(f, sol)
-    roots = np.sqrt([w for _, w in sorted(sol.weights.items())])
-    gamma_prime = np.outer(roots, roots)
-    assert abs(cert.norm_gamma - eig_norm(gamma_prime)) < 1e-9
-    # explicit tensor check against [[0, 1], [1, 0]]
+    """Over every catalog point, gamma is exactly the sqrt(w_a) sqrt(w_b) block tensored with the flip."""
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.abs(cert.gamma - np.kron(gamma_prime, flip)).max() < 1e-12
+    checked = 0
+    for f in catalog():
+        for x in f.domain():
+            sol = fbs(f, x)
+            if not any(w > 0 for w in sol.weights.values()):
+                continue
+            cert = build_sabotage_adversary(f, sol)
+            roots = np.array([math.sqrt(float(w)) for _, w in sorted(sol.weights.items()) if w > 0])
+            assert np.array_equal(cert.gamma, np.kron(np.outer(roots, roots), flip)), (f.name, str(x))
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("build", [build_fbs_adversary, build_sabotage_adversary])
+@pytest.mark.parametrize("weights", [{}, {"11": 0.0}], ids=["empty", "all-zero"])
+def test_builders_refuse_a_zero_weight_vector(build, weights):
+    f = make_named("OR", 2)
+
+    class Sol:
+        x = BitString.from_text("00")
+
+    Sol.weights = {BitString.from_text(y): w for y, w in weights.items()}
+    with pytest.raises(AdversaryError, match="identically zero"):
+        build(f, Sol())
 
 
 def test_sabotage_labels_marker_pattern():

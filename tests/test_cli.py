@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from sablab import measures, sabotage, simplex, verify
-from sablab.boolfn import PartialFunction
+from sablab import measures, protocols, qsim, sabotage, simplex, verify
+from sablab.boolfn import BitString, PartialFunction
 from sablab.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -101,6 +102,46 @@ def test_protocol_convert(capsys):
     assert code == 0
     assert payload["queries_wrapped"] == 2
     assert abs(payload["decision"]["*"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alg, source, pair, marker",
+    [
+        ("deutsch", qsim.deutsch_parity(), "00,10", "*"),
+        ("grover-or-4-1", qsim.grover_or(4, 1), "0000,0010", "+"),
+        ("grover-or-3-2", qsim.grover_or(3, 2), "000,011", "*"),
+    ],
+    ids=["deutsch", "grover-or-4-1", "grover-or-3-2"],
+)
+def test_protocol_convert_runs_the_wrapped_circuit_once(capsys, monkeypatch, alg, source, pair, marker):
+    runs = []
+    simulate = protocols.run
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "run", counted_run)
+    code, out, _ = run_cli(
+        capsys, "protocol", "convert-strong", "--alg", alg, "--pair", pair, "--marker", marker
+    )
+    assert code == 0 and len(runs) == 1
+    monkeypatch.undo()
+    x, y = pair.split(",")
+    w = sabotage.StrongInput.from_pair(BitString.from_text(x), BitString.from_text(y), marker)
+    conv = protocols.convert_strong(source)
+
+    def by_key(dist):
+        return {str(k): float(v) for k, v in sorted(dist.items(), key=lambda kv: str(kv[0]))}
+
+    assert json.loads(out) == {
+        "protocol": "convert-strong",
+        "input": {"x": x, "y": y, "marker": marker},
+        "queries_source": source.query_count,
+        "queries_wrapped": 2 * source.query_count,
+        "output": by_key(protocols.run_converted(conv, w)),
+        "decision": by_key(conv.decide(w)),
+    }
 
 
 def test_protocol_hybrid_json_and_csv(capsys, tmp_path):
@@ -198,9 +239,17 @@ def test_protocol_errors_exit_2(capsys):
         ('{"layout": {"n": true, "symbol": "bit"}, "steps": [{"gates": []}]}', "layout n must be an integer"),
         ('{"layout": {"n": 2, "symbol": "bit", "workspace": 2.0}, "steps": [{"gates": []}]}',
          "layout workspace must be an integer"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "H", "wires": [true]}]}]}',
+         "steps[0].gates[0] wires must be an array of int values"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": []}], "measure": {"registers": "index"}}',
+         "measure registers must be an array of str values"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": []}],'
+         ' "measure": {"registers": ["index"], "map": {"1": [0]}}}',
+         "measure map must be an object of str/int/float values"),
     ],
     ids=["no-symbol", "gate-without-wires", "wires-not-a-list", "no-steps", "not-an-object", "not-json",
-         "fractional-n", "boolean-n", "float-workspace"],
+         "fractional-n", "boolean-n", "float-workspace", "boolean-wire", "registers-not-a-list",
+         "unhashable-answer"],
 )
 def test_malformed_algorithm_file_exits_2(capsys, tmp_path, text, field):
     path = tmp_path / "alg.json"
@@ -363,12 +412,43 @@ def test_readme_examples_parse():
         parser.parse_args(words[1:])
 
 
+# sha256 of each README CLI example's stdout, keyed by the example without its
+# comment.  verify-all is left out: its report goes to a file, pinned in
+# test_acceptance.py.  A change that moves an example's output on purpose
+# updates its pin and says so in CHANGES.md.
+README_STDOUT_SHA256 = {
+    "sablab fbs --fn IND --n 2": "63679caa81f5dbb1ebf59ab83afb04bd6df793ff60c3556f69d2961323725375",
+    "sablab fbs --fn IND --n 3": "b135c96b503cc3b32c40e5d1a13782fc2a99a9c24da2d816dcc2c7e870ebd73c",
+    "sablab fbs --fn OR --n 4 --x 0000": "cb632a12c01d35e6fb76007d83b069503471a2441688966c40b614608a920977",
+    "sablab bs --fn PARITY --n 5 --x 00000": "bcc457783bffdf4c76105962b752860ff6bbc82cb55188d1cfda4f92ec440ccf",
+    "sablab sab-enum --fn OR --n 2": "183a5d0e055ac729e50742f7f6c7b2b9731b3c0850768a4aa5df32984898662d",
+    "sablab adv --construction fbs --fn OR --n 2": "c1d36a70ebd9be013f7b5f757f2a9e68683e5473ab1dc6c0b744967d75eab5ed",
+    "sablab adv --construction sabotage --fn IND --n 2":
+        "a5d145c9e0a4286b256647bd7098e59367e5fc85c8372bfcec0b81e8d59a0ca4",
+    "sablab adv --construction indexing-relation --n 3 --model strong":
+        "7a5fbddd5753f6c92b99e497a73e9c0a4a2cbfb53c802d789b6ac2ff3802b273",
+    "sablab protocol convert-strong --alg deutsch --pair 00,10 --marker '*'":
+        "97fb4dacfed567a530e7e9cc37e1aa25f695cf24c2cc0496a24aa4e362b02d38",
+    "sablab protocol hybrid --alg deutsch --x 00 --block 1,2 --format csv":
+        "5e124b281af64d7fb4759846ffb379e1a7948ac41fa5b70570d56c4f91182e5e",
+    "sablab protocol grover-find --z '00*0'": "2c783c913e082dc75b7d2f217756df66cfef869fffb87b0e69f1b15b5715cb06",
+    "sablab protocol index-find --alg deutsch --pair 00,11 --marker '*' --mode amplified --rounds 0":
+        "9377a578ca2f84597b9331519864e8eb4d1985236d1a78b1a013bb875e1f8208",
+}
+
+
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # verify-all --out writes report.json here
     monkeypatch.delenv("SABLAB_SEED", raising=False)
+    pinned = []
     for line in readme_examples():
         code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
         assert code == 0, (line, err)
+        command = line.split("#", 1)[0].strip()
+        if not command.startswith("sablab verify-all"):
+            assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[command], line
+            pinned.append(command)
+    assert sorted(pinned) == sorted(README_STDOUT_SHA256)
 
 
 def test_bad_seed_env_is_usage_error(capsys, monkeypatch):

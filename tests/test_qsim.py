@@ -351,14 +351,29 @@ def test_index_block_mass_refuses_positions_outside_1_to_n(positions):
 
 
 def test_algorithm_json_roundtrip():
-    for alg in (deutsch_parity(), grover_or(3, 2)):
+    for alg in (deutsch_parity(), grover_or(3, 2), grover_marks(3, 1), grover_marks(4, 2)):
         text = algorithm_to_json(alg)
         again = algorithm_from_json(text)
+        assert again == alg
         assert algorithm_to_json(again) == text
+        if alg.layout.symbol != "bit":
+            continue
         for x in ("000", "011"):
             want = run(alg, oracle_bit(x[: alg.layout.n])).distribution
             got = run(again, oracle_bit(x[: alg.layout.n])).distribution
             assert total_variation(want, got) < 1e-12
+
+
+@given(
+    n=st.integers(1, 4),
+    queries=st.integers(0, 3),
+    workspace=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_algorithm_json_roundtrip_property(n, queries, workspace, seed):
+    alg = random_query_algorithm(n, queries, np.random.default_rng(seed), workspace=workspace)
+    assert algorithm_from_json(algorithm_to_json(alg)) == alg
 
 
 def test_query_inv_steps_roundtrip_and_run():

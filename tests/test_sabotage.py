@@ -186,7 +186,11 @@ def test_strong_input_structural_invariants():
 
 def test_strong_input_json_roundtrip():
     w = StrongInput.from_pair(BitString.from_text("00"), BitString.from_text("11"), "+")
-    assert StrongInput.from_json(w.to_json()) == w
+    payload = w.to_json_dict()
+    assert payload == {"x": "00", "y": "11", "marker": "+"}
+    assert StrongInput.from_pair(
+        BitString.from_text(payload["x"]), BitString.from_text(payload["y"]), payload["marker"]
+    ) == w
 
 
 def test_strong_input_mark_positions():
@@ -200,7 +204,7 @@ def test_hard_distribution_or2():
     sol = fbs(f, "00")
     dist = hard_distribution(f, "00", sol)
     assert len(dist.support) == 4
-    assert all(abs(p - 0.25) < 1e-12 for p in dist.probabilities())
+    assert all(abs(p - 0.25) < 1e-12 for _, p in dist.support)
 
 
 def test_hard_distribution_single_block():
@@ -211,17 +215,34 @@ def test_hard_distribution_single_block():
 
     dist = hard_distribution(f, "00", Weights())
     assert len(dist.support) == 2
-    assert all(abs(p - 0.5) < 1e-15 for p in dist.probabilities())
+    assert all(abs(p - 0.5) < 1e-15 for _, p in dist.support)
+    assert dist.blocks == ((BitString.from_text("11"), 1.0),)
 
 
 def test_hard_distribution_and3_sums_to_one():
     f = make_named("AND", 3)
     sol = fbs(f, "111")
     dist = hard_distribution(f, "111", sol)
-    assert abs(sum(dist.probabilities()) - 1.0) < 1e-12
-    assert all(p <= 0.5 + 1e-15 for p in dist.probabilities())
+    assert abs(sum(p for _, p in dist.support) - 1.0) < 1e-12
+    assert all(p <= 0.5 + 1e-15 for _, p in dist.support)
     for strong, _ in dist.support:
         assert f.value(strong.x) == 0 and f.value(strong.y) == 1
+
+
+def test_hard_distribution_support_follows_blocks():
+    """Star then dagger input per block, each pairing base and block the 0-input first."""
+    for f, x in ((make_named("OR", 3), "000"), (make_named("AND", 3), "111"), (make_named("MAJ", 3), "011")):
+        sol = fbs(f, x)
+        dist = hard_distribution(f, x, sol)
+        assert dist.blocks == tuple((y, float(w)) for y, w in sorted(sol.weights.items()))
+        total = sum(w for _, w in dist.blocks)
+        assert len(dist.support) == 2 * len(dist.blocks)
+        for k, (y, w) in enumerate(dist.blocks):
+            (star, p_star), (dagger, p_dagger) = dist.support[2 * k: 2 * k + 2]
+            assert (star.marker, dagger.marker) == (STAR, DAGGER)
+            assert star.x == dagger.x and star.y == dagger.y and {star.x, star.y} == {dist.base, y}
+            assert f.value(star.x) == 0 and f.value(star.y) == 1
+            assert p_star == p_dagger and abs(p_star - w / (2 * total)) < 1e-15
 
 
 def test_hard_distribution_rejects_zero_weight():
