@@ -106,22 +106,26 @@ class PartialFunction:
         entries: Mapping[BitString, int] | Iterable[tuple[BitString | str, int]],
         total: bool = False,
     ) -> None:
-        if not 1 <= n <= MAX_ARITY:
-            raise ArityError(f"arity {n} outside 1..{MAX_ARITY}")
+        if type(name) is not str:
+            raise FunctionFormatError(f"function name must be a string, got {name!r}")
+        if type(n) is not int or not 1 <= n <= MAX_ARITY:  # refuses bool too
+            raise ArityError(f"arity n = {n!r} is not an integer in 1..{MAX_ARITY}")
+        if type(total) is not bool:
+            raise FunctionFormatError(f"function total must be a bool, got {total!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         table: dict[int, int] = {}
         for key, val in items:
             bs = BitString.coerce(key)
             if len(bs) != n:
-                raise FunctionFormatError(f"key {bs} has length {len(bs)}, expected {n}")
-            if val not in (0, 1):
-                raise FunctionFormatError(f"value for {bs} must be 0/1, got {val!r}")
+                raise FunctionFormatError(f"key {bs} has length {len(bs)}, expected n = {n}")
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val not in (0, 1):
+                raise FunctionFormatError(f"value for {bs} must be the integer 0 or 1, got {val!r}")
             code = int(str(bs), 2)
             if code in table:
                 raise FunctionFormatError(f"duplicate key {bs}")
             table[code] = int(val)
         if not table:
-            raise FunctionFormatError("empty domain")
+            raise FunctionFormatError("function has no entries: empty domain")
         if total and len(table) != 1 << n:
             raise FunctionFormatError(
                 f"function flagged total has {len(table)} of {1 << n} entries"
@@ -254,22 +258,23 @@ def make_indexing(n: int) -> PartialFunction:
 
 
 def load_function(text: str) -> PartialFunction:
-    """Parse the JSON function-file format and validate all invariants."""
+    """Parse the JSON function-file format; :class:`PartialFunction` checks the fields."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FunctionFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FunctionFormatError("function file must be a JSON object")
-    for field, kind in (("name", str), ("n", int), ("total", bool), ("entries", list)):
-        if field not in payload or not isinstance(payload[field], kind):
-            raise FunctionFormatError(f"missing or malformed field {field!r}")
-    pairs = []
-    for item in payload["entries"]:
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
-            raise FunctionFormatError(f"malformed entry {item!r}")
-        pairs.append((item[0], item[1]))
-    return PartialFunction(payload["name"], payload["n"], pairs, total=payload["total"])
+    for field in ("name", "n", "total", "entries"):
+        if field not in payload:
+            raise FunctionFormatError(f"function file has no field {field!r}")
+    entries = payload["entries"]
+    if type(entries) is not list:
+        raise FunctionFormatError(f"function entries must be an array, got {entries!r}")
+    for item in entries:
+        if not (type(item) is list and len(item) == 2 and type(item[0]) is str):
+            raise FunctionFormatError(f"malformed entry {item!r}: want [bit string, value]")
+    return PartialFunction(payload["name"], payload["n"], entries, total=payload["total"])
 
 
 def catalog(max_arity: int = MAX_GENERAL_ARITY) -> tuple[PartialFunction, ...]:

@@ -35,6 +35,7 @@ from .qsim import (
     amplitude_amplify,
     evolve,
     grover_find_mark,
+    index_marginal,
     oracle_bit,
     oracle_strong,
     run,
@@ -217,7 +218,7 @@ def _interrupt_traces(alg: QueryAlgorithm, w: StrongInput) -> _BranchTraces:
     block = tuple(sorted(w.z.mark_positions))
     n = alg.layout.n
     index_probs = tuple(
-        tuple((np.abs(s.reshape(n, -1)) ** 2).sum(axis=1) for s in _interrupt_states(alg, x))
+        tuple(index_marginal(s, n) for s in _interrupt_states(alg, x))
         for x in (w.x, w.y)
     )
     return _BranchTraces(block, alg.query_count, index_probs)

@@ -19,6 +19,7 @@ import cmath
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -36,12 +37,10 @@ QUERY = "QUERY"
 QUERY_INV = "QUERY_INV"
 
 _SQRT2 = math.sqrt(2.0)
-_NAMED_1Q = {
+_NAMED = {
     "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2,
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-_NAMED_2Q = {
     "CNOT": np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
     ),
@@ -51,7 +50,7 @@ _NAMED_2Q = {
     ),
 }
 # Every named gate shares these arrays, so none may be written after its check.
-for _m in (*_NAMED_1Q.values(), *_NAMED_2Q.values()):
+for _m in _NAMED.values():
     _m.flags.writeable = False
 
 
@@ -220,7 +219,7 @@ class RegisterLayout:
             name = "n" if type(self.n) is not int else "workspace"
             raise SimulationError(f"layout {name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
-            raise SimulationError("index register needs at least one position")
+            raise SimulationError(f"layout n must be at least 1, got {self.n}")
         if not isinstance(self.symbol, str) or self.symbol not in _SYMBOL_REGISTERS:
             raise SimulationError(f"unknown symbol register kind {self.symbol!r}")
         if self.workspace < 1 or self.workspace & (self.workspace - 1):
@@ -243,6 +242,16 @@ class RegisterLayout:
             raise SimulationError(f"unknown register {register!r}") from None
 
 
+def _checked_wires(wires: Iterable[int]) -> tuple[int, ...]:
+    """Distinct integer wires (numpy integers pass, bool and float do not); the layout checks their range."""
+    out = tuple(wires) if isinstance(wires, Iterable) else (None,)
+    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in out):
+        raise SimulationError(f"gate wires must be integers, got {wires!r}")
+    if len(set(out)) != len(out):
+        raise SimulationError(f"gate wires must be distinct, got {out}")
+    return tuple(map(int, out))  # plain ints: they serialize, and a plan cache sees one key type
+
+
 @dataclass(frozen=True)
 class Gate:
     """Named gate or explicit unitary block on a tuple of wires."""
@@ -256,34 +265,28 @@ class Gate:
 
     @classmethod
     def named(cls, name: str, wires: Sequence[int], param: float | None = None) -> "Gate":
-        name = name.upper()
-        if name in _NAMED_1Q:
-            matrix = _NAMED_1Q[name]
-        elif name in _NAMED_2Q:
-            matrix = _NAMED_2Q[name]
-        elif name == "CPHASE":
-            if param is None:
-                raise SimulationError("CPHASE needs a phase parameter")
+        key = name.upper() if isinstance(name, str) else name
+        if key == "CPHASE":
+            if not isinstance(param, numbers.Real) or isinstance(param, bool) or not math.isfinite(param):
+                raise SimulationError(f"CPHASE param must be a finite real phase, got {param!r}")
+            param = float(param)
             matrix = np.diag([1, 1, 1, cmath.exp(1j * param)])
         else:
-            raise SimulationError(f"unknown gate {name!r}")
-        return cls(name=name, wires=tuple(wires), matrix=matrix, param=param)
+            matrix = _NAMED.get(key) if isinstance(key, str) else None
+            if matrix is None:
+                raise SimulationError(f"unknown gate {name!r}")
+            if param is not None:
+                raise SimulationError(f"gate {key} takes no param, got {param!r}")
+        return cls(name=key, wires=wires, matrix=matrix, param=param)
 
     @classmethod
     def block(cls, matrix: np.ndarray, wires: Sequence[int]) -> "Gate":
-        return cls(name="BLOCK", wires=tuple(wires), matrix=matrix)
+        return cls(name="BLOCK", wires=wires, matrix=matrix)
 
-    def rewired(self, wires: Sequence[int]) -> "Gate":
-        """The same gate on other wires, sharing this gate's read-only matrix and monomial.
-
-        That matrix passed the unitarity check when this gate was built, so
-        only the wires are checked.
-        """
-        wires = tuple(wires)
-        if len(set(wires)) != len(wires):
-            raise SimulationError("gate wires must be distinct")
+    def rewired(self, wires: Iterable[int]) -> "Gate":
+        """This gate on other wires; only they are checked, as the read-only matrix and monomial are shared."""
         gate = object.__new__(type(self))
-        gate.__dict__.update(self.__dict__, wires=wires)
+        gate.__dict__.update(self.__dict__, wires=_checked_wires(wires))
         return gate
 
     def __eq__(self, other: object) -> bool:
@@ -299,6 +302,7 @@ class Gate:
         return hash((self.name, self.wires, self.param, (self.matrix + 0).tobytes()))
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "wires", _checked_wires(self.wires))
         m = self.matrix
         owned = isinstance(m, np.ndarray) and m.flags.owndata and not m.flags.writeable
         if not owned or m.dtype != np.complex128:
@@ -310,10 +314,8 @@ class Gate:
             raise SimulationError("gate matrix must be square")
         if m.shape[0] > BLOCK_CAP:
             raise SimulationError(f"gate dimension {m.shape[0]} exceeds {BLOCK_CAP}")
-        if len(set(self.wires)) != len(self.wires):
-            raise SimulationError("gate wires must be distinct")
         err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if err > UNITARY_TOL:
+        if not err <= UNITARY_TOL:  # a NaN defect fails too
             raise SimulationError(f"gate is not unitary (defect {err:.2e})")
         # Every row of a unitary is non-zero, so k exact non-zeros are one per row and column.
         mono = _Monomial(m) if np.count_nonzero(m) == m.shape[0] else None
@@ -361,6 +363,17 @@ class Measurement:
     registers: tuple[str, ...]
     outcome_map: Mapping[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        registers, answers = self.registers, self.outcome_map
+        if type(registers) is not tuple or not all(type(r) is str for r in registers):
+            raise SimulationError(f"measure registers must be a tuple of str names, got {registers!r}")
+        if len(set(registers)) != len(registers):
+            raise SimulationError(f"measured registers {registers} repeat a register")
+        if not isinstance(answers, Mapping) or not all(
+            type(k) is str and type(v) in (str, int, float) for k, v in answers.items()
+        ):
+            raise SimulationError(f"measure map must map str outcomes to str/int/float answers, got {answers!r}")
+
 
 Step = object  # tuple[Gate, ...] | "QUERY" | "QUERY_INV"
 
@@ -389,15 +402,16 @@ class QueryAlgorithm:
             try:
                 size = _axis_plan(self.layout.dims, gate.wires)[0]
             except ValueError:
-                raise SimulationError(f"gate {gate.name} wires {gate.wires} out of range") from None
+                size = None
             if size != gate.matrix.shape[0]:
-                raise SimulationError(f"gate {gate.name} on wires {gate.wires} needs dimension {size}")
+                i, k = next((i, k) for i, step in enumerate(self.steps) if not queries[i]
+                            for k, g in enumerate(step) if g is gate)
+                need = f"out of range for {len(self.layout.dims)} wires" if size is None else f"need dimension {size}"
+                raise SimulationError(f"steps[{i}].gates[{k}]: gate {gate.name} wires {gate.wires} {need}")
         if self.measure is not None:
-            registers = self.measure.registers
-            if len(set(registers)) != len(registers):
-                raise SimulationError(f"measured registers {registers} repeat a register")
-            for reg in registers:
-                self.layout.wire(reg)
+            for reg in self.measure.registers:
+                if reg not in self.layout.register_names:
+                    raise SimulationError(f"measure register {reg!r} is not one of {self.layout.register_names}")
 
 
 class Oracle:
@@ -472,13 +486,18 @@ def initial_state(layout: RegisterLayout) -> np.ndarray:
     return state
 
 
+def index_marginal(state: np.ndarray, n: int) -> np.ndarray:
+    """Probability of each index position 1..n: the state's squared moduli summed over the other wires."""
+    return (np.abs(state.reshape(n, -1)) ** 2).sum(axis=1)
+
+
 def index_block_mass(state: np.ndarray, layout: RegisterLayout, positions: Iterable[int]) -> float:
     """Squared mass of the index register on the given 1-based positions."""
     block = set(positions)
     if not all(1 <= j <= layout.n for j in block):
         raise SimulationError(f"positions {sorted(block)} must lie in 1..{layout.n}")
-    probs = np.abs(state.reshape(layout.n, -1)) ** 2
-    return float(sum(probs[j - 1].sum() for j in block))
+    probs = index_marginal(state, layout.n)
+    return float(sum(probs[j - 1] for j in block))
 
 
 def measure_distribution(
@@ -571,9 +590,13 @@ def deutsch_parity() -> QueryAlgorithm:
 
 
 @functools.lru_cache(maxsize=BLOCK_CAP)
-def _index_gates(n: int) -> tuple[Gate, Gate]:
-    """The uniform-prep and diffusion gates on the index wire, built once per n."""
-    return Gate.block(uniform_prep_block(n), (0,)), Gate.block(diffusion_block(n), (0,))
+def _index_gates(n: int) -> tuple[Gate, Gate, Measurement]:
+    """The uniform-prep and diffusion gates on the index wire and the index measurement, built once per n."""
+    return (
+        Gate.block(uniform_prep_block(n), (0,)),
+        Gate.block(diffusion_block(n), (0,)),
+        Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)}),
+    )
 
 
 # Wire-1 gates shared by every catalog circuit: X and H on the bit target, the weak phase mark.
@@ -590,11 +613,10 @@ def _grover(
         raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
     if iterations < 0:
         raise SimulationError(f"iterations must be >= 0, got {iterations}")
-    uniform, diffuse = _index_gates(n)
+    uniform, diffuse, measure = _index_gates(n)
     steps = [(*prep, uniform)] + [*query, (diffuse,)] * iterations  # the same gates every iteration
     if iterations == 0:
         steps.append(())  # an algorithm ends on a unitary step
-    measure = Measurement(registers=("index",), outcome_map={str(j): j for j in range(1, n + 1)})
     return QueryAlgorithm(RegisterLayout(n=n, symbol=symbol), tuple(steps), measure)
 
 
@@ -661,8 +683,7 @@ def grover_find_mark(z: SabString, iterations: int) -> GroverResult:
     n = len(z)
     for state in evolve(grover_marks(n, iterations), oracle_weak(z)):
         pass
-    # The index marginal, summed as measure_distribution sums it.
-    probs = tuple((np.abs(state.reshape(n, -1)) ** 2).sum(axis=1).tolist())
+    probs = tuple(index_marginal(state, n).tolist())  # summed as measure_distribution sums it
     success = sum(probs[j - 1] for j in z.mark_positions)
     return GroverResult(
         position_probs=probs,
@@ -753,55 +774,27 @@ def hybrid_sum(alg: QueryAlgorithm, x: BitString | str, block: Iterable[int]) ->
 # JSON algorithm files
 
 
-def _complex_to_pair(v: complex) -> list[float]:
-    return [float(v.real), float(v.imag)]
-
-
 def algorithm_to_json(alg: QueryAlgorithm) -> str:
-    steps_payload: list = []
-    for step in alg.steps:
-        if step in (QUERY, QUERY_INV):
-            steps_payload.append(step)
-            continue
-        gates = []
-        for gate in step:  # type: ignore[union-attr]
-            entry: dict = {"gate": gate.name, "wires": list(gate.wires)}
-            if gate.name == "BLOCK":
-                entry["matrix"] = [[_complex_to_pair(v) for v in row] for row in gate.matrix]
-            if gate.param is not None:
-                entry["param"] = gate.param
-            gates.append(entry)
-        steps_payload.append({"gates": gates})
+    def gate_entry(gate: Gate) -> dict:
+        entry: dict = {"gate": gate.name, "wires": list(gate.wires)}
+        if gate.name == "BLOCK":
+            entry["matrix"] = [[[v.real, v.imag] for v in row] for row in gate.matrix.tolist()]
+        if gate.param is not None:
+            entry["param"] = gate.param
+        return entry
+
+    layout, measure = alg.layout, alg.measure
     payload = {
-        "layout": {
-            "n": alg.layout.n,
-            "symbol": alg.layout.symbol,
-            "workspace": alg.layout.workspace,
-        },
-        "steps": steps_payload,
-        "measure": None
-        if alg.measure is None
-        else {
-            "registers": list(alg.measure.registers),
-            "map": {k: v for k, v in alg.measure.outcome_map.items()},
-        },
+        "layout": {"n": layout.n, "symbol": layout.symbol, "workspace": layout.workspace},
+        "steps": [s if s in (QUERY, QUERY_INV) else {"gates": [gate_entry(g) for g in s]} for s in alg.steps],
+        "measure": None if measure is None
+        else {"registers": list(measure.registers), "map": dict(measure.outcome_map)},
     }
     return json.dumps(payload, sort_keys=True)
 
 
-def _json_field(value, container: type, kinds: tuple[type, ...], name: str):
-    """A JSON array as a tuple, or a JSON object, whose values have exactly the types ``kinds``."""
-    if type(value) is not container or not all(
-        type(v) in kinds for v in (value.values() if container is dict else value)
-    ):
-        shape = "an array" if container is list else "an object"
-        kind_names = "/".join(k.__name__ for k in kinds)
-        raise SimulationError(f"algorithm {name} must be {shape} of {kind_names} values, got {value!r}")
-    return value if container is dict else tuple(value)
-
-
 def algorithm_from_json(text: str) -> QueryAlgorithm:
-    """Parse an algorithm file; a malformed one raises SimulationError naming the bad field."""
+    """Parse an algorithm file; the objects built check its fields, and their errors gain the field's place."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -823,9 +816,8 @@ def algorithm_from_json(text: str) -> QueryAlgorithm:
             gates = []
             for k, entry in enumerate(step["gates"]):
                 where = f"steps[{i}].gates[{k}]"
-                name = entry["gate"].upper()
-                wires = _json_field(entry["wires"], list, (int,), f"{where} wires")
-                if name == "BLOCK":
+                name, wires = entry["gate"], entry["wires"]
+                if isinstance(name, str) and name.upper() == "BLOCK":
                     matrix = [[complex(re, im) for re, im in row] for row in entry["matrix"]]
                     gates.append(Gate.block(matrix, wires))
                 else:
@@ -833,16 +825,12 @@ def algorithm_from_json(text: str) -> QueryAlgorithm:
             steps.append(tuple(gates))
         where = "measure"
         measure = None
-        if payload.get("measure") is not None:
-            m = payload["measure"]
-            registers = _json_field(m["registers"], list, (str,), "measure registers")
-            answers = _json_field(m.get("map", {}), dict, (str, int, float), "measure map")
-            measure = Measurement(registers=registers, outcome_map=answers)
-        where = "steps"
-        return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
+        if (m := payload.get("measure")) is not None:
+            registers = m["registers"]  # a JSON array reads as a tuple, as Measurement wants
+            registers = tuple(registers) if type(registers) is list else registers
+            measure = Measurement(registers=registers, outcome_map=m.get("map", {}))
     except KeyError as exc:
         raise SimulationError(f"algorithm {where} has no field {exc.args[0]!r}") from None
-    except SimulationError:
-        raise
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SimulationError(f"algorithm {where} is malformed: {exc}") from None
+    except (SimulationError, TypeError, ValueError, AttributeError) as exc:
+        raise SimulationError(f"algorithm {where}: {exc}") from None
+    return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)

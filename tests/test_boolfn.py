@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -121,6 +122,44 @@ def test_load_rejects_malformed():
                                   "entries": [["00", 0], ["01", 1], ["10", 1]]}))
     with pytest.raises(FunctionFormatError):
         load_function(json.dumps({"name": "f", "n": 2, "total": False, "entries": [["00", 2]]}))
+    # Such a file once loaded with n = True; its serialize() then raised on a format specifier.
+    with pytest.raises(ArityError, match="arity n = True"):
+        load_function('{"name": "f", "n": true, "total": true, "entries": [["0", 0], ["1", true]]}')
+    with pytest.raises(FunctionFormatError, match="no field 'total'"):
+        load_function('{"name": "f", "n": 1, "entries": [["0", 0]]}')
+    with pytest.raises(FunctionFormatError, match="function entries must be an array"):
+        load_function('{"name": "f", "n": 1, "total": false, "entries": 5}')
+    with pytest.raises(FunctionFormatError, match="malformed entry"):
+        load_function('{"name": "f", "n": 1, "total": false, "entries": [[0, 0]]}')
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (("f", True, {"0": 0, "1": 1}), ArityError, "arity n = True is not an integer"),
+        (("f", 2.0, {"00": 0, "11": 1}), ArityError, "arity n = 2.0 is not an integer"),
+        (("f", 0, {}), ArityError, "arity n = 0 is not an integer in 1..20"),
+        (("f", 2, {"00": 0, "11": True}), FunctionFormatError, "value for 11 must be the integer 0 or 1, got True"),
+        (("f", 2, {"00": 0.0, "11": 1}), FunctionFormatError, "value for 00 must be the integer 0 or 1, got 0.0"),
+        (("f", 2, {"00": 0, "11": 2}), FunctionFormatError, "got 2"),
+        ((7, 2, {"00": 0, "11": 1}), FunctionFormatError, "function name must be a string, got 7"),
+        (("f", 2, {}), FunctionFormatError, "function has no entries"),
+    ],
+    ids=["bool-n", "float-n", "zero-n", "bool-value", "float-value", "value-2", "int-name", "no-entries"],
+)
+def test_partial_function_refuses_bad_fields_when_built(args, error, message):
+    with pytest.raises(error, match=message):
+        PartialFunction(*args)
+
+
+def test_partial_function_refuses_a_non_bool_total():
+    with pytest.raises(FunctionFormatError, match="function total must be a bool, got 1"):
+        PartialFunction("f", 1, {"0": 0, "1": 1}, total=1)
+
+
+def test_partial_function_takes_numpy_integer_values():
+    f = PartialFunction("f", 2, {"00": np.int64(0), "11": np.uint8(1)})
+    assert f.value("11") == 1 and f == load_function(f.serialize())
 
 
 def test_or2_file_roundtrip():

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sablab import measures, protocols, qsim, sabotage, simplex, verify
 from sablab.boolfn import BitString, PartialFunction
@@ -240,12 +244,12 @@ def test_protocol_errors_exit_2(capsys):
         ('{"layout": {"n": 2, "symbol": "bit", "workspace": 2.0}, "steps": [{"gates": []}]}',
          "layout workspace must be an integer"),
         ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "H", "wires": [true]}]}]}',
-         "steps[0].gates[0] wires must be an array of int values"),
+         "steps[0].gates[0]: gate wires must be integers"),
         ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": []}], "measure": {"registers": "index"}}',
-         "measure registers must be an array of str values"),
+         "measure: measure registers must be a tuple of str names"),
         ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": []}],'
          ' "measure": {"registers": ["index"], "map": {"1": [0]}}}',
-         "measure map must be an object of str/int/float values"),
+         "measure: measure map must map str outcomes to str/int/float answers"),
     ],
     ids=["no-symbol", "gate-without-wires", "wires-not-a-list", "no-steps", "not-an-object", "not-json",
          "fractional-n", "boolean-n", "float-workspace", "boolean-wire", "registers-not-a-list",
@@ -258,6 +262,183 @@ def test_malformed_algorithm_file_exits_2(capsys, tmp_path, text, field):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("sablab: ") and field in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# One wrong field in a valid input file: exit 2, and the message names the field
+
+MISSING = object()  # the mutation that leaves the field out
+
+
+def mutated(doc: dict, path: tuple, value) -> str:
+    """``doc`` as JSON text with the field at ``path`` set to ``value``, or removed for MISSING."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def exits_2_naming(capsys, tmp_path, argv: tuple, text: str, fragments: tuple[str, ...]) -> None:
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv[:-1], argv[-1], str(path))
+    assert code == 2 and out == "", (text, err)
+    assert err.startswith("sablab: ") and "Traceback" not in err
+    assert all(f in err for f in fragments), (text, err, fragments)
+
+
+def not_in(*values):
+    return lambda v: v not in values
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4))
+# Values no JSON reader takes as an object or an array.
+NOT_A_CONTAINER = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4),
+                       st.lists(st.integers(), max_size=2))
+NAMED_GATES = {"H", "X", "Z", "CNOT", "CZ", "SWAP", "CPHASE", "BLOCK"}
+
+ALG_FILE = {
+    "layout": {"n": 2, "symbol": "bit", "workspace": 2},
+    "steps": [
+        {"gates": [{"gate": "X", "wires": [1]}, {"gate": "H", "wires": [1]},
+                   {"gate": "BLOCK", "wires": [0], "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+                   {"gate": "CPHASE", "wires": [1, 2], "param": 0.5}]},
+        "QUERY",
+        {"gates": [{"gate": "H", "wires": [1]}, {"gate": "X", "wires": [1]}]},
+    ],
+    "measure": {"registers": ["index"], "map": {"1": 0, "2": 1}},
+}
+ALG_ARGV = ("protocol", "convert-strong", "--pair", "00,01", "--alg-file")
+GATE = ("steps", 0, "gates")
+
+# Each field of ALG_FILE: whether it is required, its wrong or out-of-range values,
+# and the words an error on it must contain.
+ALG_FIELDS = [
+    (("layout",), True, NOT_A_CONTAINER, ("algorithm layout",)),
+    (("layout", "n"), True, st.one_of(NOT_AN_INT, st.integers(max_value=0)), ("algorithm layout", "layout n")),
+    (("layout", "symbol"), True, st.one_of(NOT_AN_INT, st.text().filter(not_in("bit", "weak", "strong"))),
+     ("algorithm layout", "symbol")),
+    (("layout", "workspace"), False,
+     st.one_of(NOT_AN_INT, st.integers(max_value=2**30).filter(lambda w: w < 1 or w & (w - 1))),
+     ("algorithm layout", "workspace")),
+    (("steps",), True, st.one_of(NOT_A_CONTAINER, st.just([]), st.just({})), ("algorithm", "step")),
+    (("steps", 0), False, st.one_of(st.none(), st.booleans(), st.integers(), st.lists(st.integers(), max_size=2),
+                                   st.text(max_size=4).filter(not_in("QUERY", "QUERY_INV"))), ("steps[0]",)),
+    (("steps", 0, "gates"), True, st.one_of(st.none(), st.booleans(), st.integers(), st.text(min_size=1, max_size=4)),
+     ("steps[0]",)),
+    ((*GATE, 1), False, st.one_of(NOT_A_CONTAINER, st.lists(st.integers(), max_size=2)), ("steps[0].gates[1]",)),
+    ((*GATE, 1, "gate"), True,
+     st.one_of(st.none(), st.booleans(), st.integers(), st.lists(st.text(max_size=2), max_size=2),
+               st.text(max_size=6).filter(lambda t: t.upper() not in NAMED_GATES)),
+     ("steps[0].gates[1]", "unknown gate")),
+    ((*GATE, 1, "wires"), True,
+     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+               st.lists(st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2)), min_size=1,
+                        max_size=2),
+               st.lists(st.one_of(st.integers(max_value=-1), st.integers(min_value=3)), min_size=1, max_size=1),
+               st.just([1, 1])),
+     ("steps[0].gates[1]", "wires")),
+    ((*GATE, 1, "param"), False, JSON_SCALARS.filter(lambda v: v is not None), ("steps[0].gates[1]", "param")),
+    ((*GATE, 2, "matrix"), True,
+     st.one_of(NOT_A_CONTAINER, st.just([[[1, 0], [1, 0]], [[0, 0], [1, 0]]]), st.just([[1, 0], [0, 1]]),
+               st.just([[[1, 0]]]), st.just([[[1, 0, 0], [0, 0, 0]], [[0, 0], [1, 0]]])),
+     ("steps[0].gates[2]",)),
+    ((*GATE, 3, "param"), False,
+     st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.floats(allow_nan=False), max_size=1),
+               st.sampled_from([math.inf, -math.inf, math.nan])),
+     ("steps[0].gates[3]", "param")),
+    (("measure",), False, st.one_of(st.booleans(), st.integers(), st.text(max_size=4), st.just([]), st.just({})),
+     ("measure",)),
+    (("measure", "registers"), True,
+     st.one_of(NOT_A_CONTAINER, st.lists(st.integers(), min_size=1, max_size=2),
+               st.lists(st.text(max_size=5).filter(not_in("index", "symbol", "work0")), min_size=1, max_size=2),
+               st.just(["index", "index"])),
+     ("measure", "register")),
+    (("measure", "map"), False,
+     st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+               st.dictionaries(st.text(max_size=2), st.one_of(st.none(), st.booleans(), st.lists(st.integers())),
+                               min_size=1, max_size=2)),
+     ("measure map",)),
+]
+
+
+@st.composite
+def alg_mutations(draw):
+    path, required, wrong, fragments = draw(st.sampled_from(ALG_FIELDS))
+    value = draw(st.one_of(st.just(MISSING), wrong) if required else wrong)
+    if value is MISSING:
+        fragments = (f"no field {path[-1]!r}",)
+    return mutated(ALG_FILE, path, value), fragments
+
+
+def test_valid_algorithm_file_converts(capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(ALG_FILE), encoding="utf-8")
+    assert run_cli(capsys, *ALG_ARGV, str(path))[0] == 0
+
+
+@given(alg_mutations())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_bad_algorithm_field_exits_2_naming_it(capsys, tmp_path, case):
+    text, fragments = case
+    exits_2_naming(capsys, tmp_path, ALG_ARGV, text, fragments)
+
+
+FUNCTION_FILE = {"name": "f", "n": 2, "total": False, "entries": [["00", 0], ["01", 1], ["10", 1]]}
+FUNCTION_ARGV = ("fbs", "--file")
+FUNCTION_FIELDS = [
+    (("name",), st.one_of(st.none(), st.booleans(), st.integers(), st.lists(st.text(max_size=2), max_size=2)),
+     ("function name",)),
+    (("n",), st.one_of(NOT_AN_INT, st.integers().filter(lambda n: n != 2)), ("n = ",)),
+    (("total",), st.one_of(st.none(), st.integers(), st.text(max_size=4), st.lists(st.booleans(), max_size=2),
+                           st.just(True)), ("total",)),
+    (("entries",), st.one_of(NOT_A_CONTAINER, st.just({}), st.just({"00": 0}), st.just([])), ("entries",)),
+    (("entries", 1), st.one_of(NOT_A_CONTAINER, st.just({}), st.lists(st.just("01"), max_size=3).filter(
+        lambda e: len(e) != 2)), ("malformed entry",)),
+    (("entries", 1, 0), st.one_of(st.none(), st.booleans(), st.integers(), st.lists(st.integers(0, 1), max_size=2)),
+     ("malformed entry",)),
+    (("entries", 1, 1), st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+                                  st.lists(st.integers(), max_size=2), st.integers().filter(not_in(0, 1))),
+     ("value for 01",)),
+]
+
+
+@st.composite
+def function_mutations(draw):
+    path, wrong, fragments = draw(st.sampled_from(FUNCTION_FIELDS + [(("entries", 1, 0), None, None)]))
+    if wrong is None:  # a key of the wrong length, off the alphabet, or repeating another
+        key = draw(st.text(alphabet="01a", max_size=3))
+        assume(len(key) != 2 or "a" in key or key in ("00", "10"))
+        return mutated(FUNCTION_FILE, path, key), (key,)
+    value = draw(st.one_of(st.just(MISSING), wrong) if len(path) == 1 else wrong)
+    if value is MISSING:
+        fragments = (f"no field {path[-1]!r}",)
+    return mutated(FUNCTION_FILE, path, value), fragments
+
+
+def test_valid_function_file_solves(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(FUNCTION_FILE), encoding="utf-8")
+    assert run_cli(capsys, *FUNCTION_ARGV, str(path))[0] == 0
+
+
+@given(function_mutations())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_bad_function_field_exits_2_naming_it(capsys, tmp_path, case):
+    text, fragments = case
+    exits_2_naming(capsys, tmp_path, FUNCTION_ARGV, text, fragments)
+
+
+def test_function_file_with_a_boolean_arity_exits_2(capsys, tmp_path):
+    """Such a file once loaded with n = True, and printing it raised on a format specifier."""
+    text = '{"name": "f", "n": true, "total": true, "entries": [["0", 0], ["1", true]]}'
+    exits_2_naming(capsys, tmp_path, FUNCTION_ARGV, text, ("arity n = True",))
 
 
 @pytest.mark.parametrize(
