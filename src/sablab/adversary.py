@@ -257,7 +257,7 @@ def build_indexing_relation(n: int, strong: bool = False) -> Relation:
         data_pos = int("".join(map(str, addr)), 2)
         x = BitString(tuple(addr) + tuple(0 for _ in range(size)))
         y = x.flip([n + data_pos + 1])
-        return StrongInput.from_pair(x, y, marker)
+        return StrongInput(x, y, marker)
 
     make = strong_label if strong else weak_label
     x_side = tuple(make(a, STAR) for a in addresses)

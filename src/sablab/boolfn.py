@@ -258,16 +258,20 @@ def make_indexing(n: int) -> PartialFunction:
 
 
 def load_function(text: str) -> PartialFunction:
-    """Parse the JSON function-file format; :class:`PartialFunction` checks the fields."""
+    """Parse the JSON function-file format, refusing unknown keys; :class:`PartialFunction` checks the fields."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FunctionFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FunctionFormatError("function file must be a JSON object")
-    for field in ("name", "n", "total", "entries"):
+    fields = ("name", "n", "total", "entries")
+    for field in fields:
         if field not in payload:
             raise FunctionFormatError(f"function file has no field {field!r}")
+    for key in payload:
+        if key not in fields:
+            raise FunctionFormatError(f"function file has unknown field {key!r}")
     entries = payload["entries"]
     if type(entries) is not list:
         raise FunctionFormatError(f"function entries must be an array, got {entries!r}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -25,13 +24,13 @@ class CliError(Exception):
     """Unresolvable function, algorithm, or argument combination."""
 
 
-def _parse_seed(parser: argparse.ArgumentParser, text: str, source: str) -> int:
+def _parse_seed(parser: argparse.ArgumentParser, text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
         seed = -1
     if seed < 0:
-        parser.error(f"{source} must be a non-negative integer, got {text!r}")
+        parser.error(f"--seed must be a non-negative integer, got {text!r}")
     return seed
 
 
@@ -44,7 +43,7 @@ _SHARED_FLAGS = {
     "alg-file": {"help": "algorithm file (JSON)"},
     "pair": {"required": True, "help": "x,y bit strings"},
     "marker": {"default": "*", "choices": ("*", "+")},
-    "seed": {"help": "non-negative sampling seed (default: $SABLAB_SEED or 0)"},
+    "seed": {"default": "0", "help": "non-negative sampling seed (default: 0)"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "out": {"help": "write the report to this path instead of stdout"},
 }
@@ -193,9 +192,7 @@ def _strong_from_args(args) -> StrongInput:
         x_text, y_text = args.pair.split(",")
     except ValueError:
         raise CliError("--pair expects x,y") from None
-    return StrongInput.from_pair(
-        BitString.from_text(x_text), BitString.from_text(y_text), args.marker
-    )
+    return StrongInput(BitString.from_text(x_text), BitString.from_text(y_text), args.marker)
 
 
 def _cmd_protocol_convert(args) -> int:
@@ -338,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed"):  # only the seeded subcommands read it
-        if args.seed is None:
-            args.seed = _parse_seed(parser, os.environ.get("SABLAB_SEED", "0"), "SABLAB_SEED")
-        else:
-            args.seed = _parse_seed(parser, args.seed, "--seed")
+    if hasattr(args, "seed"):  # only the seeded subcommands have it
+        args.seed = _parse_seed(parser, args.seed)
     try:
         return args.handler(args)
     except (CliError, BoolFnError, SabotageError, measures.MeasureError,

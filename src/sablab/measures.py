@@ -34,8 +34,7 @@ from .boolfn import BitString, BoolFnError, PartialFunction, require_general_siz
 
 FEAS_TOL = 1e-9
 DUALITY_TOL = 1e-7
-# An exact dual whose sum is below this keeps every coverage, sum and cross
-# product of two in int64; a larger one is handled in Python ints.
+# fbs_global refuses an exact dual summing to this or more, so its products stay in int64.
 _INT64_SAFE = 1 << 31
 # Entries per temporary of the pairwise coverage kernel: 8 MB of 8-byte entries.
 _CHUNK_ENTRIES = 1 << 20
@@ -235,11 +234,13 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
     the result is the full sweep's ``(fbs(f, x).value, x)``.
 
     Exact mode scales each dual to integers, which leaves sum(u) / c as it is,
-    and compares exactly: in int64 while a dual's sum stays below
-    ``_INT64_SAFE``, in Python ints past it.  Float mode skips x when
-    sum(u) <= (best + FEAS_TOL / 2) c: then fbs(f, x) <= best + FEAS_TOL / 2,
-    so x cannot beat the best by the tie rule's ``FEAS_TOL`` margin, and the
-    slack absorbs the kernels' rounding.
+    and compares exactly in int64.  The scaled sum, fbs times the lcm of the
+    denominators, is at most n |det B| <= n (n+1)^((n+1)/2) / 2^n for a 0/1
+    basis B (Hadamard's bound): below 1.5e9 < 2^31 at arity 20.  A sum past
+    2^31 raises :class:`MeasureError` rather than overflow.  Float mode skips
+    x when sum(u) <= (best + FEAS_TOL / 2) c: then fbs(f, x) <= best +
+    FEAS_TOL / 2, so x cannot beat the best by the tie rule's ``FEAS_TOL``
+    margin, and the slack absorbs the kernels' rounding.
     """
     require_general_size(f, "fbs_global", MeasureError)
     bits, vals = f.arrays()
@@ -271,10 +272,9 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
             continue
         pool.add(dual)
         total = sum(dual)
-        wide = exact and total >= _INT64_SAFE
-        if wide:
-            bound_s, bound_c = bound_s.astype(object), bound_c.astype(object)
-        cov = coverage(f, np.array(dual, dtype=object if wide else dtype), i + 1)
+        if total >= _INT64_SAFE:  # only an exact dual can get here
+            raise MeasureError(f"scaled dual of {f.name} at {x} sums to {total} >= 2^31")
+        cov = coverage(f, np.array(dual, dtype=dtype), i + 1)
         tighter = total * bound_c[i + 1:] < bound_s[i + 1:] * cov
         bound_s[i + 1:][tighter] = total
         bound_c[i + 1:][tighter] = cov[tighter]

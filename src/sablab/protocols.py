@@ -40,6 +40,7 @@ from .qsim import (
     oracle_strong,
     run,
     xor_controlled_block,
+    _block_mass,
 )
 
 _MAX_BASELINE_PHASES = 32
@@ -184,8 +185,8 @@ class _BranchTraces:
 
     @property
     def per_trial_success(self) -> float:
-        block = set(self.block)  # summed in the order index_block_mass uses
-        mass = [sum(float(sum(p[j - 1] for j in block)) for p in ps) for ps in self.index_probs]
+        block = set(self.block)  # the set index_block_mass builds, so both sum in one order
+        mass = [sum(_block_mass(p, block) for p in ps) for ps in self.index_probs]
         return (mass[0] + mass[1]) / (2.0 * self.t_count)
 
 

@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -496,7 +496,11 @@ def index_block_mass(state: np.ndarray, layout: RegisterLayout, positions: Itera
     block = set(positions)
     if not all(1 <= j <= layout.n for j in block):
         raise SimulationError(f"positions {sorted(block)} must lie in 1..{layout.n}")
-    probs = index_marginal(state, layout.n)
+    return _block_mass(index_marginal(state, layout.n), block)
+
+
+def _block_mass(probs: np.ndarray, block: AbstractSet[int]) -> float:
+    """Mass of an index marginal on a set of 1-based positions, summed in the set's order."""
     return float(sum(probs[j - 1] for j in block))
 
 
@@ -793,6 +797,13 @@ def algorithm_to_json(alg: QueryAlgorithm) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _only_keys(obj, *keys: str) -> None:
+    """Refuse a key of a JSON object that the algorithm reader does not read."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            raise SimulationError(f"unknown field {key!r}")
+
+
 def algorithm_from_json(text: str) -> QueryAlgorithm:
     """Parse an algorithm file; the objects built check its fields, and their errors gain the field's place."""
     try:
@@ -803,8 +814,10 @@ def algorithm_from_json(text: str) -> QueryAlgorithm:
         raise SimulationError("algorithm file must be a JSON object")
     where = "file"
     try:
+        _only_keys(payload, "layout", "steps", "measure")
         lay, steps_in = payload["layout"], payload["steps"]
         where = "layout"
+        _only_keys(lay, "n", "symbol", "workspace")
         layout = RegisterLayout(n=lay["n"], symbol=lay["symbol"], workspace=lay.get("workspace", 1))
         where = "steps"
         steps: list[Step] = []
@@ -813,19 +826,23 @@ def algorithm_from_json(text: str) -> QueryAlgorithm:
                 steps.append(step)
                 continue
             where = f"steps[{i}]"
+            _only_keys(step, "gates")
             gates = []
             for k, entry in enumerate(step["gates"]):
                 where = f"steps[{i}].gates[{k}]"
                 name, wires = entry["gate"], entry["wires"]
                 if isinstance(name, str) and name.upper() == "BLOCK":
+                    _only_keys(entry, "gate", "wires", "matrix")
                     matrix = [[complex(re, im) for re, im in row] for row in entry["matrix"]]
                     gates.append(Gate.block(matrix, wires))
                 else:
+                    _only_keys(entry, "gate", "wires", "param")
                     gates.append(Gate.named(name, wires, entry.get("param")))
             steps.append(tuple(gates))
         where = "measure"
         measure = None
         if (m := payload.get("measure")) is not None:
+            _only_keys(m, "registers", "map")
             registers = m["registers"]  # a JSON array reads as a tuple, as Measurement wants
             registers = tuple(registers) if type(registers) is list else registers
             measure = Measurement(registers=registers, outcome_map=m.get("map", {}))

@@ -7,6 +7,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -250,10 +251,19 @@ def test_protocol_errors_exit_2(capsys):
         ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": []}],'
          ' "measure": {"registers": ["index"], "map": {"1": [0]}}}',
          "measure: measure map must map str outcomes to str/int/float answers"),
+        ('{"layout": {"n": 2, "symbol": "bit", "wrokspace": 2}, "steps": [{"gates": []}]}',
+         "layout: unknown field 'wrokspace'"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "BLOCK", "wires": [0],'
+         ' "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "param": 3}]}]}',
+         "steps[0].gates[0]: unknown field 'param'"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "H", "wires": [0],'
+         ' "matrix": [[[1, 0]]]}]}]}', "steps[0].gates[0]: unknown field 'matrix'"),
+        ('{"layout": {"n": 2, "symbol": "bit"}, "steps": [{"gates": [{"gate": "H", "wires": [0], "wirez": 5}]}]}',
+         "steps[0].gates[0]: unknown field 'wirez'"),
     ],
     ids=["no-symbol", "gate-without-wires", "wires-not-a-list", "no-steps", "not-an-object", "not-json",
          "fractional-n", "boolean-n", "float-workspace", "boolean-wire", "registers-not-a-list",
-         "unhashable-answer"],
+         "unhashable-answer", "misspelt-workspace", "param-on-block", "matrix-on-named-gate", "stray-key"],
 )
 def test_malformed_algorithm_file_exits_2(capsys, tmp_path, text, field):
     path = tmp_path / "alg.json"
@@ -377,13 +387,34 @@ def alg_mutations(draw):
     return mutated(ALG_FILE, path, value), fragments
 
 
+# Each JSON object of ALG_FILE: the keys its reader reads, and the place an error names.
+ALG_OBJECTS = [
+    ((), ("layout", "steps", "measure"), "algorithm file"),
+    (("layout",), ("n", "symbol", "workspace"), "algorithm layout"),
+    (("steps", 0), ("gates",), "steps[0]"),
+    ((*GATE, 1), ("gate", "wires", "param"), "steps[0].gates[1]"),
+    ((*GATE, 2), ("gate", "wires", "matrix"), "steps[0].gates[2]"),
+    (("measure",), ("registers", "map"), "measure"),
+]
+EXTRA_KEYS = st.one_of(st.sampled_from(["wrokspace", "param", "matrix", "wirez", "gates", "map", "n"]),
+                       st.text(max_size=6))
+
+
+@st.composite
+def alg_extra_keys(draw):
+    """A key its reader does not read, added to one object of ALG_FILE."""
+    path, keys, place = draw(st.sampled_from(ALG_OBJECTS))
+    key = draw(EXTRA_KEYS.filter(not_in(*keys)))
+    return mutated(ALG_FILE, (*path, key), draw(JSON_SCALARS)), (place, f"unknown field {key!r}")
+
+
 def test_valid_algorithm_file_converts(capsys, tmp_path):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(ALG_FILE), encoding="utf-8")
     assert run_cli(capsys, *ALG_ARGV, str(path))[0] == 0
 
 
-@given(alg_mutations())
+@given(st.one_of(alg_mutations(), alg_extra_keys()))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_one_bad_algorithm_field_exits_2_naming_it(capsys, tmp_path, case):
     text, fragments = case
@@ -422,13 +453,19 @@ def function_mutations(draw):
     return mutated(FUNCTION_FILE, path, value), fragments
 
 
+@st.composite
+def function_extra_keys(draw):
+    key = draw(EXTRA_KEYS.filter(not_in(*FUNCTION_FILE)))
+    return mutated(FUNCTION_FILE, (key,), draw(JSON_SCALARS)), ("function file", f"unknown field {key!r}")
+
+
 def test_valid_function_file_solves(capsys, tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(FUNCTION_FILE), encoding="utf-8")
     assert run_cli(capsys, *FUNCTION_ARGV, str(path))[0] == 0
 
 
-@given(function_mutations())
+@given(st.one_of(function_mutations(), function_extra_keys()))
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_one_bad_function_field_exits_2_naming_it(capsys, tmp_path, case):
     text, fragments = case
@@ -544,12 +581,6 @@ def test_unread_flag_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_unseeded_subcommand_ignores_bad_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("SABLAB_SEED", "seven")
-    code, out, _ = run_cli(capsys, "fbs", "--fn", "OR", "--n", "2")
-    assert code == 0 and abs(json.loads(out)["value"] - 2.0) < 1e-9
-
-
 @pytest.mark.parametrize(
     "extra",
     [("--fn", "OR"), ("--file", "or2.json"), ("--x", "11"), ("--format", "csv")],
@@ -620,7 +651,6 @@ README_STDOUT_SHA256 = {
 
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # verify-all --out writes report.json here
-    monkeypatch.delenv("SABLAB_SEED", raising=False)
     pinned = []
     for line in readme_examples():
         code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
@@ -632,14 +662,20 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     assert sorted(pinned) == sorted(README_STDOUT_SHA256)
 
 
-def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
-    for value in ("seven", "-2"):
+def test_seed_defaults_to_0_whatever_the_environment(capsys, monkeypatch):
+    argvs = [("protocol", "grover-find", "--z", "00*0"), ("fbs", "--fn", "OR", "--n", "2"),
+             ("protocol", "index-find", "--alg", "deutsch", "--pair", "00,11", "--seed", "3")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    assert json.loads(want[0][1])["seed"] == 0 and json.loads(want[2][1])["seed"] == 3
+    for value in ("5", "seven", "-2"):
         monkeypatch.setenv("SABLAB_SEED", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["protocol", "grover-find", "--z", "00*0"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "sablab: error: SABLAB_SEED" in err and "Traceback" not in err
+        assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+
+def test_the_library_reads_no_environment_variable():
+    for path in sorted((README.parent / "src" / "sablab").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\bos\.(environ|getenv)|\bgetenv\(|\benviron\b", text), path.name
 
 
 @pytest.mark.parametrize(
@@ -660,16 +696,6 @@ def test_bad_seed_flag_is_usage_error(capsys, argv):
     assert "sablab: error: --seed must be a non-negative integer" in err and "Traceback" not in err
 
 
-def test_explicit_seed_overrides_bad_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("SABLAB_SEED", "seven")
-    code, out, _ = run_cli(capsys, "protocol", "grover-find", "--z", "00*0", "--seed", "3")
-    assert code == 0 and json.loads(out)["seed"] == 3
-
-
-def test_seed_env_sets_default(capsys, monkeypatch):
-    monkeypatch.setenv("SABLAB_SEED", "5")
-    code, out, _ = run_cli(capsys, "protocol", "grover-find", "--z", "00*0")
-    assert code == 0 and json.loads(out)["seed"] == 5
 
 
 def test_function_file_input(capsys, tmp_path):

@@ -304,29 +304,23 @@ def test_coverage_of_a_dual_near_2_to_62_is_exact_in_python_ints():
 
 @pytest.mark.parametrize("make", [lambda: make_indexing(2), lambda: make_named("MAJ", 5),
                                   lambda: _threshold(7)], ids=["IND_2", "MAJ_5", "THR_7"])
-def test_fbs_global_sweeps_duals_near_2_to_62_in_python_ints(make, monkeypatch):
-    """Scaling every dual by 2^60 leaves each bound as it is but takes the Python-int path."""
+def test_fbs_global_refuses_a_scaled_dual_past_int64(make, monkeypatch):
+    """A scaled dual sums to at most 1.5e9 at arity 20; one past 2^31 raises, not overflows."""
     f = make()
-    calls = _record_lp_solves(monkeypatch)
-    want, plain = fbs_global(f, exact=True), list(calls)
-    calls.clear()
-    solve, dtypes = measures._fbs_lp, set()
+    solve = measures._fbs_lp
 
     def scaled(f, x, exact):
         opp, sol = solve(f, x, exact)
         return opp, dataclasses.replace(sol, dual=tuple(u * (1 << 60) for u in sol.dual))
 
-    def recording(kernel):
-        def run(f, u, start=0):
-            dtypes.add(u.dtype)
-            return kernel(f, u, start)
-        return run
-
-    monkeypatch.setattr(measures, "_fbs_lp", scaled)
-    for kernel in COVERAGE_KERNELS:
-        monkeypatch.setattr(measures, kernel.__name__, recording(kernel))
-    assert fbs_global(f, exact=True) == want
-    assert calls == plain and dtypes == {np.dtype(object)}
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_fbs_lp", scaled)
+        with pytest.raises(MeasureError, match="2\\^31"):
+            fbs_global(f, exact=True)
+    # The same guard at a limit the true duals reach.
+    monkeypatch.setattr(measures, "_INT64_SAFE", 1)
+    with pytest.raises(MeasureError, match="scaled dual"):
+        fbs_global(f, exact=True)
 
 
 @given(partial_functions(max_arity=12, max_points=24), st.booleans())

@@ -24,6 +24,7 @@ from sablab.qsim import (
     evolve,
     grover_or,
     hybrid_sum,
+    index_block_mass,
     oracle_bit,
     oracle_strong,
     random_query_algorithm,
@@ -201,6 +202,26 @@ def test_per_trial_success_is_bitwise_the_former_block_mass_sum():
     for alg, w in instances:
         got = protocols._interrupt_traces(alg, w).per_trial_success
         assert got == former_per_trial_success(alg, w), (alg.layout, str(w))
+
+
+def test_per_trial_success_is_bitwise_the_sum_of_index_block_masses():
+    """The finders and index_block_mass sum a marginal's block through one helper, in one order."""
+    instances = [
+        (deutsch_parity(), make_strong(XOR2, "00", "01", "*")),  # the check 09 instances
+        (grover_or(4, 1), make_strong(make_named("OR", 4), "0000", "0010", "*")),
+        _quarter_instance(),
+    ]
+    rng = np.random.default_rng(22)
+    for n in range(2, 13):
+        for y in ("1" * n, *("".join(map(str, rng.integers(0, 2, n) | (np.arange(n) == t))) for t in range(2))):
+            for k in (1, 2, 3):
+                instances.append((grover_or(n, k), make_strong(make_named("OR", n), "0" * n, y, "*+"[k % 2])))
+    for alg, w in instances:
+        block = sorted(w.z.mark_positions)
+        mass = [sum(index_block_mass(s, alg.layout, block) for s in protocols._interrupt_states(alg, x))
+                for x in (w.x, w.y)]
+        want = (mass[0] + mass[1]) / (2.0 * alg.query_count)
+        assert protocols._interrupt_traces(alg, w).per_trial_success == want, (alg.layout, str(w))
 
 
 def test_sample_interrupt_lower_bound_via_overlap():

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import partial_functions
 from sablab.boolfn import BitString, PartialFunction, make_named
@@ -172,16 +173,29 @@ def test_strong_input_projections():
 
 
 def test_strong_input_structural_invariants():
-    with pytest.raises(SabotageError):
-        StrongInput(((0, 0, 1),))  # z must equal x = y
-    with pytest.raises(SabotageError):
-        StrongInput(((0, 1, 0),))  # z must be a marker where x != y
-    with pytest.raises(SabotageError):
-        StrongInput(((2, 1, STAR),))  # x must be a bit
-    with pytest.raises(SabotageError):
-        StrongInput(((0, 0, 0), (1, 1, 1)))  # x = y leaves no mark
-    with pytest.raises(SabotageError):
-        StrongInput(((0, 1, STAR), (1, 0, DAGGER)))  # mixed markers
+    """Only the pair and the marker can be wrong: every tuple built from them obeys the sabotage rule."""
+    x = BitString.from_text("01")
+    with pytest.raises(SabotageError, match="differ"):
+        StrongInput(x, x, STAR)  # x = y leaves no mark
+    with pytest.raises(SabotageError, match="length"):
+        StrongInput(x, BitString.from_text("011"), STAR)
+    for marker in (0, 1, 4, "x", "**", "2", None, True, []):
+        with pytest.raises(SabotageError, match="marker"):
+            StrongInput(x, BitString.from_text("11"), marker)
+
+
+@given(partial_functions(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_strong_input_is_its_pair_and_marker(f, data):
+    x, y = data.draw(st.sampled_from(f.d0)), data.draw(st.sampled_from(f.d1))
+    for marker, char, sabotage in ((STAR, "*", sabotage_star), (DAGGER, "+", sabotage_dagger)):
+        w = make_strong(f, x, y, char)
+        assert (w.x, w.y, w.marker, w.z) == (x, y, marker, sabotage(x, y))
+        assert w.tuples == tuple(zip(w.x, w.y, w.z))
+        assert all(w[j] == w.tuples[j] for j in range(len(w)))
+        again, alias = StrongInput(w.x, w.y, w.marker), StrongInput.from_pair(w.x, w.y, char)
+        assert again == w == alias and hash(again) == hash(w) == hash(alias)
+    assert make_strong(f, x, y, STAR) != make_strong(f, x, y, DAGGER)
 
 
 def test_strong_input_json_roundtrip():
@@ -194,9 +208,12 @@ def test_strong_input_json_roundtrip():
 
 
 def test_strong_input_mark_positions():
-    assert StrongInput(((0, 0, 0), (0, 1, STAR))).z.mark_positions == {2}
-    assert StrongInput(((0, 1, DAGGER), (0, 1, DAGGER))).z.mark_positions == {1, 2}
-    assert StrongInput(((1, 1, 1), (0, 1, STAR), (0, 0, 0))).z.mark_positions == {2}
+    def strong(x: str, y: str, marker) -> StrongInput:
+        return StrongInput(BitString.from_text(x), BitString.from_text(y), marker)
+
+    assert strong("00", "01", STAR).z.mark_positions == {2}
+    assert strong("00", "11", DAGGER).z.mark_positions == {1, 2}
+    assert strong("100", "110", "*").z.mark_positions == {2}
 
 
 def test_hard_distribution_or2():
