@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,23 +71,58 @@ def apply_block(
     the matrix row index.  Returns a fresh flat state and never writes into
     ``state``.  Leading axes ``(0, 1, ...)`` need no transpose: the matmul
     runs on a view of ``state``.
+
+    Otherwise the state and a fresh output are viewed with ``axes`` leading
+    and walked one column block at a time (see :data:`_BLOCK_AMPS`): each
+    block is copied to a ``(k, cols)`` array, multiplied, and written back
+    through the output view, so the state passes through memory once rather
+    than through a whole transposed copy in and out.  Every column is the
+    same product of the matrix with that column as in one matmul over the
+    whole ``(k, -1)`` transpose, and blocks of at least :data:`_MIN_COLUMNS`
+    columns give it bit for bit.
     """
     k = matrix.shape[0]
-    size, order, inverse = _axis_plan(dims, axes)
-    if size != k:
+    plan = _axis_plan(dims, axes)
+    if plan.size != k:
         raise ValueError("matrix size does not match the selected axes")
-    if order is None:
+    if plan.order is None:
         return (matrix @ state.reshape(k, -1)).reshape(-1)
-    t = state.reshape(dims).transpose(order)
-    out = (matrix @ t.reshape(k, -1)).reshape(t.shape).transpose(inverse)
-    return np.ascontiguousarray(out).reshape(-1)
+    out = np.empty(state.size, np.result_type(matrix, state))
+    t = state.reshape(dims).transpose(plan.order)
+    o = out.reshape(dims).transpose(plan.order)
+    for index in plan.blocks:
+        block = t[index]
+        o[index] = (matrix @ block.reshape(k, -1)).reshape(block.shape)
+    return out
+
+
+# A dense gate off the leading wires reads and writes this many amplitudes per
+# block: 256 KiB in and 256 KiB out, a quarter of a 2 MiB L2, so the block copy
+# and its product stay in cache while the output block is written.  A block
+# never has fewer than _MIN_COLUMNS columns: BLAS kernels for narrower products
+# may sum in another order, so their bits can differ from one whole-state matmul.
+_BLOCK_AMPS = 2**14
+_MIN_COLUMNS = 64
+
+
+class _AxisPlan(NamedTuple):
+    """How :func:`apply_block` walks a state for a gate on ``axes``.
+
+    ``size`` is the gate's dimension.  ``order`` transposes the state and
+    output tensors so that ``axes`` lead.  ``blocks`` indexes the transposed
+    tensors one column block at a time: all of the gate axes, one index of
+    each outer other axis, all of the inner ones.  Both are None when
+    ``axes`` already lead.
+    """
+
+    size: int
+    order: tuple[int, ...] | None
+    blocks: tuple[tuple, ...] | None
 
 
 @functools.lru_cache(maxsize=256)
-def _axis_plan(
-    dims: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Checked block size of ``axes`` and the transpose there and back (None: leading axes).
+def _axis_plan(dims: tuple[int, ...], axes: tuple[int, ...]) -> _AxisPlan:
+    """The checked :class:`_AxisPlan` of ``axes`` over ``dims``.
 
     Cached per layout and wire tuple; a bad call raises every time, since
     exceptions are not cached.
@@ -96,10 +131,17 @@ def _axis_plan(
         raise ValueError(f"axes {axes} must be distinct and in 0..{len(dims) - 1}")
     size = math.prod(dims[a] for a in axes)
     if axes == tuple(range(len(axes))):
-        return size, None, None
-    order = axes + tuple(a for a in range(len(dims)) if a not in axes)
-    inverse = tuple(order.index(a) for a in range(len(dims)))
-    return size, order, inverse
+        return _AxisPlan(size, None, None)
+    rest = tuple(a for a in range(len(dims)) if a not in axes)
+    order = axes + rest
+    # Inner other axes join the block, innermost first, until it is wide enough.
+    cols, outer = 1, len(rest)
+    while outer and cols < max(_MIN_COLUMNS, _BLOCK_AMPS // size):
+        outer -= 1
+        cols *= dims[rest[outer]]
+    lead = (slice(None),) * len(axes)
+    blocks = tuple(lead + i for i in np.ndindex(*(dims[a] for a in rest[:outer])))
+    return _AxisPlan(size, order, blocks)
 
 
 def permute_rows(state: np.ndarray, perm: np.ndarray, row_size: int) -> np.ndarray:
@@ -131,7 +173,7 @@ def apply_gate(state: np.ndarray, dims: tuple[int, ...], gate: "Gate") -> np.nda
         if len(gate.wires) == 1:
             view = out.reshape(pre, -1, post)
         else:  # the wires lead: with a wire innermost, numpy would buffer the multiply
-            order = _axis_plan(dims, gate.wires)[1]
+            order = _axis_plan(dims, gate.wires).order
             view = out.reshape(dims) if order is None else out.reshape(dims).transpose(order)
         np.multiply(view, phases, out=view, order="C")
     return out
@@ -170,7 +212,7 @@ def _gather_plan(
     Cached per layout, wire tuple and monomial; a bad call raises as
     :func:`apply_block` does, every time.
     """
-    if _axis_plan(dims, wires)[0] != mono.size:
+    if _axis_plan(dims, wires).size != mono.size:
         raise ValueError("matrix size does not match the selected axes")
     lo, hi = min(wires), max(wires)
     pre, post = math.prod(dims[:lo]), math.prod(dims[hi + 1 :])
@@ -400,7 +442,7 @@ class QueryAlgorithm:
         gates = {id(g): g for step, q in zip(self.steps, queries) if not q for g in step}
         for gate in gates.values():
             try:
-                size = _axis_plan(self.layout.dims, gate.wires)[0]
+                size = _axis_plan(self.layout.dims, gate.wires).size
             except ValueError:
                 size = None
             if size != gate.matrix.shape[0]:

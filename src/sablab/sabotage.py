@@ -87,6 +87,9 @@ class StrongInput:
     tuples: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("x", "y"):
+            if not isinstance(getattr(self, name), BitString):
+                raise SabotageError(f"strong input {name} must be a BitString, got {getattr(self, name)!r}")
         object.__setattr__(self, "marker", _coerce_marker(self.marker))
         object.__setattr__(self, "z", _sabotage(self.x, self.y, self.marker))
         object.__setattr__(self, "tuples", tuple(zip(self.x.bits, self.y.bits, self.z.symbols)))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_matrix, total_variation
@@ -498,6 +498,79 @@ def test_apply_block_rejects_bad_axes(axes):
     for _ in range(2):  # the axis plan is cached, the refusal is not
         with pytest.raises(ValueError, match="distinct and in 0..2"):
             apply_block(state, (2, 2, 2), axes, matrix)
+
+
+WIDE = (8, 2) + (2,) * 16  # index, target and 16 workspace qubits: 2^20 amplitudes
+STRONG = (8, 2, 2, 4) + (2,) * 13  # a strong symbol register and 13 workspace qubits: 2^20
+
+
+@pytest.mark.parametrize(
+    "dims,axes",
+    [(WIDE, (10, 11)), (WIDE, (1, 9)), (WIDE, (17,)), (STRONG, (0, 4)), (STRONG, (4, 10)), (STRONG, (11, 12)),
+     (STRONG, (16,)), ((8, 2) + (2,) * 14, (9, 10))],
+)
+def test_apply_block_blocked_is_bit_identical_on_wide_states(dims, axes):
+    """The dense gates of the 2^18..2^20 simulations run many column blocks and keep every bit."""
+    assert len(qsim._axis_plan(dims, axes).blocks) > 1
+    check_apply_block(np.random.default_rng(len(dims) + sum(axes)), dims, axes, loop_reference=False)
+
+
+@st.composite
+def blocked_layouts(draw):
+    """A state of 2^10..2^15 amplitudes, and a gate of dimension ≤ 16 off its leading wires."""
+    dims = draw(st.lists(st.sampled_from((2, 3, 4, 16)), min_size=1, max_size=3))
+    dims += [2] * max(0, 10 - math.prod(dims).bit_length() + 1) + [2] * draw(st.integers(0, 3))
+    dims = tuple(draw(st.permutations(dims)))
+    axes = tuple(draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=3, unique=True)))
+    assume(math.prod(dims[a] for a in axes) <= 16 and axes != tuple(range(len(axes))))
+    return dims, axes
+
+
+@given(blocked_layouts(), st.integers(0, 2**32 - 1))
+@example(((4, 16) + (2,) * 6, (2,)), 0)  # 32 inner columns, then a 16-wide axis: blocks of 512
+@example(((3, 2, 2, 16), (1,)), 0)  # a state narrower than one block
+@settings(max_examples=80, deadline=None)
+def test_apply_block_floor_width_blocks_are_bit_identical(layout, seed):
+    """With blocks cut down to the column floor, every block keeps the floor and every bit."""
+    dims, axes = layout
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsim, "_BLOCK_AMPS", 1)
+        qsim._axis_plan.cache_clear()
+        try:
+            plan = qsim._axis_plan(dims, axes)
+            check_apply_block(np.random.default_rng(seed), dims, axes, loop_reference=False)
+        finally:
+            qsim._axis_plan.cache_clear()
+    columns = math.prod(dims) // plan.size // len(plan.blocks)
+    assert columns >= qsim._MIN_COLUMNS or len(plan.blocks) == 1
+
+
+def test_apply_block_interior_gate_peaks_near_one_state():
+    """A dense interior gate holds its output and two column blocks, not a transposed copy each way."""
+    dims, axes = (8, 2) + (2,) * 13, (5, 6)
+    rng = np.random.default_rng(17)
+    state, u = random_state(rng, 2**17), random_unitary(rng, 4)
+    apply_block(state, dims, axes, u)  # the plan is built outside the measurement
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        got = apply_block(state, dims, axes, u)
+        peak = (tracemalloc.get_traced_memory()[1] - held) / state.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3
+    assert np.array_equal(got, moveaxis_apply_block(state, dims, axes, u))
+
+
+def test_apply_block_reads_a_read_only_state_into_a_fresh_one():
+    dims, axes = (8, 2) + (2,) * 13, (1, 9)
+    rng = np.random.default_rng(18)
+    state, u = random_state(rng, 2**17), random_unitary(rng, 4)
+    before = state.copy()
+    state.flags.writeable = False
+    got = apply_block(state, dims, axes, u)
+    assert np.array_equal(state, before) and not np.shares_memory(got, state)
+    assert got.flags.c_contiguous and got.flags.writeable and got.shape == (2**17,)
 
 
 def test_permute_rows_matches_basis_gathers():
@@ -1076,7 +1149,7 @@ def test_gather_of_a_spread_cnot_holds_its_output_and_a_span_plan():
             peaks.append((tracemalloc.get_traced_memory()[1] - held) / state.nbytes)
     finally:
         tracemalloc.stop()
-    assert peaks[0] < 2.5 and peaks[1] < 1.25  # a dense apply_block peaks at 2 states
+    assert peaks[0] < 2.5 and peaks[1] < 1.25  # a dense apply_block holds two column blocks more
     assert np.array_equal(got, moveaxis_apply_block(state, dims, (0, 15), gate.matrix))
     span = state.size
     for pre, post, *arrays in [qsim._gather_plan(dims, gate.wires, gate.monomial)]:

@@ -184,6 +184,14 @@ def test_strong_input_structural_invariants():
             StrongInput(x, BitString.from_text("11"), marker)
 
 
+@pytest.mark.parametrize("x,y,name", [("00", "01", "x"), ((0, 0), (0, 1), "x"), (BitString.from_text("00"), "01", "y"),
+                                      (BitString.from_text("00"), (0, 1), "y")])
+def test_strong_input_refuses_a_pair_that_is_not_bitstrings(x, y, name):
+    """A string or tuple in place of a BitString is named, not met by an unrelated error."""
+    with pytest.raises(SabotageError, match=f"strong input {name} must be a BitString"):
+        StrongInput(x, y, "*")
+
+
 @given(partial_functions(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_strong_input_is_its_pair_and_marker(f, data):
