@@ -12,6 +12,10 @@ tolerance and ``fractions.Fraction`` with tolerance 0:
   Otherwise the pivot loop runs again in Fractions from the all-slack basis.
   This is the approach of QSopt_ex (Applegate, Cook, Dash and Espinoza 2007).
 
+The loop pivots one tableau: row 0 holds the reduced costs and then the
+objective value, the last column holds the right-hand side, and a pivot is
+one rank-1 update of the whole tableau.
+
 The entering rule is steepest-coefficient; whenever the objective stalls
 (degenerate pivots) the solver engages Bland's anti-cycling rule until
 progress resumes, so termination is guaranteed.  Both modes return the dual
@@ -48,9 +52,6 @@ class LpSolution:
     exact: bool
     basis: tuple  # basic column per row; column n_vars + i is the slack of row i
     fallback: bool = False  # exact mode only: the Fraction pivot loop found this optimum
-
-    def dual_value(self, b: Sequence) -> float | Fraction:
-        return sum(u * bi for u, bi in zip(self.dual, b))
 
 
 def solve_float(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpSolution:
@@ -156,52 +157,49 @@ def _as_array(values, num: type) -> np.ndarray:
 
 
 def _solve(c, A, b, tol, num: type) -> LpSolution:
-    """The pivot loop in ``num`` arithmetic: float with ``PIVOT_TOL``, or Fraction with 0."""
+    """The pivot loop in ``num`` arithmetic: float with ``PIVOT_TOL``, or Fraction with 0.
+
+    T is [-c, 0, 0; A, I, b]: row 0 holds the reduced costs and the value.  A
+    pivot divides the leaving row by the pivot, then subtracts the entering
+    column times that row from all of T.
+    """
     A, c, b = _as_array(A, num), _as_array(c, num), _as_array(b, num)
     n_rows, n_vars = A.shape
     if np.any(b < 0):
         raise SimplexError("negative right-hand side; all-slack basis infeasible")
 
-    # Tableau columns: structural variables then slacks.
-    T = np.hstack([A, _as_array(np.eye(n_rows), num)])
-    rhs = b.copy()
-    zrow = np.concatenate([-c, _as_array(np.zeros(n_rows), num)])
-    zval = num(0)
-    basis = list(range(n_vars, n_vars + n_rows))
+    T = _as_array(np.zeros((n_rows + 1, n_vars + n_rows + 1)), num)
+    T[0, :n_vars] = -c
+    T[1:, :n_vars] = A
+    T[1:, -1] = b
+    basis = np.arange(n_vars, n_vars + n_rows)
+    T[1 + np.arange(n_rows), basis] = num(1)
+    z, rhs = T[0, :-1], T[1:, -1]
 
     pivots = 0
     stall = 0
     bland = False
     while True:
-        neg = np.flatnonzero(zrow < -tol)
-        if neg.size == 0:
+        enter = int(np.argmax(z < -tol) if bland else z.argmin())
+        if not z[enter] < -tol:
             break
-        if bland:
-            enter = int(neg[0])
-        else:
-            enter = int(np.argmin(zrow))
-        col = T[:, enter]
+        col = T[1:, enter]
         pos = np.flatnonzero(col > tol)
         if pos.size == 0:
             raise SimplexError("unbounded linear program")
         ratios = rhs[pos] / col[pos]
         best = ratios.min()
         # The int 1 keeps the tie bound a Fraction in exact mode.
-        ties = pos[np.flatnonzero(ratios <= best + tol * max(1, abs(best)))]
-        leave = int(min(ties, key=lambda i: basis[i]))
+        ties = pos[ratios <= best + tol * max(1, abs(best))]
+        leave = ties[basis[ties].argmin()]
 
-        piv = T[leave, enter]
-        T[leave] /= piv
-        rhs[leave] /= piv
+        row = T[1 + leave]
+        row /= row[enter]
         factors = T[:, enter].copy()
-        factors[leave] = 0
-        # Rows with a zero entering-column entry are unchanged by the pivot.
-        rows = np.flatnonzero(factors)
-        T[rows] -= np.outer(factors[rows], T[leave])
-        rhs[rows] -= factors[rows] * rhs[leave]
-        gain = -zrow[enter] * rhs[leave]
-        zval += gain
-        zrow = zrow - zrow[enter] * T[leave]
+        factors[1 + leave] = 0
+        gain = -factors[0] * row[-1]
+        # A zero factor leaves its row's bits as they were: x - 0·v = x.
+        T -= np.outer(factors, row)
         basis[leave] = enter
 
         pivots += 1
@@ -216,17 +214,16 @@ def _solve(c, A, b, tol, num: type) -> LpSolution:
             bland = False
 
     weights = _as_array(np.zeros(n_vars), num)
-    for i, var in enumerate(basis):
-        if var < n_vars:
-            weights[var] = rhs[i]
+    structural = basis < n_vars
+    weights[basis[structural]] = rhs[structural]
     weights[np.abs(weights) < tol] = 0
-    dual = zrow[n_vars:].copy()
+    dual = z[n_vars:].copy()
     dual[np.abs(dual) < tol] = 0
     return LpSolution(
-        value=num(zval),
+        value=num(T[0, -1]),
         weights=tuple(weights.tolist()),
         dual=tuple(dual.tolist()),
         pivots=pivots,
         exact=num is Fraction,
-        basis=tuple(basis),
+        basis=tuple(basis.tolist()),
     )

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sablab import simplex, verify
-from sablab.simplex import SimplexError, solve_exact, solve_float
+from sablab.simplex import _MAX_PIVOTS, _STALL_LIMIT, LpSolution, SimplexError, _as_array, solve_exact, solve_float
+
+
+def dual_value(sol, b):
+    """b.y, the dual objective: equal to ``sol.value`` at an optimum."""
+    return sum(u * bi for u, bi in zip(sol.dual, b))
 
 
 def test_textbook_lp():
@@ -17,7 +25,7 @@ def test_textbook_lp():
     sol = solve_float(np.array([3.0, 2.0]), np.array([[1.0, 1.0], [1.0, 3.0]]), np.array([4.0, 6.0]))
     assert abs(sol.value - 12.0) < 1e-9
     assert abs(sol.weights[0] - 4.0) < 1e-9 and abs(sol.weights[1]) < 1e-9
-    assert abs(sol.dual_value([4.0, 6.0]) - sol.value) < 1e-9
+    assert abs(dual_value(sol, [4.0, 6.0]) - sol.value) < 1e-9
 
 
 def test_exact_matches_float():
@@ -27,8 +35,8 @@ def test_exact_matches_float():
     f = solve_float(np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float))
     e = solve_exact([Fraction(v) for v in c], [[Fraction(v) for v in row] for row in A], [Fraction(v) for v in b])
     assert abs(f.value - float(e.value)) < 1e-9
-    assert abs(f.dual_value(b) - f.value) < 1e-7
-    assert e.dual_value(b) == e.value
+    assert abs(dual_value(f, b) - f.value) < 1e-7
+    assert dual_value(e, b) == e.value
 
 
 def test_degenerate_lp_terminates():
@@ -74,11 +82,11 @@ def test_beale_cycling_lp_both_modes():
     # Bland's rule must reach the optimum 5/4 in both arithmetic modes.
     exact = solve_exact(BEALE_C, BEALE_A, BEALE_B)
     assert exact.value == Fraction(5, 4)
-    assert exact.dual_value(BEALE_B) == exact.value
+    assert dual_value(exact, BEALE_B) == exact.value
     A = np.array(BEALE_A, dtype=float)
     approx = solve_float(np.array(BEALE_C, dtype=float), A, np.array(BEALE_B, dtype=float))
     assert abs(approx.value - 1.25) < 1e-9
-    assert abs(approx.dual_value(BEALE_B) - approx.value) < 1e-9
+    assert abs(dual_value(approx, BEALE_B) - approx.value) < 1e-9
     assert approx.pivots == exact.pivots  # one pivot loop, one pivot sequence
 
 
@@ -98,7 +106,7 @@ def test_dual_feasibility():
         dual = np.array(sol.dual)
         assert dual.min() >= -1e-9
         assert (A.T @ dual - c).min() >= -1e-9  # dual feasible
-        assert abs(sol.dual_value(b) - sol.value) < 1e-7  # strong duality
+        assert abs(dual_value(sol, b) - sol.value) < 1e-7  # strong duality
         w = np.array(sol.weights)
         assert w.min() >= -1e-12
         assert (A @ w - b).max() <= 1e-9  # primal feasible
@@ -113,7 +121,7 @@ def test_dual_feasibility_exact():
         columns = A.T.astype(int).tolist()
         assert min(sol.dual) >= 0
         assert all(sum(a * u for a, u in zip(col, sol.dual)) >= 1 for col in columns)  # dual feasible
-        assert sol.dual_value([1] * len(b)) == sol.value  # strong duality, exactly
+        assert dual_value(sol, [1] * len(b)) == sol.value  # strong duality, exactly
         assert min(sol.weights) >= 0
         assert all(sum(a * w for a, w in zip(row, sol.weights)) <= 1 for row in rows)  # primal feasible
         assert sum(sol.weights) == sol.value
@@ -144,7 +152,7 @@ def test_exact_matches_cold_fraction_loop(fraction_loop_calls):
         cold = cold_fraction_loop(c, A, b)
         sol = solve_exact(c, A, b)
         assert type(sol.value) is Fraction and sol.value == cold.value
-        assert sol.dual_value(b) == sol.value
+        assert dual_value(sol, b) == sol.value
     # Each cold loop above is one call; solve_exact itself never fell back.
     assert len(fraction_loop_calls) == 26
 
@@ -179,7 +187,7 @@ def test_exact_falls_back_when_float_basis_is_not_optimal(monkeypatch, fraction_
     monkeypatch.setattr(simplex, "_solve", wrong_basis)
     c, A, b = [3, 2], [[1, 1], [1, 3]], [4, 6]
     sol = solve_exact(c, A, b)
-    assert sol.value == 12 and sol.weights == (4, 0) and sol.dual_value(b) == 12
+    assert sol.value == 12 and sol.weights == (4, 0) and dual_value(sol, b) == 12
     assert len(fraction_loop_calls) == 1
 
 
@@ -207,7 +215,7 @@ def test_exact_solution_records_a_fallback(monkeypatch):
     monkeypatch.setattr(simplex, "_verify_basis", lambda *args: None)
     fell_back = solve_exact(c, A, b)
     assert fell_back.fallback
-    assert fell_back.value == verified.value == 12 and fell_back.dual_value(b) == 12
+    assert fell_back.value == verified.value == 12 and dual_value(fell_back, b) == 12
     # A float loop that raises falls back too.
     assert solve_exact([10**400], [[1]], [1]).fallback
 
@@ -226,3 +234,169 @@ def test_fallback_flag_stays_out_of_the_canonical_report(monkeypatch):
     results = verify.run_checks(seed=0, only="02-measures-catalog")
     assert flags and all(flags)
     assert results[0].passed and "fallback" not in verify.canonical_report(results, 0)
+
+
+def _reference_solve(c, A, b, tol, num: type) -> LpSolution:
+    """The oracle for ``simplex._solve``: the same pivot rules over separate arrays.
+
+    It keeps the objective row, its value and the right-hand side apart from
+    the tableau and updates only the rows with a non-zero factor, so every
+    result of the one-tableau loop must match it bit for bit.
+    """
+    A, c, b = _as_array(A, num), _as_array(c, num), _as_array(b, num)
+    n_rows, n_vars = A.shape
+    if np.any(b < 0):
+        raise SimplexError("negative right-hand side; all-slack basis infeasible")
+
+    # Tableau columns: structural variables then slacks.
+    T = np.hstack([A, _as_array(np.eye(n_rows), num)])
+    rhs = b.copy()
+    zrow = np.concatenate([-c, _as_array(np.zeros(n_rows), num)])
+    zval = num(0)
+    basis = list(range(n_vars, n_vars + n_rows))
+
+    pivots = 0
+    stall = 0
+    bland = False
+    while True:
+        neg = np.flatnonzero(zrow < -tol)
+        if neg.size == 0:
+            break
+        if bland:
+            enter = int(neg[0])
+        else:
+            enter = int(np.argmin(zrow))
+        col = T[:, enter]
+        pos = np.flatnonzero(col > tol)
+        if pos.size == 0:
+            raise SimplexError("unbounded linear program")
+        ratios = rhs[pos] / col[pos]
+        best = ratios.min()
+        # The int 1 keeps the tie bound a Fraction in exact mode.
+        ties = pos[np.flatnonzero(ratios <= best + tol * max(1, abs(best)))]
+        leave = int(min(ties, key=lambda i: basis[i]))
+
+        piv = T[leave, enter]
+        T[leave] /= piv
+        rhs[leave] /= piv
+        factors = T[:, enter].copy()
+        factors[leave] = 0
+        # Rows with a zero entering-column entry are unchanged by the pivot.
+        rows = np.flatnonzero(factors)
+        T[rows] -= np.outer(factors[rows], T[leave])
+        rhs[rows] -= factors[rows] * rhs[leave]
+        gain = -zrow[enter] * rhs[leave]
+        zval += gain
+        zrow = zrow - zrow[enter] * T[leave]
+        basis[leave] = enter
+
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            raise SimplexError("pivot limit exceeded")
+        if gain <= tol:
+            stall += 1
+            if stall >= _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+            bland = False
+
+    weights = _as_array(np.zeros(n_vars), num)
+    for i, var in enumerate(basis):
+        if var < n_vars:
+            weights[var] = rhs[i]
+    weights[np.abs(weights) < tol] = 0
+    dual = zrow[n_vars:].copy()
+    dual[np.abs(dual) < tol] = 0
+    return LpSolution(
+        value=num(zval),
+        weights=tuple(weights.tolist()),
+        dual=tuple(dual.tolist()),
+        pivots=pivots,
+        exact=num is Fraction,
+        basis=tuple(basis),
+    )
+
+
+def _bits(value):
+    """``value`` with its type, every float by its hex so that ulps and -0.0 show."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return type(value), float.hex(value) if isinstance(value, float) else value
+
+
+def _outcome(solve, args):
+    try:
+        sol = solve(*args)
+    except Exception as exc:  # an unbounded LP must raise the same error
+        return type(exc), str(exc)
+    return {field.name: _bits(getattr(sol, field.name)) for field in dataclasses.fields(sol)}
+
+
+def assert_matches_reference(c, A, b, tol, num):
+    assert _outcome(simplex._solve, (c, A, b, tol, num)) == _outcome(_reference_solve, (c, A, b, tol, num))
+
+
+@given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pivot_loop_matches_reference_on_fbs_lps(n, m, seed):
+    # A 0/1 fbs LP: one column per opposite input, one row per position.
+    rng = np.random.default_rng(seed)
+    A = (rng.random((n, m)) < rng.random()).astype(float)
+    A[rng.integers(0, n, size=m), np.arange(m)] = 1.0  # each opposite input differs somewhere
+    assert_matches_reference(np.ones(m), A, np.ones(n), simplex.PIVOT_TOL, float)
+
+
+def _degenerate_integer_lps():
+    """Integer LPs with entries in -2..2 and many zero right-hand sides.
+
+    Almost half are unbounded, and a dozen of the larger all-zero ones stall
+    into Bland's rule.
+    """
+    rng = np.random.default_rng(11)
+    for low, high, zero_share in [(1, 6, 0.5)] * 60 + [(8, 16, 1.0)] * 30:
+        n, m = int(rng.integers(low, high + 1)), int(rng.integers(low, high + 1))
+        A = rng.integers(-2, 3, size=(n, m))
+        b = rng.integers(1, 3, size=n) * (rng.random(n) >= zero_share)
+        yield rng.integers(-2, 3, size=m), A, b
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_pivot_loop_matches_reference_on_degenerate_lps(num):
+    tol = simplex.PIVOT_TOL if num is float else 0
+    for c, A, b in [*_degenerate_integer_lps(), (BEALE_C, BEALE_A, BEALE_B)]:
+        if num is float:
+            c, A, b = (np.array(v, dtype=float) for v in (c, A, b))
+        assert_matches_reference(c, A, b, tol, num)
+
+
+@pytest.mark.parametrize("check", ["01", "02", "03", "04", "05"])
+def test_pivot_loop_matches_reference_on_verify_lps(monkeypatch, check):
+    calls = []
+    solve = simplex._solve
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(simplex, "_solve", recording)
+    assert all(result.passed for result in verify.run_checks(seed=0, only=check))
+    monkeypatch.undo()
+    assert calls or check == "05"  # check 05's relation bound solves no LP
+    for args in calls:
+        assert_matches_reference(*args)
+
+
+def test_pivot_peaks_at_two_tableaus():
+    # The tableau, plus one rank-1 product per pivot; no per-row copies.
+    n, m = 20, 2**15
+    A = np.random.default_rng(0).integers(0, 2, size=(n, m)).astype(np.float64)
+    c, b = np.ones(m), np.ones(n)
+    tracemalloc.start()
+    try:
+        sol = solve_float(c, A, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.pivots > n  # many pivots, each with its own temporaries
+    assert peak <= 2.2 * (n + 1) * (n + m + 1) * 8
