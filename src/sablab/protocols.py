@@ -3,7 +3,10 @@
 * ``convert_strong``: wrap a standard-oracle algorithm so every query is a
   two-strong-query gadget (query, resolve the effective bit by symbol,
   uncompute).  On a star input the wrapped run reproduces the source run on
-  x exactly; on a dagger input, the run on y.
+  x exactly; on a dagger input, the run on y.  Between gadgets the wrapped
+  state is zero off the bx = by = bz = 0 slice, which is the source layout,
+  so ``run_converted`` runs the source gates at source size and each gadget,
+  through a private oracle, on the whole strong layout.
 * ``sample_interrupt`` / ``find_index_repeat``: stop a distinguisher at a
   random time, measure the query register, verify the position with one
   extra query.  The branch runs are the source on x and on y through the
@@ -32,13 +35,15 @@ from .qsim import (
     Gate,
     QueryAlgorithm,
     RegisterLayout,
+    SimulationError,
     amplitude_amplify,
+    apply_gate,
     evolve,
     grover_find_mark,
     index_marginal,
+    measure_distribution,
     oracle_bit,
     oracle_strong,
-    run,
     xor_controlled_block,
     _block_mass,
 )
@@ -155,11 +160,58 @@ def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
     return ConvertedAlgorithm(source=alg, wrapped=_wrap_strong(alg, _RESOLVE_GATES))
 
 
+def _on_slice(layout: RegisterLayout, state: np.ndarray) -> np.ndarray:
+    """A strong-layout state holding ``state`` on its bx = by = bz = 0 slice and zero elsewhere."""
+    wrapped = np.zeros(layout.total_dim, dtype=np.complex128)
+    wrapped.reshape(layout.n, 16, -1)[:, 0] = state.reshape(layout.n, -1)
+    return wrapped
+
+
+class _GadgetOracle:
+    """The bit oracle of a converted run: each query is one strong-oracle gadget.
+
+    ``apply`` puts a source-layout state on the zero-symbol slice of the
+    strong layout, runs QUERY, the resolve gates and QUERY_INV on the whole
+    strong state, and returns the slice.  The gadget uncomputes its symbol
+    registers, so every other amplitude is exactly zero again; if one is
+    not, the gadget is broken and ``apply`` raises.  The gadget is its own
+    inverse (its resolve gates are commuting XORs), so ``adjoint`` changes
+    nothing.  ``n`` is the input length: an input that does not fit the
+    source fails :func:`evolve`'s fit check before any gate.
+    """
+
+    kind = "bit"
+
+    def __init__(self, layout: RegisterLayout, w: StrongInput) -> None:
+        self.n = len(w)
+        self._layout = layout
+        self._strong = oracle_strong(w)
+
+    def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        layout = self._layout
+        wrapped = self._strong.apply(_on_slice(layout, state))
+        for gate in _RESOLVE_GATES:
+            wrapped = apply_gate(wrapped, layout.dims, gate)
+        wrapped = self._strong.apply(wrapped, adjoint=True).reshape(layout.n, 16, -1)
+        if wrapped[:, 1:].any():
+            symbols = ", ".join(layout.register_names[1:4])
+            raise SimulationError(f"the strong-oracle gadget left the symbol registers {symbols} set")
+        return wrapped[:, 0].copy().reshape(-1)
+
+
 def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
-    """Output distribution of the wrapped algorithm on a strong input."""
-    trace = run(conv.wrapped, oracle_strong(w))
-    assert trace.distribution is not None
-    return trace.distribution
+    """Output distribution of the wrapped algorithm on a strong input.
+
+    The source runs at source size through :class:`_GadgetOracle`; its final
+    state is put on the zero-symbol slice once and measured on the wrapped
+    layout, so the distribution is summed as a whole wrapped run sums it.
+    """
+    wrapped = conv.wrapped
+    if wrapped.measure is None:
+        raise ProtocolError("the source algorithm has no measurement, so its converted run has no output")
+    for state in evolve(conv.source, _GadgetOracle(wrapped.layout, w)):
+        pass
+    return measure_distribution(_on_slice(wrapped.layout, state), wrapped.layout, wrapped.measure)
 
 
 def decision(distribution: dict) -> dict:

@@ -574,9 +574,11 @@ def measure_distribution(
 def evolve(alg: QueryAlgorithm, oracle: Oracle | None = None) -> Iterator[np.ndarray]:
     """Yield the state right before each query, then the final state.
 
-    The only place steps are applied.  Every yielded array is fresh and never
-    written afterwards; the generator holds only the current state, so a
-    caller that keeps nothing runs in O(dim) memory whatever the query count.
+    The only place steps are applied, except the strong conversion's resolve
+    gates: the gadget oracle of ``protocols.run_converted`` applies them
+    inside each query.  Every yielded array is fresh and never written
+    afterwards; the generator holds only the current state, so a caller that
+    keeps nothing runs in O(dim) memory whatever the query count.
     """
     layout = alg.layout
     if alg.query_count and oracle is None:

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -119,18 +120,19 @@ def test_protocol_convert(capsys):
     ids=["deutsch", "grover-or-4-1", "grover-or-3-2"],
 )
 def test_protocol_convert_runs_the_wrapped_circuit_once(capsys, monkeypatch, alg, source, pair, marker):
+    """One CLI call evolves the source once: each gadget runs inside that run, at wrapped size."""
     runs = []
-    simulate = protocols.run
+    simulate = protocols.evolve
 
-    def counted_run(*args, **kwargs):
-        runs.append(args)
-        return simulate(*args, **kwargs)
+    def counted_evolve(alg, *args, **kwargs):
+        runs.append(alg)
+        return simulate(alg, *args, **kwargs)
 
-    monkeypatch.setattr(protocols, "run", counted_run)
+    monkeypatch.setattr(protocols, "evolve", counted_evolve)
     code, out, _ = run_cli(
         capsys, "protocol", "convert-strong", "--alg", alg, "--pair", pair, "--marker", marker
     )
-    assert code == 0 and len(runs) == 1
+    assert code == 0 and runs == [source]
     monkeypatch.undo()
     x, y = pair.split(",")
     w = sabotage.StrongInput.from_pair(BitString.from_text(x), BitString.from_text(y), marker)
@@ -147,6 +149,29 @@ def test_protocol_convert_runs_the_wrapped_circuit_once(capsys, monkeypatch, alg
         "output": by_key(protocols.run_converted(conv, w)),
         "decision": by_key(conv.decide(w)),
     }
+
+
+def test_protocol_convert_refuses_a_source_without_measurement(capsys, monkeypatch, tmp_path):
+    def no_simulation(*args, **kwargs):
+        pytest.fail("a source without measurement was simulated before it was refused")
+
+    monkeypatch.setattr(protocols, "evolve", no_simulation)
+    path = tmp_path / "alg.json"
+    path.write_text(qsim.algorithm_to_json(replace(qsim.deutsch_parity(), measure=None)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "protocol", "convert-strong", "--alg-file", str(path), "--pair", "00,01")
+    assert code == 2 and out == ""
+    assert err.startswith("sablab: ") and "no measurement" in err and "Traceback" not in err
+
+
+def test_protocol_convert_refuses_a_pair_of_the_wrong_length_before_any_gate(capsys, monkeypatch):
+    def no_gate(*args, **kwargs):
+        pytest.fail("a gate ran before the wrong-length pair was refused")
+
+    monkeypatch.setattr(qsim, "apply_gate", no_gate)
+    monkeypatch.setattr(protocols, "apply_gate", no_gate)
+    code, out, err = run_cli(capsys, "protocol", "convert-strong", "--alg", "grover-or-4-1", "--pair", "000,010")
+    assert code == 2 and out == ""
+    assert err == "sablab: oracle (bit, n=3) does not fit layout (bit, n=4)\n"
 
 
 def test_protocol_hybrid_json_and_csv(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import total_variation
 from sablab.boolfn import BitString, catalog, make_named
-from sablab import protocols
+from sablab import protocols, qsim
 from sablab.sabotage import SabString, StrongInput, make_strong
 from sablab.qsim import (
     QUERY,
@@ -19,6 +20,7 @@ from sablab.qsim import (
     Measurement,
     QueryAlgorithm,
     RegisterLayout,
+    SimulationError,
     amplitude_amplify,
     deutsch_parity,
     evolve,
@@ -120,6 +122,124 @@ def test_conversion_moves_measured_registers_with_their_wires(registers, wrapped
         base = w.x if w.marker == 2 else w.y
         want = run(source, oracle_bit(base)).distribution
         assert total_variation(want, run_converted(conv, w)) <= 1e-10, str(w)
+
+
+def slice_runs(monkeypatch):
+    """Patch run_converted's measurement to record the wrapped-layout state it measures."""
+    states = []
+    measure = protocols.measure_distribution
+    monkeypatch.setattr(protocols, "measure_distribution", lambda state, *args: states.append(state) or measure(state, *args))
+    return states
+
+
+def wide_source(rng, work_qubits):
+    """A two-query source shaped like sabbench's simulate-wide: n = 8, Haar layers on the same wires."""
+    layout = RegisterLayout(n=8, symbol="bit", workspace=1 << work_qubits)
+    last, mid = len(layout.dims) - 1, 2 + work_qubits // 2
+
+    def layer():
+        wires = ((0, 1), (mid, mid + 1), (1, mid - 1), (last,))
+        return tuple(Gate.block(random_unitary(rng, 16 if w == (0, 1) else 2 ** len(w)), w) for w in wires)
+
+    steps = (layer(), QUERY, layer(), QUERY, layer())
+    return QueryAlgorithm(layout, steps, Measurement(registers=("index",)))
+
+
+def random_strong_input(rng, n):
+    x = rng.integers(0, 2, n)
+    flip = rng.random(n) < 0.5
+    flip[rng.integers(n)] = True
+    x, y = (BitString(tuple(v.tolist())) for v in (x, x ^ flip))
+    return StrongInput.from_pair(x, y, "*+"[int(rng.integers(2))])
+
+
+def test_converted_run_on_the_slice_is_bitwise_the_wrapped_run(monkeypatch):
+    """The source at source size with one gadget per query gives the whole wrapped run's final
+    state, put back on the zero-symbol slice, and its distribution, bit for bit."""
+    rng = np.random.default_rng(25)
+    instances = []
+    for f in catalog(max_arity=4):
+        sources = [deutsch_parity()] if f.n == 2 else []
+        sources += [grover_or(f.n, k) for k in (1, 2)]
+        instances += [(source, w) for source in sources for w in all_strong_inputs(f)]
+    for n in range(5, 13):
+        for k in (1, 2, 3):
+            instances += [(grover_or(n, k), random_strong_input(rng, n)) for _ in range(2)]
+    for work_qubits in (10, 12):
+        source = wide_source(rng, work_qubits)
+        w = random_strong_input(rng, 8)
+        instances += [(source, StrongInput.from_pair(w.x, w.y, marker)) for marker in "*+"]
+    states = slice_runs(monkeypatch)
+    for source, w in instances:
+        conv = convert_strong(source)
+        want = run(conv.wrapped, oracle_strong(w))
+        assert run_converted(conv, w) == want.distribution, (source.layout, str(w))
+        assert np.array_equal(states.pop(), want.final_state), (source.layout, str(w))
+
+
+def test_converted_run_on_the_slice_of_a_narrow_source_is_within_1e_15(monkeypatch):
+    """With workspace 1, 2 or 4 the source layout hands BLAS fewer columns per dense gate than
+    the wrapped layout does, and a narrow product may sum in another order: the last bits
+    can differ from the whole wrapped run, so these sources are held to 1e-15."""
+    rng = np.random.default_rng(26)
+    states = slice_runs(monkeypatch)
+    for workspace in (1, 2, 4):
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            source = random_query_algorithm(n, int(rng.integers(1, 4)), rng, workspace)
+            w = random_strong_input(rng, n)
+            conv = convert_strong(source)
+            want = run(conv.wrapped, oracle_strong(w))
+            got = run_converted(conv, w)
+            assert got.keys() == want.distribution.keys()
+            assert max(abs(got[k] - want.distribution[k]) for k in got) <= 1e-15, (source.layout, str(w))
+            assert np.abs(states.pop() - want.final_state).max() <= 1e-15, (source.layout, str(w))
+
+
+def test_a_gadget_that_leaves_a_symbol_register_set_is_refused(monkeypatch):
+    monkeypatch.setattr(protocols, "_RESOLVE_GATES", (Gate.named("X", (1,)),))
+    alg, w = _deutsch_instance()
+    with pytest.raises(SimulationError, match="symbol registers bx, by, bz"):
+        run_converted(convert_strong(alg), w)
+
+
+def test_converted_run_peaks_below_2_2_wrapped_states():
+    """A 2^16-amplitude source: the gadget holds two wrapped states, and the final measurement
+    one embedded state and its probabilities.  A whole wrapped run peaked at 3.06 states."""
+    rng = np.random.default_rng(27)
+    conv = convert_strong(wide_source(rng, 12))
+    w = random_strong_input(rng, 8)
+    wrapped_bytes = conv.wrapped.layout.total_dim * 16
+    run_converted(conv, w)  # plans and caches are built outside the measurement
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run_converted(conv, w)
+        peak = (tracemalloc.get_traced_memory()[1] - held) / wrapped_bytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2
+
+
+def test_converted_run_without_measurement_is_refused_before_simulation(monkeypatch):
+    _forbid_simulation(monkeypatch, "a source without measurement was simulated before it was refused")
+    alg, w = _deutsch_instance()
+    conv = convert_strong(replace(alg, measure=None))
+    for call in (lambda: run_converted(conv, w), lambda: conv.decide(w)):
+        with pytest.raises(ProtocolError, match="no measurement"):
+            call()
+
+
+def test_converted_run_refuses_an_input_of_the_wrong_length_before_any_gate(monkeypatch):
+    def no_gate(*args, **kwargs):
+        pytest.fail("a gate ran before the wrong-length input was refused")
+
+    monkeypatch.setattr(qsim, "apply_gate", no_gate)
+    monkeypatch.setattr(protocols, "apply_gate", no_gate)
+    conv = convert_strong(grover_or(4, 1))
+    w = StrongInput.from_pair(BitString.from_text("000"), BitString.from_text("010"), "*")
+    with pytest.raises(SimulationError, match=r"^oracle \(bit, n=3\) does not fit layout \(bit, n=4\)$"):
+        run_converted(conv, w)
 
 
 def test_convert_requires_bit_oracle():
@@ -261,7 +381,7 @@ def _forbid_simulation(monkeypatch, message):
         pytest.fail(message)
 
     monkeypatch.setattr(protocols, "evolve", no_simulation)
-    monkeypatch.setattr(protocols, "run", no_simulation)
+    monkeypatch.setattr(protocols, "run", no_simulation, raising=False)
 
 
 def test_find_index_repeat_rejects_negative_budget(monkeypatch):
