@@ -68,11 +68,8 @@ from .sabotage import (
     SabotageError,
     StrongInput,
     enumerate_sabotaged,
-    eval_sab,
     hard_distribution,
     make_strong,
-    sabotage_dagger,
-    sabotage_star,
 )
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@
   uncompute).  On a star input the wrapped run reproduces the source run on
   x exactly; on a dagger input, the run on y.  Between gadgets the wrapped
   state is zero off the bx = by = bz = 0 slice, which is the source layout,
-  so ``run_converted`` runs the source gates at source size and each gadget,
-  through a private oracle, on the whole strong layout.
+  and there the gadget is the bit oracle of a string b read position by
+  position from the gadget itself: ``convert_strong`` runs it once per local
+  case on 128 tagged amplitudes, and ``run_converted`` runs the source at
+  source size on ``oracle_bit(b)``.
 * ``sample_interrupt`` / ``find_index_repeat``: stop a distinguisher at a
   random time, measure the query register, verify the position with one
   extra query.  The branch runs are the source on x and on y through the
@@ -21,13 +23,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Iterator
+from dataclasses import asdict, dataclass, field, replace
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .boolfn import BitString
-from .sabotage import SabString, StrongInput
+from .sabotage import DAGGER, STAR, SabString, StrongInput
 from .qsim import (
     DIM_CAP,
     QUERY,
@@ -116,10 +118,15 @@ _RESOLVE_GATES = (
 
 @dataclass(frozen=True)
 class ConvertedAlgorithm:
-    """Source algorithm plus its strong-oracle wrapping (2x the queries)."""
+    """Source algorithm plus its strong-oracle wrapping (2x the queries).
+
+    ``gadget_bits`` maps each local case (x_j, y_j, z_j) to the bit that the
+    wrapping's gadget writes at a position holding it (see :func:`_gadget_bits`).
+    """
 
     source: QueryAlgorithm
     wrapped: QueryAlgorithm
+    gadget_bits: Mapping[tuple[int, int, int], int] = field(repr=False, compare=False)
 
     def decide(self, w: StrongInput) -> dict:
         """Distribution over sabotage guesses on ``w`` (see :func:`decision`)."""
@@ -153,65 +160,68 @@ def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorith
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 
 
-def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
-    """Replace every standard query by the two-strong-query gadget."""
-    if alg.layout.symbol != "bit":
-        raise ProtocolError("conversion expects an algorithm over the standard bit oracle")
-    return ConvertedAlgorithm(source=alg, wrapped=_wrap_strong(alg, _RESOLVE_GATES))
+def _gadget_bits(gadget: tuple[Gate, ...]) -> dict[tuple[int, int, int], int]:
+    """The bit that QUERY, ``gadget``, QUERY_INV writes into the answer qubit, per local case.
 
-
-def _on_slice(layout: RegisterLayout, state: np.ndarray) -> np.ndarray:
-    """A strong-layout state holding ``state`` on its bx = by = bz = 0 slice and zero elsewhere."""
-    wrapped = np.zeros(layout.total_dim, dtype=np.complex128)
-    wrapped.reshape(layout.n, 16, -1)[:, 0] = state.reshape(layout.n, -1)
-    return wrapped
-
-
-class _GadgetOracle:
-    """The bit oracle of a converted run: each query is one strong-oracle gadget.
-
-    ``apply`` puts a source-layout state on the zero-symbol slice of the
-    strong layout, runs QUERY, the resolve gates and QUERY_INV on the whole
-    strong state, and returns the slice.  The gadget uncomputes its symbol
-    registers, so every other amplitude is exactly zero again; if one is
-    not, the gadget is broken and ``apply`` raises.  The gadget is its own
-    inverse (its resolve gates are commuting XORs), so ``adjoint`` changes
-    nothing.  ``n`` is the input length: an input that does not fit the
-    source fails :func:`evolve`'s fit check before any gate.
+    A local case is one tuple (x_j, y_j, z_j) of a strong input.  The pair
+    0101/0110 with a star and with a dagger holds all six, so the gadget runs
+    gate by gate on their smallest strong layout (128 amplitudes), over a
+    state whose amplitudes are the integer tags 1..128 of its rows: every
+    gather moves a tag exactly, and since no tag is zero, a phase or a mix
+    shows on any entry.  At each position
+    the two bx = by = bz = 0 entries must come back unchanged (bit 0) or
+    swapped (bit 1).  Then the gadget maps the zero-symbol slice onto itself
+    as the bit oracle of those bits, position by position, since it is
+    controlled by the index register.  Anything else leaves a symbol register
+    set, and raises.
     """
-
-    kind = "bit"
-
-    def __init__(self, layout: RegisterLayout, w: StrongInput) -> None:
-        self.n = len(w)
-        self._layout = layout
-        self._strong = oracle_strong(w)
-
-    def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        layout = self._layout
-        wrapped = self._strong.apply(_on_slice(layout, state))
-        for gate in _RESOLVE_GATES:
-            wrapped = apply_gate(wrapped, layout.dims, gate)
-        wrapped = self._strong.apply(wrapped, adjoint=True).reshape(layout.n, 16, -1)
-        if wrapped[:, 1:].any():
+    layout = RegisterLayout(n=4, symbol="strong", workspace=2)
+    tags = np.arange(1, layout.total_dim + 1, dtype=np.complex128)
+    sent = tags.reshape(4, 16, 2)[:, 0]
+    bits: dict[tuple[int, int, int], int] = {}
+    for marker in (STAR, DAGGER):
+        w = StrongInput(BitString((0, 1, 0, 1)), BitString((0, 1, 1, 0)), marker)
+        strong = oracle_strong(w)
+        state = strong.apply(tags)
+        for gate in gadget:
+            state = apply_gate(state, layout.dims, gate)
+        got = strong.apply(state, adjoint=True).reshape(4, 16, 2)[:, 0]
+        swapped = (got == sent[:, ::-1]).all(axis=1)
+        if not (swapped | (got == sent).all(axis=1)).all():
             symbols = ", ".join(layout.register_names[1:4])
             raise SimulationError(f"the strong-oracle gadget left the symbol registers {symbols} set")
-        return wrapped[:, 0].copy().reshape(-1)
+        bits.update(zip(w.tuples, swapped.astype(int).tolist()))
+    return bits
+
+
+def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
+    """Replace every standard query by the two-strong-query gadget, and read that gadget's bits."""
+    if alg.layout.symbol != "bit":
+        raise ProtocolError("conversion expects an algorithm over the standard bit oracle")
+    return ConvertedAlgorithm(
+        source=alg, wrapped=_wrap_strong(alg, _RESOLVE_GATES), gadget_bits=_gadget_bits(_RESOLVE_GATES)
+    )
 
 
 def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
     """Output distribution of the wrapped algorithm on a strong input.
 
-    The source runs at source size through :class:`_GadgetOracle`; its final
-    state is put on the zero-symbol slice once and measured on the wrapped
-    layout, so the distribution is summed as a whole wrapped run sums it.
+    On the zero-symbol slice each gadget is the bit oracle of the string b
+    with b_j = ``conv.gadget_bits[w[j]]``, so the source runs at source size
+    on ``oracle_bit(b)``.  Its final state is put on the slice once and
+    measured on the wrapped layout, so the distribution is summed as a whole
+    wrapped run sums it.
     """
     wrapped = conv.wrapped
     if wrapped.measure is None:
         raise ProtocolError("the source algorithm has no measurement, so its converted run has no output")
-    for state in evolve(conv.source, _GadgetOracle(wrapped.layout, w)):
+    b = BitString(tuple(conv.gadget_bits[case] for case in w.tuples))
+    for state in evolve(conv.source, oracle_bit(b)):
         pass
-    return measure_distribution(_on_slice(wrapped.layout, state), wrapped.layout, wrapped.measure)
+    layout = wrapped.layout
+    embedded = np.zeros(layout.total_dim, dtype=np.complex128)
+    embedded.reshape(layout.n, 16, -1)[:, 0] = state.reshape(layout.n, -1)
+    return measure_distribution(embedded, layout, wrapped.measure)
 
 
 def decision(distribution: dict) -> dict:

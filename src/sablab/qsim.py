@@ -574,11 +574,12 @@ def measure_distribution(
 def evolve(alg: QueryAlgorithm, oracle: Oracle | None = None) -> Iterator[np.ndarray]:
     """Yield the state right before each query, then the final state.
 
-    The only place steps are applied, except the strong conversion's resolve
-    gates: the gadget oracle of ``protocols.run_converted`` applies them
-    inside each query.  Every yielded array is fresh and never written
-    afterwards; the generator holds only the current state, so a caller that
-    keeps nothing runs in O(dim) memory whatever the query count.
+    The only place a run's steps are applied: a converted run too is a
+    source run here, on the bit oracle that ``protocols.convert_strong``
+    reads off the strong gadget once per local case.  Every yielded array is
+    fresh and never written afterwards; the generator holds only the current
+    state, so a caller that keeps nothing runs in O(dim) memory whatever the
+    query count.
     """
     layout = alg.layout
     if alg.query_count and oracle is None:
@@ -676,7 +677,7 @@ def grover_or(n: int, iterations: int) -> QueryAlgorithm:
     return _grover("bit", n, iterations, (_TARGET_X, _TARGET_H), (QUERY,))
 
 
-def grover_marks(n: int, iterations: int) -> QueryAlgorithm:
+def _grover_marks(n: int, iterations: int) -> QueryAlgorithm:
     """Grover search for star/dagger symbols through the weak oracle.
 
     Each iteration queries, phase-flips symbol values 2 and 3, then
@@ -729,7 +730,7 @@ class GroverResult:
 def grover_find_mark(z: SabString, iterations: int) -> GroverResult:
     """Run mark search on a sabotaged input; distribution is exact."""
     n = len(z)
-    for state in evolve(grover_marks(n, iterations), oracle_weak(z)):
+    for state in evolve(_grover_marks(n, iterations), oracle_weak(z)):
         pass
     probs = tuple(index_marginal(state, n).tolist())  # summed as measure_distribution sums it
     success = sum(probs[j - 1] for j in z.mark_positions)

@@ -117,16 +117,6 @@ def _coerce_marker(marker: int | str) -> int:
     raise SabotageError(f"marker must be one of *, + (got {marker!r})")
 
 
-def sabotage_star(x: BitString, y: BitString) -> SabString:
-    """Replace every position where x and y differ by a star."""
-    return _sabotage(x, y, STAR)
-
-
-def sabotage_dagger(x: BitString, y: BitString) -> SabString:
-    """Replace every position where x and y differ by a dagger."""
-    return _sabotage(x, y, DAGGER)
-
-
 def _sabotage(x: BitString, y: BitString, marker: int) -> SabString:
     if len(x) != len(y):
         raise SabotageError("length mismatch")
@@ -177,26 +167,6 @@ def _pair_keys(bits: np.ndarray, vals: np.ndarray) -> set[int]:
     for x in small.tolist():
         keys.update(((large ^ x) << n | large & x).tolist())
     return keys
-
-
-def eval_sab(f: PartialFunction, z: SabString) -> int:
-    """0 for star-sabotaged inputs of f, 1 for dagger-sabotaged ones.
-
-    z is sabotaged when some x in f's 0-set agrees with z off its marked
-    positions and x with those positions flipped lies in f's 1-set.
-    """
-    if len(z) != f.n:
-        raise SabotageError(f"{z} has length {len(z)}, but {f.name} has arity {f.n}")
-    bits, vals = f.arrays()
-    symbols = np.array(z.symbols)
-    marked = symbols >= STAR
-    cube = np.all(bits[:, ~marked] == symbols[~marked], axis=1)  # agrees with z off the marks
-    # Key each cube point by its bits on the marks; flipping the marks maps key k to full ^ k.
-    key = bits[cube][:, marked].astype(np.int64) @ (1 << np.arange(marked.sum()))
-    full = (1 << int(marked.sum())) - 1
-    if np.intersect1d(key[vals[cube] == 0], full ^ key[vals[cube] == 1]).size:
-        return 0 if z.marker == STAR else 1
-    raise SabotageError(f"{z} is not a sabotaged input of {f.name}")
 
 
 def make_strong(

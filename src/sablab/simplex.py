@@ -198,8 +198,12 @@ def _solve(c, A, b, tol, num: type) -> LpSolution:
         factors = T[:, enter].copy()
         factors[1 + leave] = 0
         gain = -factors[0] * row[-1]
-        # A zero factor leaves its row's bits as they were: x - 0·v = x.
-        T -= np.outer(factors, row)
+        if num is float:
+            # Every row: skipping a zero factor would keep a -0.0 that -0.0 - (-0.0) turns into 0.0.
+            T -= np.outer(factors, row)
+        else:  # x - 0·v = x exactly, but costs two Fraction operations: skip those rows
+            rows = np.flatnonzero(factors)
+            T[rows] -= np.outer(factors[rows], row)
         basis[leave] = enter
 
         pivots += 1

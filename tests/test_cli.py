@@ -167,6 +167,9 @@ def test_protocol_convert_refuses_a_pair_of_the_wrong_length_before_any_gate(cap
     def no_gate(*args, **kwargs):
         pytest.fail("a gate ran before the wrong-length pair was refused")
 
+    # convert_strong reads the gadget's bits gate by gate; read them before gates are forbidden.
+    bits = protocols._gadget_bits(protocols._RESOLVE_GATES)
+    monkeypatch.setattr(protocols, "_gadget_bits", lambda gadget: bits)
     monkeypatch.setattr(qsim, "apply_gate", no_gate)
     monkeypatch.setattr(protocols, "apply_gate", no_gate)
     code, out, err = run_cli(capsys, "protocol", "convert-strong", "--alg", "grover-or-4-1", "--pair", "000,010")

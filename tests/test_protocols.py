@@ -12,7 +12,7 @@ import pytest
 from conftest import total_variation
 from sablab.boolfn import BitString, catalog, make_named
 from sablab import protocols, qsim
-from sablab.sabotage import SabString, StrongInput, make_strong
+from sablab.sabotage import DAGGER, STAR, SabString, StrongInput, make_strong
 from sablab.qsim import (
     QUERY,
     QUERY_INV,
@@ -196,6 +196,18 @@ def test_converted_run_on_the_slice_of_a_narrow_source_is_within_1e_15(monkeypat
             assert np.abs(states.pop() - want.final_state).max() <= 1e-15, (source.layout, str(w))
 
 
+def test_the_gadget_writes_x_on_a_star_and_y_on_a_dagger_in_every_local_case():
+    """The gadget acts position by position, so this is check 07's identity for every n and
+    every source: on a star input the converted run queries x, on a dagger input y."""
+    want = {
+        (x, y, x if x == y else marker): x if marker == STAR else y
+        for x in (0, 1) for y in (0, 1) for marker in (STAR, DAGGER)
+    }
+    assert len(want) == 6
+    assert protocols._gadget_bits(protocols._RESOLVE_GATES) == want
+    assert convert_strong(deutsch_parity()).gadget_bits == want
+
+
 def test_a_gadget_that_leaves_a_symbol_register_set_is_refused(monkeypatch):
     monkeypatch.setattr(protocols, "_RESOLVE_GATES", (Gate.named("X", (1,)),))
     alg, w = _deutsch_instance()
@@ -203,9 +215,46 @@ def test_a_gadget_that_leaves_a_symbol_register_set_is_refused(monkeypatch):
         run_converted(convert_strong(alg), w)
 
 
-def test_converted_run_peaks_below_2_2_wrapped_states():
-    """A 2^16-amplitude source: the gadget holds two wrapped states, and the final measurement
-    one embedded state and its probabilities.  A whole wrapped run peaked at 3.06 states."""
+@pytest.mark.parametrize("phase", [("Z",), ("X", "Z", "X")], ids="".join)
+def test_a_gadget_with_a_phase_is_refused(monkeypatch, phase):
+    """A Z on the answer wire, alone or between two X: the integer tags show the sign on either
+    answer value."""
+    phase = tuple(Gate.named(name, (4,)) for name in phase)
+    monkeypatch.setattr(protocols, "_RESOLVE_GATES", protocols._RESOLVE_GATES + phase)
+    with pytest.raises(SimulationError, match="symbol registers bx, by, bz"):
+        convert_strong(deutsch_parity())
+
+
+def test_a_converted_run_applies_nothing_to_a_wrapped_state(monkeypatch):
+    """Every gate and query of a converted run acts on a source-size state; only the final
+    measurement embeds the state in the wrapped layout."""
+    rng = np.random.default_rng(28)
+    conv = convert_strong(wide_source(rng, 10))
+    w = random_strong_input(rng, 8)
+    sizes = []
+    apply_gate, oracle_apply = qsim.apply_gate, qsim.Oracle.apply
+
+    def recording_gate(state, dims, gate):
+        sizes.append(state.size)
+        return apply_gate(state, dims, gate)
+
+    def recording_oracle(self, state, adjoint=False):
+        sizes.append(state.size)
+        return oracle_apply(self, state, adjoint)
+
+    monkeypatch.setattr(qsim, "apply_gate", recording_gate)
+    monkeypatch.setattr(protocols, "apply_gate", recording_gate)
+    monkeypatch.setattr(qsim.Oracle, "apply", recording_oracle)
+    run_converted(conv, w)
+    gates = sum(len(step) for step in conv.source.steps if step not in (QUERY, QUERY_INV))
+    assert sizes == [conv.source.layout.total_dim] * (gates + conv.source.query_count)
+    assert conv.wrapped.layout.total_dim not in sizes
+
+
+def test_converted_run_peaks_below_1_6_wrapped_states():
+    """A 2^16-amplitude source: the run holds source-size states, and the final measurement one
+    embedded wrapped state and its probabilities (1.56 states).  A whole wrapped run peaked at
+    3.06 states."""
     rng = np.random.default_rng(27)
     conv = convert_strong(wide_source(rng, 12))
     w = random_strong_input(rng, 8)
@@ -218,7 +267,7 @@ def test_converted_run_peaks_below_2_2_wrapped_states():
         peak = (tracemalloc.get_traced_memory()[1] - held) / wrapped_bytes
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2
+    assert peak <= 1.6
 
 
 def test_converted_run_without_measurement_is_refused_before_simulation(monkeypatch):
@@ -234,9 +283,9 @@ def test_converted_run_refuses_an_input_of_the_wrong_length_before_any_gate(monk
     def no_gate(*args, **kwargs):
         pytest.fail("a gate ran before the wrong-length input was refused")
 
+    conv = convert_strong(grover_or(4, 1))  # reads the gadget's bits, gate by gate
     monkeypatch.setattr(qsim, "apply_gate", no_gate)
     monkeypatch.setattr(protocols, "apply_gate", no_gate)
-    conv = convert_strong(grover_or(4, 1))
     w = StrongInput.from_pair(BitString.from_text("000"), BitString.from_text("010"), "*")
     with pytest.raises(SimulationError, match=r"^oracle \(bit, n=3\) does not fit layout \(bit, n=4\)$"):
         run_converted(conv, w)

@@ -34,7 +34,6 @@ from sablab.qsim import (
     diffusion_block,
     evolve,
     grover_find_mark,
-    grover_marks,
     grover_or,
     hybrid_sum,
     index_block_mass,
@@ -92,7 +91,7 @@ def test_block_gate_owns_a_read_only_copy():
 
 
 def test_grover_circuits_build_each_gate_once():
-    for alg, kinds in ((grover_or(5, 3), 1), (grover_marks(5, 3), 2)):
+    for alg, kinds in ((grover_or(5, 3), 1), (qsim._grover_marks(5, 3), 2)):
         gates = [g for step in alg.steps[1:] if step not in (QUERY, QUERY_INV) for g in step]
         assert len(gates) == 3 * kinds and len({id(g) for g in gates}) == kinds
 
@@ -351,7 +350,7 @@ def test_index_block_mass_refuses_positions_outside_1_to_n(positions):
 
 
 def test_algorithm_json_roundtrip():
-    for alg in (deutsch_parity(), grover_or(3, 2), grover_marks(3, 1), grover_marks(4, 2)):
+    for alg in (deutsch_parity(), grover_or(3, 2), qsim._grover_marks(3, 1), qsim._grover_marks(4, 2)):
         text = algorithm_to_json(alg)
         again = algorithm_from_json(text)
         assert again == alg
@@ -769,7 +768,7 @@ def test_measure_distribution_matches_ndindex_loop(layout, registers, outcome_ma
 
 def test_measure_distribution_matches_ndindex_loop_on_catalog_runs():
     z = SabString.from_text("0*10*1")
-    for alg, oracle in ((grover_or(6, 2), oracle_bit("010010")), (grover_marks(6, 1), oracle_weak(z))):
+    for alg, oracle in ((grover_or(6, 2), oracle_bit("010010")), (qsim._grover_marks(6, 1), oracle_weak(z))):
         state = run(alg, oracle).final_state
         assert list(measure_distribution(state, alg.layout, alg.measure).items()) == list(
             ndindex_distribution(state, alg.layout, alg.measure).items()
@@ -816,7 +815,7 @@ def test_second_mark_search_at_a_seen_size_builds_no_gate(gate_checks):
 
 
 def test_catalog_gates_are_shared_and_read_only():
-    for build in (grover_or, grover_marks):
+    for build in (grover_or, qsim._grover_marks):
         alg, twin = build(7, 2), build(7, 1)
         assert [id(g) for g in alg.steps[0]] == [id(g) for g in twin.steps[0]]
         assert alg.steps[-1][0] is twin.steps[-1][0]  # the diffusion gate
@@ -893,7 +892,7 @@ def test_run_holds_one_state_between_gates():
 def test_grover_builders_refuse_negative_iterations():
     with pytest.raises(SimulationError, match="iterations must be >= 0, got -1"):
         grover_find_mark(SabString.from_text("0*00"), -1)
-    for build in (grover_or, grover_marks):
+    for build in (grover_or, qsim._grover_marks):
         with pytest.raises(SimulationError, match="iterations must be >= 0, got -3"):
             build(4, -3)
     with pytest.raises(SimulationError, match="queries must be >= 0, got -1"):
@@ -1184,7 +1183,7 @@ def test_mark_search_reads_the_index_marginal_of_the_final_state():
     for text, k in [("01*0*1", 2), ("+00100", 1), ("0*", 0), ("*" * 16, 3), ("0+00+00+000", 4)]:
         z = SabString.from_text(text)
         n = len(z)
-        trace = run(grover_marks(n, k), oracle_weak(z))
+        trace = run(qsim._grover_marks(n, k), oracle_weak(z))
         want = tuple(float(trace.distribution.get(j, 0.0)) for j in range(1, n + 1))
         assert grover_find_mark(z, k).position_probs == want
 

@@ -1,4 +1,9 @@
-"""Sabotage constructions against brute-force pair enumeration."""
+"""Sabotage constructions against brute-force pair enumeration.
+
+``sabotage_star``, ``sabotage_dagger`` and ``eval_sab`` (the paper's
+definitions of the sabotaged strings and of f_sab) live here as the oracles
+of ``enumerate_sabotaged`` and ``StrongInput``.
+"""
 
 from __future__ import annotations
 
@@ -19,11 +24,8 @@ from sablab.sabotage import (
     SabotageError,
     StrongInput,
     enumerate_sabotaged,
-    eval_sab,
     hard_distribution,
     make_strong,
-    sabotage_dagger,
-    sabotage_star,
 )
 
 
@@ -35,6 +37,36 @@ def brute_sabotaged(f):
             s = tuple(a if a == b else STAR for a, b in zip(x, y))
             out.add(s)
     return out
+
+
+def sabotage_star(x: BitString, y: BitString) -> SabString:
+    """x with every position where x and y differ replaced by a star."""
+    return SabString(tuple(a if a == b else STAR for a, b in zip(x, y)))
+
+
+def sabotage_dagger(x: BitString, y: BitString) -> SabString:
+    """x with every position where x and y differ replaced by a dagger."""
+    return SabString(tuple(a if a == b else DAGGER for a, b in zip(x, y)))
+
+
+def eval_sab(f: PartialFunction, z: SabString) -> int:
+    """The paper's f_sab: 0 for star-sabotaged inputs of f, 1 for dagger-sabotaged ones.
+
+    z is sabotaged when some x in f's 0-set agrees with z off its marked
+    positions and x with those positions flipped lies in f's 1-set.
+    """
+    if len(z) != f.n:
+        raise SabotageError(f"{z} has length {len(z)}, but {f.name} has arity {f.n}")
+    bits, vals = f.arrays()
+    symbols = np.array(z.symbols)
+    marked = symbols >= STAR
+    cube = np.all(bits[:, ~marked] == symbols[~marked], axis=1)  # agrees with z off the marks
+    # Key each cube point by its bits on the marks; flipping the marks maps key k to full ^ k.
+    key = bits[cube][:, marked].astype(np.int64) @ (1 << np.arange(marked.sum()))
+    full = (1 << int(marked.sum())) - 1
+    if np.intersect1d(key[vals[cube] == 0], full ^ key[vals[cube] == 1]).size:
+        return 0 if z.marker == STAR else 1
+    raise SabotageError(f"{z} is not a sabotaged input of {f.name}")
 
 
 def test_sabotage_star_examples():
@@ -50,10 +82,10 @@ def test_sabotage_dagger_examples():
 
 
 def test_sabotage_rejects_equal_or_mismatched():
-    with pytest.raises(SabotageError):
-        sabotage_star(BitString.from_text("01"), BitString.from_text("01"))
-    with pytest.raises(SabotageError):
-        sabotage_star(BitString.from_text("01"), BitString.from_text("011"))
+    with pytest.raises(SabotageError, match="differ"):
+        StrongInput(BitString.from_text("01"), BitString.from_text("01"), "*")
+    with pytest.raises(SabotageError, match="length mismatch"):
+        StrongInput(BitString.from_text("01"), BitString.from_text("011"), "+")
 
 
 @pytest.mark.parametrize("symbols", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sablab import simplex, verify
+from sablab import measures, simplex, verify
+from sablab.boolfn import PartialFunction
 from sablab.simplex import _MAX_PIVOTS, _STALL_LIMIT, LpSolution, SimplexError, _as_array, solve_exact, solve_float
 
 
@@ -236,12 +238,13 @@ def test_fallback_flag_stays_out_of_the_canonical_report(monkeypatch):
     assert results[0].passed and "fallback" not in verify.canonical_report(results, 0)
 
 
-def _reference_solve(c, A, b, tol, num: type) -> LpSolution:
+def _reference_solve(c, A, b, tol, num: type, full: bool = False) -> LpSolution:
     """The oracle for ``simplex._solve``: the same pivot rules over separate arrays.
 
     It keeps the objective row, its value and the right-hand side apart from
-    the tableau and updates only the rows with a non-zero factor, so every
-    result of the one-tableau loop must match it bit for bit.
+    the tableau and updates only the rows with a non-zero factor (every row
+    with ``full``), so every result of the one-tableau loop must match it bit
+    for bit.
     """
     A, c, b = _as_array(A, num), _as_array(c, num), _as_array(b, num)
     n_rows, n_vars = A.shape
@@ -282,7 +285,7 @@ def _reference_solve(c, A, b, tol, num: type) -> LpSolution:
         factors = T[:, enter].copy()
         factors[leave] = 0
         # Rows with a zero entering-column entry are unchanged by the pivot.
-        rows = np.flatnonzero(factors)
+        rows = np.arange(n_rows) if full else np.flatnonzero(factors)
         T[rows] -= np.outer(factors[rows], T[leave])
         rhs[rows] -= factors[rows] * rhs[leave]
         gain = -zrow[enter] * rhs[leave]
@@ -385,6 +388,34 @@ def test_pivot_loop_matches_reference_on_verify_lps(monkeypatch, check):
     assert calls or check == "05"  # check 05's relation bound solves no LP
     for args in calls:
         assert_matches_reference(*args)
+
+
+def _arity_7_lps(monkeypatch) -> list[tuple]:
+    """The 18 LPs of the exact fbs points of a certify round: three points of each of six
+    seed-drawn balanced total functions of arity 7, recorded as ``measures.fbs`` solves them."""
+    calls = []
+    solve = simplex._solve
+    monkeypatch.setattr(simplex, "_solve", lambda c, A, b, *rest: calls.append((c, A, b)) or solve(c, A, b, *rest))
+    rng = np.random.default_rng(24)
+    for i in range(6):
+        vals = rng.permutation([k % 2 for k in range(128)]).tolist()
+        f = PartialFunction(f"R7-{i}", 7, {f"{k:07b}": v for k, v in enumerate(vals)}, total=True)
+        for code in rng.choice(128, size=3, replace=False).tolist():
+            measures.fbs(f, f"{code:07b}")
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_pivot_loop_matches_the_full_update_on_arity_7_lps(monkeypatch, num):
+    """In Fractions the loop skips the rows whose factor is zero and must still give every
+    ``LpSolution`` of the full update; in float it updates every row and keeps its bits."""
+    tol = simplex.PIVOT_TOL if num is float else 0
+    lps = _arity_7_lps(monkeypatch)
+    assert len(lps) == 18
+    for c, A, b in lps:
+        args = (c, A, b, tol, num)
+        assert _outcome(simplex._solve, args) == _outcome(functools.partial(_reference_solve, full=True), args)
 
 
 def test_pivot_peaks_at_two_tableaus():
