@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_if.add_argument("--rounds", type=int, help="amplified mode only (default: 0)")
 
     p_ver = leaf(sub, "verify-all", _cmd_verify_all, "seed", "out",
-                 help="run the full verification suite")
+                 help="run the full verification suite; check 10 re-runs it in a second process")
     p_ver.add_argument("--only", help="run only checks whose name contains this string")
 
     return parser

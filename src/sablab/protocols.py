@@ -22,8 +22,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -160,7 +162,8 @@ def _wrap_strong(alg: QueryAlgorithm, gadget: tuple[Gate, ...]) -> QueryAlgorith
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 
 
-def _gadget_bits(gadget: tuple[Gate, ...]) -> dict[tuple[int, int, int], int]:
+@functools.lru_cache(maxsize=8)
+def _gadget_bits(gadget: tuple[Gate, ...]) -> Mapping[tuple[int, int, int], int]:
     """The bit that QUERY, ``gadget``, QUERY_INV writes into the answer qubit, per local case.
 
     A local case is one tuple (x_j, y_j, z_j) of a strong input.  The pair
@@ -173,7 +176,8 @@ def _gadget_bits(gadget: tuple[Gate, ...]) -> dict[tuple[int, int, int], int]:
     swapped (bit 1).  Then the gadget maps the zero-symbol slice onto itself
     as the bit oracle of those bits, position by position, since it is
     controlled by the index register.  Anything else leaves a symbol register
-    set, and raises.
+    set, and raises.  The bits depend on the gadget alone, so each gadget runs
+    once and every conversion shares one read-only table.
     """
     layout = RegisterLayout(n=4, symbol="strong", workspace=2)
     tags = np.arange(1, layout.total_dim + 1, dtype=np.complex128)
@@ -191,7 +195,7 @@ def _gadget_bits(gadget: tuple[Gate, ...]) -> dict[tuple[int, int, int], int]:
             symbols = ", ".join(layout.register_names[1:4])
             raise SimulationError(f"the strong-oracle gadget left the symbol registers {symbols} set")
         bits.update(zip(w.tuples, swapped.astype(int).tolist()))
-    return bits
+    return MappingProxyType(bits)
 
 
 def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:

@@ -3,7 +3,9 @@
 Each check computes its numbers fresh and compares them against the stated
 bound.  The canonical JSON report is a pure function of (seed, code);
 wall-clock timings stay out of it so two runs with the same seed serialize
-to identical bytes.
+to identical bytes.  The determinism check (10) holds that claim across
+processes: a second Python interpreter, started before the base checks,
+runs them again concurrently, and its report must match byte for byte.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -26,7 +31,7 @@ HYBRID_SLACK = 1e-9
 
 
 class VerifyError(ValueError):
-    """A negative seed, or a check filter that is empty or selects no check."""
+    """A negative seed, a check filter that is empty or selects no check, or a failed re-run."""
 
 
 @dataclass
@@ -162,8 +167,8 @@ def _cert_functions():
 
 
 # (f, fbs(f), maximiser) for each certificate function.  Each base pass sets a
-# fresh list that checks 03 and 04 share, so a re-run recomputes everything; a
-# context variable keeps passes in different threads apart.
+# fresh list that checks 03 and 04 share, so a second pass recomputes
+# everything; a context variable keeps passes in different threads apart.
 _cert_optima: ContextVar[list | None] = ContextVar("cert_optima", default=None)
 
 
@@ -517,31 +522,63 @@ def canonical_report(results: list[CheckResult], seed: int) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# The determinism re-run: a fresh interpreter imports sablab from the
+# directory this process imported it from, runs the base checks and writes
+# their canonical report to stdout.  -E drops PYTHON* variables, PYTHONHASHSEED
+# among them, so the two passes share no cache, no module state and no
+# str hash seed; -B keeps this process's choice not to write bytecode.
+_IMPORT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_RERUN_SOURCE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from sablab import verify
+seed = int(sys.argv[2])
+sys.stdout.write(verify.canonical_report(verify._run_base_checks(seed), seed))
+"""
+
+
 def run_checks(seed: int = 0, only: str | None = None) -> list[CheckResult]:
     """Run the checks whose name contains ``only``, or all of them.
 
-    Without a filter the byte-determinism check is appended: it re-runs the
-    whole base suite and compares the two canonical reports byte for byte.
+    Without a filter the byte-determinism check is appended.  It starts a
+    second interpreter (``sys.executable``) before the base checks; that
+    process re-runs the whole base suite while this one runs it, and the two
+    canonical reports must match byte for byte.  Its ``seconds`` is the time
+    from launching the re-run to receiving its report, so it overlaps the
+    base checks.  The re-run is always reaped, also when a base check raises;
+    one that exits non-zero raises :class:`VerifyError` with its exit code
+    and last error line.  A filtered run starts no second process.
     A negative seed, or a filter that is empty or matches no check, raises
     :class:`VerifyError` before any check runs.
     """
     if seed < 0:
         raise VerifyError(f"seed must be >= 0, got {seed}")
-    results = _run_base_checks(seed, only)
-    if only is None:
-        start = time.perf_counter()
-        again = _run_base_checks(seed, only)
-        first = canonical_report(results, seed)
-        second = canonical_report(again, seed)
-        elapsed = time.perf_counter() - start
-        results.append(
-            CheckResult(
-                name=DETERMINISM_CHECK,
-                claim="re-running the suite with the same seed reproduces the report byte for byte",
-                computed={"bytes": len(first), "identical": first == second},
-                expected="byte-identical canonical reports",
-                passed=first == second,
-                seconds=elapsed,
-            )
+    if only is not None:
+        return _run_base_checks(seed, only)
+    start = time.perf_counter()
+    flags = ["-E", "-B"] if sys.dont_write_bytecode else ["-E"]
+    argv = [sys.executable, *flags, "-c", _RERUN_SOURCE, _IMPORT_DIR, str(seed)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as rerun:
+        try:
+            results = _run_base_checks(seed)
+            second, errors = rerun.communicate()
+        except BaseException:
+            rerun.kill()
+            raise
+    elapsed = time.perf_counter() - start
+    if rerun.returncode != 0:
+        lines = errors.decode(errors="replace").strip().splitlines() or ["no error output"]
+        raise VerifyError(f"the determinism re-run exited with code {rerun.returncode}: {lines[-1]}")
+    first = canonical_report(results, seed)
+    identical = first.encode() == second
+    results.append(
+        CheckResult(
+            name=DETERMINISM_CHECK,
+            claim="re-running the suite with the same seed reproduces the report byte for byte",
+            computed={"bytes": len(first), "identical": identical},
+            expected="byte-identical canonical reports",
+            passed=identical,
+            seconds=elapsed,
         )
+    )
     return results

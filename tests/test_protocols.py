@@ -208,6 +208,24 @@ def test_the_gadget_writes_x_on_a_star_and_y_on_a_dagger_in_every_local_case():
     assert convert_strong(deutsch_parity()).gadget_bits == want
 
 
+def test_two_conversions_run_the_gadget_once_and_share_a_read_only_table(monkeypatch):
+    gates = []
+
+    def counting(state, dims, gate):
+        gates.append(gate)
+        return apply_gate(state, dims, gate)
+
+    apply_gate = protocols.apply_gate
+    monkeypatch.setattr(protocols, "apply_gate", counting)
+    protocols._gadget_bits.cache_clear()
+    first = convert_strong(deutsch_parity())
+    second = convert_strong(grover_or(4, 1))
+    assert gates == list(protocols._RESOLVE_GATES) * 2  # one star and one dagger pass
+    assert second.gadget_bits is first.gadget_bits
+    with pytest.raises(TypeError):
+        first.gadget_bits[(0, 0, 0)] = 1
+
+
 def test_a_gadget_that_leaves_a_symbol_register_set_is_refused(monkeypatch):
     monkeypatch.setattr(protocols, "_RESOLVE_GATES", (Gate.named("X", (1,)),))
     alg, w = _deutsch_instance()

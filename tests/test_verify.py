@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import subprocess
+
 import pytest
 
 from sablab import measures, verify
+from sablab.cli import main
 
 
 def test_certificate_checks_share_one_global_sweep_per_pass(monkeypatch):
@@ -28,10 +32,9 @@ def test_certificate_checks_share_one_global_sweep_per_pass(monkeypatch):
     assert calls == functions
 
     calls.clear()
-    results = verify.run_checks(seed=0)
-    assert results[-1].name == verify.DETERMINISM_CHECK and results[-1].passed
-    assert calls == functions * 2
-
+    for _ in range(2):
+        verify._run_base_checks(seed=0)
+    assert calls == functions * 2  # a second pass shares nothing with the first
 
 
 def test_run_checks_refuses_a_negative_seed(monkeypatch):
@@ -43,3 +46,69 @@ def test_run_checks_refuses_a_negative_seed(monkeypatch):
         verify.run_checks(seed=-1)
     with pytest.raises(verify.VerifyError, match="got -1"):
         verify.run_checks(seed=-1, only="05")
+
+
+def _popen_spy(monkeypatch) -> list[subprocess.Popen]:
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+def _one_check(fn) -> dict:
+    return {"01-only": ("a claim", "an expectation", fn)}
+
+
+def test_the_determinism_rerun_is_a_fresh_interpreter(capsys, monkeypatch, tmp_path):
+    """A check patched in this process only runs unpatched in the re-run, so check 10 fails."""
+    claim, expected, fn = verify._CHECKS["05-indexing-relation"]
+
+    def patched(seed):
+        computed, ok = fn(seed)
+        return {**computed, "patched": True}, ok
+
+    monkeypatch.setitem(verify._CHECKS, "05-indexing-relation", (claim, expected, patched))
+    path = tmp_path / "report.json"
+    assert main(["verify-all", "--seed", "0", "--out", str(path)]) == 1
+    checks = json.loads(path.read_text(encoding="utf-8"))["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [verify.DETERMINISM_CHECK]
+    assert checks[-1]["computed"]["identical"] is False
+    assert "FAIL  10-determinism" in capsys.readouterr().err
+
+
+def test_a_base_check_that_raises_leaves_no_rerun_running(monkeypatch):
+    def broken(seed):
+        raise RuntimeError("the check broke")
+
+    started = _popen_spy(monkeypatch)
+    monkeypatch.setattr(verify, "_CHECKS", _one_check(broken))
+    with pytest.raises(RuntimeError, match="the check broke"):
+        verify.run_checks(seed=0)
+    assert len(started) == 1 and started[0].poll() is not None
+    assert started[0].returncode < 0  # stopped, not left to finish its pass
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("import sys; sys.stderr.write('first\\nlast words\\n'); sys.exit(3)", "code 3: last words$"),
+        ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "code -9: no error output$"),
+    ],
+    ids=["exit-3", "killed"],
+)
+def test_a_rerun_that_exits_non_zero_raises(monkeypatch, source, message):
+    monkeypatch.setattr(verify, "_RERUN_SOURCE", source)
+    monkeypatch.setattr(verify, "_CHECKS", _one_check(lambda seed: ({}, True)))
+    with pytest.raises(verify.VerifyError, match="^the determinism re-run exited with " + message):
+        verify.run_checks(seed=0)
+
+
+def test_a_filtered_run_starts_no_second_process(monkeypatch):
+    started = _popen_spy(monkeypatch)
+    results = verify.run_checks(seed=0, only="01")
+    assert [r.name for r in results] == ["01-fbs-indexing"] and started == []
