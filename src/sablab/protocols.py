@@ -7,8 +7,9 @@
   state is zero off the bx = by = bz = 0 slice, which is the source layout,
   and there the gadget is the bit oracle of a string b read position by
   position from the gadget itself: ``convert_strong`` runs it once per local
-  case on 128 tagged amplitudes, and ``run_converted`` runs the source at
-  source size on ``oracle_bit(b)``.
+  case on 128 tagged amplitudes.  So a converted run is the source run on
+  ``oracle_bit(b)``, and ``run_converted`` runs and measures it at source
+  size; no state of the wrapped layout is built.
 * ``sample_interrupt`` / ``find_index_repeat``: stop a distinguisher at a
   random time, measure the query register, verify the position with one
   extra query.  The branch runs are the source on x and on y through the
@@ -45,9 +46,9 @@ from .qsim import (
     evolve,
     grover_find_mark,
     index_marginal,
-    measure_distribution,
     oracle_bit,
     oracle_strong,
+    run,
     xor_controlled_block,
     _block_mass,
 )
@@ -210,22 +211,15 @@ def convert_strong(alg: QueryAlgorithm) -> ConvertedAlgorithm:
 def run_converted(conv: ConvertedAlgorithm, w: StrongInput) -> dict:
     """Output distribution of the wrapped algorithm on a strong input.
 
-    On the zero-symbol slice each gadget is the bit oracle of the string b
-    with b_j = ``conv.gadget_bits[w[j]]``, so the source runs at source size
-    on ``oracle_bit(b)``.  Its final state is put on the slice once and
-    measured on the wrapped layout, so the distribution is summed as a whole
-    wrapped run sums it.
+    Between gadgets the wrapped run stays on the zero-symbol slice, where each
+    gadget is the bit oracle of the string b with b_j = ``conv.gadget_bits[w[j]]``;
+    so the wrapped run is the source run on ``oracle_bit(b)``, and this runs
+    and measures it at source size.
     """
-    wrapped = conv.wrapped
-    if wrapped.measure is None:
+    if conv.source.measure is None:
         raise ProtocolError("the source algorithm has no measurement, so its converted run has no output")
     b = BitString(tuple(conv.gadget_bits[case] for case in w.tuples))
-    for state in evolve(conv.source, oracle_bit(b)):
-        pass
-    layout = wrapped.layout
-    embedded = np.zeros(layout.total_dim, dtype=np.complex128)
-    embedded.reshape(layout.n, 16, -1)[:, 0] = state.reshape(layout.n, -1)
-    return measure_distribution(embedded, layout, wrapped.measure)
+    return run(conv.source, oracle_bit(b)).distribution
 
 
 def decision(distribution: dict) -> dict:

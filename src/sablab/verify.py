@@ -10,6 +10,7 @@ runs them again concurrently, and its report must match byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,6 @@ import os
 import subprocess
 import sys
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,19 +166,12 @@ def _cert_functions():
     yield make_indexing(2)
 
 
-# (f, fbs(f), maximiser) for each certificate function.  Each base pass sets a
-# fresh list that checks 03 and 04 share, so a second pass recomputes
-# everything; a context variable keeps passes in different threads apart.
-_cert_optima: ContextVar[list | None] = ContextVar("cert_optima", default=None)
-
-
-def _cert_global_optima() -> list[tuple[PartialFunction, float, BitString]]:
-    memo = _cert_optima.get()
-    if memo is None:  # outside a base pass: nothing to share
-        memo = []
-    if not memo:
-        memo.extend((f, *measures.fbs_global(f)) for f in _cert_functions())
-    return memo
+# (f, fbs(f), maximiser) for each certificate function, shared by checks 03
+# and 04.  Each base pass clears the cache first, so a second pass recomputes
+# everything.
+@functools.cache
+def _cert_global_optima() -> tuple[tuple[PartialFunction, float, BitString], ...]:
+    return tuple((f, *measures.fbs_global(f)) for f in _cert_functions())
 
 
 def _check_fbs_certificates(seed: int) -> tuple[dict, bool]:
@@ -505,11 +498,8 @@ def _run_check(name: str, seed: int) -> CheckResult:
 
 def _run_base_checks(seed: int, only: str | None = None) -> list[CheckResult]:
     names = _selected_checks(only)
-    token = _cert_optima.set([])
-    try:
-        return [_run_check(name, seed) for name in names]
-    finally:
-        _cert_optima.reset(token)
+    _cert_global_optima.cache_clear()
+    return [_run_check(name, seed) for name in names]
 
 
 def canonical_report(results: list[CheckResult], seed: int) -> str:

@@ -119,16 +119,18 @@ def test_protocol_convert(capsys):
     ],
     ids=["deutsch", "grover-or-4-1", "grover-or-3-2"],
 )
-def test_protocol_convert_runs_the_wrapped_circuit_once(capsys, monkeypatch, alg, source, pair, marker):
-    """One CLI call evolves the source once: each gadget runs inside that run, at wrapped size."""
+def test_protocol_convert_runs_the_source_once(capsys, monkeypatch, alg, source, pair, marker):
+    """One CLI call evolves the source once, at source size: each gadget is a query of that run
+    to the bit oracle of the gadget's bits."""
     runs = []
-    simulate = protocols.evolve
+    simulate = qsim.evolve
 
     def counted_evolve(alg, *args, **kwargs):
         runs.append(alg)
         return simulate(alg, *args, **kwargs)
 
-    monkeypatch.setattr(protocols, "evolve", counted_evolve)
+    monkeypatch.setattr(qsim, "evolve", counted_evolve)  # the run inside qsim.run
+    monkeypatch.setattr(protocols, "evolve", counted_evolve)  # a run through protocols' own import
     code, out, _ = run_cli(
         capsys, "protocol", "convert-strong", "--alg", alg, "--pair", pair, "--marker", marker
     )
@@ -156,6 +158,7 @@ def test_protocol_convert_refuses_a_source_without_measurement(capsys, monkeypat
         pytest.fail("a source without measurement was simulated before it was refused")
 
     monkeypatch.setattr(protocols, "evolve", no_simulation)
+    monkeypatch.setattr(protocols, "run", no_simulation)
     path = tmp_path / "alg.json"
     path.write_text(qsim.algorithm_to_json(replace(qsim.deutsch_parity(), measure=None)), encoding="utf-8")
     code, out, err = run_cli(capsys, "protocol", "convert-strong", "--alg-file", str(path), "--pair", "00,01")

@@ -124,14 +124,6 @@ def test_conversion_moves_measured_registers_with_their_wires(registers, wrapped
         assert total_variation(want, run_converted(conv, w)) <= 1e-10, str(w)
 
 
-def slice_runs(monkeypatch):
-    """Patch run_converted's measurement to record the wrapped-layout state it measures."""
-    states = []
-    measure = protocols.measure_distribution
-    monkeypatch.setattr(protocols, "measure_distribution", lambda state, *args: states.append(state) or measure(state, *args))
-    return states
-
-
 def wide_source(rng, work_qubits):
     """A two-query source shaped like sabbench's simulate-wide: n = 8, Haar layers on the same wires."""
     layout = RegisterLayout(n=8, symbol="bit", workspace=1 << work_qubits)
@@ -153,10 +145,21 @@ def random_strong_input(rng, n):
     return StrongInput.from_pair(x, y, "*+"[int(rng.integers(2))])
 
 
-def test_converted_run_on_the_slice_is_bitwise_the_wrapped_run(monkeypatch):
-    """The source at source size with one gadget per query gives the whole wrapped run's final
-    state, put back on the zero-symbol slice, and its distribution, bit for bit."""
-    rng = np.random.default_rng(25)
+def source_run(conv, w):
+    """The source run on the bit string a converted run queries: x on a star input, y on a dagger."""
+    return run(conv.source, oracle_bit(w.x if w.marker == STAR else w.y))
+
+
+def on_the_slice(conv, state):
+    """A source-layout state put on the bx = by = bz = 0 slice of the wrapped layout."""
+    layout = conv.wrapped.layout
+    embedded = np.zeros(layout.total_dim, dtype=np.complex128)
+    embedded.reshape(layout.n, 16, -1)[:, 0] = state.reshape(layout.n, -1)
+    return embedded
+
+
+def slice_instances(rng):
+    """Every source family the wrapped-run tests pin, with workspace 1, 2^10 or 2^12."""
     instances = []
     for f in catalog(max_arity=4):
         sources = [deutsch_parity()] if f.n == 2 else []
@@ -169,31 +172,58 @@ def test_converted_run_on_the_slice_is_bitwise_the_wrapped_run(monkeypatch):
         source = wide_source(rng, work_qubits)
         w = random_strong_input(rng, 8)
         instances += [(source, StrongInput.from_pair(w.x, w.y, marker)) for marker in "*+"]
-    states = slice_runs(monkeypatch)
-    for source, w in instances:
-        conv = convert_strong(source)
-        want = run(conv.wrapped, oracle_strong(w))
-        assert run_converted(conv, w) == want.distribution, (source.layout, str(w))
-        assert np.array_equal(states.pop(), want.final_state), (source.layout, str(w))
+    return instances
 
 
-def test_converted_run_on_the_slice_of_a_narrow_source_is_within_1e_15(monkeypatch):
-    """With workspace 1, 2 or 4 the source layout hands BLAS fewer columns per dense gate than
-    the wrapped layout does, and a narrow product may sum in another order: the last bits
-    can differ from the whole wrapped run, so these sources are held to 1e-15."""
-    rng = np.random.default_rng(26)
-    states = slice_runs(monkeypatch)
+def narrow_instances(rng):
+    """Haar-random sources with workspace 1, 2 or 4 on random strong inputs."""
     for workspace in (1, 2, 4):
         for _ in range(10):
             n = int(rng.integers(2, 8))
             source = random_query_algorithm(n, int(rng.integers(1, 4)), rng, workspace)
-            w = random_strong_input(rng, n)
-            conv = convert_strong(source)
-            want = run(conv.wrapped, oracle_strong(w))
-            got = run_converted(conv, w)
-            assert got.keys() == want.distribution.keys()
-            assert max(abs(got[k] - want.distribution[k]) for k in got) <= 1e-15, (source.layout, str(w))
-            assert np.abs(states.pop() - want.final_state).max() <= 1e-15, (source.layout, str(w))
+            yield source, random_strong_input(rng, n)
+
+
+def test_converted_run_is_bitwise_the_source_run_on_the_gadget_bits():
+    """The converted run's distribution is the source run's own: same outcomes in the same
+    order, float for float, for every source family, whatever its workspace."""
+    rng = np.random.default_rng(29)
+    instances = slice_instances(rng) + list(narrow_instances(rng))
+    measured = replace(random_query_algorithm(3, 2, rng, workspace=4),
+                       measure=Measurement(registers=("work0", "index", "symbol")))
+    instances += [(measured, w) for w in all_strong_inputs(make_named("OR", 3))]
+    for source, w in instances:
+        conv = convert_strong(source)
+        got = run_converted(conv, w)
+        assert list(got.items()) == list(source_run(conv, w).distribution.items()), (source.layout, str(w))
+
+
+def test_converted_run_on_the_slice_is_bitwise_the_wrapped_run():
+    """The source at source size, put back on the zero-symbol slice, is the whole wrapped run's
+    final state bit for bit, and the converted run's distribution is the wrapped run's."""
+    rng = np.random.default_rng(25)
+    for source, w in slice_instances(rng):
+        conv = convert_strong(source)
+        want = run(conv.wrapped, oracle_strong(w))
+        assert run_converted(conv, w) == want.distribution, (source.layout, str(w))
+        embedded = on_the_slice(conv, source_run(conv, w).final_state)
+        assert np.array_equal(embedded, want.final_state), (source.layout, str(w))
+
+
+def test_converted_run_on_the_slice_of_a_narrow_source_is_within_1e_15():
+    """With workspace 1, 2 or 4 the source layout hands BLAS fewer columns per dense gate than
+    the wrapped layout does, and a narrow product may sum in another order, as may a
+    marginal over 4 live terms against one over 64 of which 60 are zero: the last bits can
+    differ from the whole wrapped run, so these sources are held to 1e-15."""
+    rng = np.random.default_rng(26)
+    for source, w in narrow_instances(rng):
+        conv = convert_strong(source)
+        want = run(conv.wrapped, oracle_strong(w))
+        got = run_converted(conv, w)
+        assert got.keys() == want.distribution.keys()
+        assert max(abs(got[k] - want.distribution[k]) for k in got) <= 1e-15, (source.layout, str(w))
+        embedded = on_the_slice(conv, source_run(conv, w).final_state)
+        assert np.abs(embedded - want.final_state).max() <= 1e-15, (source.layout, str(w))
 
 
 def test_the_gadget_writes_x_on_a_star_and_y_on_a_dagger_in_every_local_case():
@@ -244,8 +274,8 @@ def test_a_gadget_with_a_phase_is_refused(monkeypatch, phase):
 
 
 def test_a_converted_run_applies_nothing_to_a_wrapped_state(monkeypatch):
-    """Every gate and query of a converted run acts on a source-size state; only the final
-    measurement embeds the state in the wrapped layout."""
+    """Every gate and query of a converted run acts on a source-size state, one per source
+    gate and per source query: none acts on a state of the wrapped layout."""
     rng = np.random.default_rng(28)
     conv = convert_strong(wide_source(rng, 10))
     w = random_strong_input(rng, 8)
@@ -269,23 +299,22 @@ def test_a_converted_run_applies_nothing_to_a_wrapped_state(monkeypatch):
     assert conv.wrapped.layout.total_dim not in sizes
 
 
-def test_converted_run_peaks_below_1_6_wrapped_states():
-    """A 2^16-amplitude source: the run holds source-size states, and the final measurement one
-    embedded wrapped state and its probabilities (1.56 states).  A whole wrapped run peaked at
-    3.06 states."""
+def test_converted_run_peaks_below_6_source_states():
+    """A 2^16-amplitude source: the run and its measurement hold source-size arrays only
+    (5.0 source states), where a whole wrapped run peaks at 49."""
     rng = np.random.default_rng(27)
     conv = convert_strong(wide_source(rng, 12))
     w = random_strong_input(rng, 8)
-    wrapped_bytes = conv.wrapped.layout.total_dim * 16
+    source_bytes = conv.source.layout.total_dim * 16
     run_converted(conv, w)  # plans and caches are built outside the measurement
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         run_converted(conv, w)
-        peak = (tracemalloc.get_traced_memory()[1] - held) / wrapped_bytes
+        peak = (tracemalloc.get_traced_memory()[1] - held) / source_bytes
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6
+    assert peak <= 6
 
 
 def test_converted_run_without_measurement_is_refused_before_simulation(monkeypatch):
