@@ -10,7 +10,7 @@ optima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -184,13 +184,7 @@ class RelationBound:
     per_position: Mapping[int, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "m_x": self.m_x,
-            "m_y": self.m_y,
-            "l_max": self.l_max,
-            "bound": self.bound,
-            "per_position": {str(j): v for j, v in sorted(self.per_position.items())},
-        }
+        return asdict(self) | {"per_position": {str(j): v for j, v in sorted(self.per_position.items())}}
 
 
 def relation_bound(rel: Relation) -> RelationBound:
@@ -246,22 +240,22 @@ def build_indexing_relation(n: int, strong: bool = False) -> Relation:
     size = 1 << n
     addresses = [tuple((k >> (n - 1 - i)) & 1 for i in range(n)) for k in range(size)]
 
-    def weak_label(addr: tuple[int, ...], marker: int) -> SabString:
+    def weak_label(addr: tuple[int, ...], data_pos: int, marker: int) -> SabString:
         data = [0] * size
-        data[int("".join(map(str, addr)), 2)] = marker
+        data[data_pos] = marker
         return SabString(tuple(addr) + tuple(data))
 
-    def strong_label(addr: tuple[int, ...], marker: int) -> StrongInput:
+    def strong_label(addr: tuple[int, ...], data_pos: int, marker: int) -> StrongInput:
         # Unique preimage pair: x = (addr, all-zero data), y = x with the
         # addressed data bit set, so f(x) = 0 and f(y) = 1.
-        data_pos = int("".join(map(str, addr)), 2)
         x = BitString(tuple(addr) + tuple(0 for _ in range(size)))
         y = x.flip([n + data_pos + 1])
         return StrongInput(x, y, marker)
 
+    # Address k reads data position k: addresses run in binary order.
     make = strong_label if strong else weak_label
-    x_side = tuple(make(a, STAR) for a in addresses)
-    y_side = tuple(make(a, DAGGER) for a in addresses)
+    x_side = tuple(make(a, k, STAR) for k, a in enumerate(addresses))
+    y_side = tuple(make(a, k, DAGGER) for k, a in enumerate(addresses))
     pairs = frozenset(
         (x_side[i], y_side[k])
         for i, a in enumerate(addresses)

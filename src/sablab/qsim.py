@@ -218,19 +218,11 @@ def _gather_plan(
     pre, post = math.prod(dims[:lo]), math.prod(dims[hi + 1 :])
     src = phases = None
     if mono.cols is not None:
-        # The gate row of each span entry, wires[0] most significant.
-        sub = dims[lo : hi + 1]
-        row = np.zeros(sub, dtype=np.intp)
-        weight = 1
-        for w in reversed(wires):
-            row += np.arange(dims[w]).reshape([dims[w] if a == w else 1 for a in range(lo, hi + 1)]) * weight
-            weight *= dims[w]
-        row = row.reshape(-1)
-        # Span offset of each gate row's digits; entry s reads s - offset[r] + offset[cols[r]].
-        digits = np.unravel_index(np.arange(weight), [dims[w] for w in wires])
-        offset = sum(d * math.prod(dims[w + 1 : hi + 1]) for w, d in zip(wires, digits))
-        src = (offset[mono.cols] - offset)[row]
-        src += np.arange(row.size)
+        # Tag each span entry and move the tags as the gate moves amplitudes: wires lead, wires[0] outermost.
+        axes, lead = [w - lo for w in wires], range(len(wires))
+        tags = np.moveaxis(np.arange(math.prod(dims[lo : hi + 1])).reshape(dims[lo : hi + 1]), axes, lead)
+        moved = tags.reshape(mono.size, -1)[mono.cols].reshape(tags.shape)
+        src = np.moveaxis(moved, lead, axes).reshape(-1)
     if mono.phases is not None:
         ones = 1 if len(wires) == 1 else len(dims) - len(wires)
         phases = mono.phases.reshape([dims[w] for w in wires] + [1] * ones)
@@ -385,13 +377,8 @@ def diffusion_block(dim: int) -> np.ndarray:
 def xor_controlled_block(control_dim: int, control_values: Iterable[int]) -> np.ndarray:
     """Unitary on (control, qubit) flipping the qubit when control is listed."""
     flips = set(control_values)
-    dim = 2 * control_dim
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for c in range(control_dim):
-        for b in range(2):
-            target = b ^ 1 if c in flips else b
-            m[2 * c + target, 2 * c + b] = 1.0
-    return m
+    cols = [2 * c + (b ^ (c in flips)) for c in range(control_dim) for b in range(2)]
+    return np.eye(2 * control_dim, dtype=np.complex128)[cols]
 
 
 @dataclass(frozen=True)

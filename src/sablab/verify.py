@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,13 +45,9 @@ class CheckResult:
 
     def to_json_dict(self) -> dict:
         """The report entry: everything but the timing."""
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "computed": self.computed,
-            "expected": self.expected,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        del out["seconds"]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +451,6 @@ _CHECKS: dict[str, tuple[str, str, object]] = {
 DETERMINISM_CHECK = "10-determinism"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def _selected_checks(only: str | None) -> list[str]:
     if only == "":
         raise VerifyError(
@@ -489,7 +473,7 @@ def _run_check(name: str, seed: int) -> CheckResult:
     return CheckResult(
         name=name,
         claim=claim,
-        computed=_jsonable(computed),
+        computed=computed,
         expected=expected,
         passed=bool(passed),
         seconds=elapsed,

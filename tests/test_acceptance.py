@@ -46,6 +46,16 @@ def test_criterion(name, label, budget):
     print(f"{status}  {label}  [{elapsed:.2f}s < {budget:.0f}s]  {result.computed}")
     assert result.passed, result.computed
     assert elapsed < budget, f"{label} took {elapsed:.2f}s, budget {budget}s"
+    assert plain_leaves(result.computed), f"{name} computed a value json may not write: {result.computed}"
+
+
+def plain_leaves(value) -> bool:
+    """Only dicts (str keys), lists and exact str, int, float and bool leaves: the report writes them as they are."""
+    if type(value) is dict:
+        return all(type(k) is str and plain_leaves(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(plain_leaves, value))
+    return type(value) in (str, int, float, bool)
 
 
 def test_criterion_10_determinism(tmp_path, capsys):

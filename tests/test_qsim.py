@@ -46,6 +46,7 @@ from sablab.qsim import (
     random_query_algorithm,
     run,
     uniform_prep_block,
+    xor_controlled_block,
 )
 
 
@@ -392,6 +393,25 @@ def test_diffusion_and_prep_blocks_are_unitary():
     for dim in (1, 2, 3, 5, 16):
         for m in (uniform_prep_block(dim), diffusion_block(dim)):
             assert np.abs(m @ m.conj().T - np.eye(dim)).max() < 1e-12
+
+
+def xor_controlled_loop(control_dim, control_values):
+    """The definition: m[2c + (b ^ f_c), 2c + b] = 1, f_c = [c is listed], every other entry 0."""
+    flips = set(control_values)
+    m = np.zeros((2 * control_dim, 2 * control_dim), dtype=np.complex128)
+    for c in range(control_dim):
+        for b in range(2):
+            m[2 * c + (b ^ 1 if c in flips else b), 2 * c + b] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("control_dim", range(1, 9))
+def test_xor_controlled_block_matches_its_definition(control_dim):
+    unsorted = [c for c in range(control_dim) if c % 3 != 1][::-1]
+    for flips in ([], list(range(control_dim)), unsorted):
+        got = xor_controlled_block(control_dim, flips)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, xor_controlled_loop(control_dim, flips)), flips
 
 
 # ---------------------------------------------------------------------------
