@@ -74,8 +74,10 @@ def evaluate_certificate(
     there when those entries differ, and tuple entries (strong inputs) are
     compared whole.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
     d = len(labels)
+    if d > DIM_CAP:  # before any label is evaluated or any d x d copy is made
+        raise AdversaryError(f"dimension {d} exceeds cap {DIM_CAP}")
+    gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (d, d):
         raise AdversaryError(f"gamma shape {gamma.shape} does not match {d} labels")
     if gamma.min(initial=0.0) < 0:

@@ -79,6 +79,11 @@ class BitString:
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
 
+    @property
+    def code(self) -> int:
+        """The string read MSB-first as an integer (position j is bit n - j): a truth-table key."""
+        return int(str(self), 2)
+
     def flip(self, block: Iterable[int]) -> "BitString":
         """Flip the (1-based) positions in ``block``."""
         out = list(self.bits)
@@ -92,9 +97,9 @@ class BitString:
 class PartialFunction:
     """Truth table of ``f: D -> {0,1}`` with ``D`` a subset of length-n strings.
 
-    Three read-only arrays in lexicographic order of ``D``: int64 codes (each
-    MSB-first string read as an integer), uint8 values and the (|D|, n) uint8
-    bit matrix.  The views returning BitStrings build them on each call.
+    Three read-only arrays in lexicographic order of ``D``: int64 codes
+    (:attr:`BitString.code` of each string), uint8 values and the (|D|, n)
+    uint8 bit matrix.  The views returning BitStrings build them on each call.
     """
 
     __slots__ = ("name", "n", "total", "_codes", "_vals", "_bits")
@@ -120,8 +125,7 @@ class PartialFunction:
                 raise FunctionFormatError(f"key {bs} has length {len(bs)}, expected n = {n}")
             if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val not in (0, 1):
                 raise FunctionFormatError(f"value for {bs} must be the integer 0 or 1, got {val!r}")
-            code = int(str(bs), 2)
-            if code in table:
+            if (code := bs.code) in table:
                 raise FunctionFormatError(f"duplicate key {bs}")
             table[code] = int(val)
         if not table:
@@ -152,7 +156,7 @@ class PartialFunction:
         """Row of x in the arrays, or None if x is outside the domain."""
         if len(x) != self.n:
             return None
-        code = int(str(x), 2)
+        code = x.code
         i = code if self.total else int(np.searchsorted(self._codes, code))
         return i if i < self._codes.size and self._codes[i] == code else None
 
@@ -168,12 +172,6 @@ class PartialFunction:
     def d1(self) -> tuple[BitString, ...]:
         return _strings(self._bits[self._vals == 1])
 
-    def __contains__(self, x: object) -> bool:
-        try:
-            return self._index(BitString.coerce(x)) is not None  # type: ignore[arg-type]
-        except (BoolFnError, TypeError):
-            return False
-
     def value(self, x: BitString | str) -> int:
         bs = BitString.coerce(x)
         if (i := self._index(bs)) is None:
@@ -186,6 +184,11 @@ class PartialFunction:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Domain as a read-only (m, n) uint8 bit matrix and (m,) value vector."""
         return self._bits, self._vals
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The domain's read-only (m,) int64 codes, ascending, row for row with :meth:`arrays`."""
+        return self._codes
 
     def opposite_inputs(self, x: BitString | str) -> tuple[BitString, ...]:
         """All domain points with function value different from f(x)."""

@@ -96,13 +96,12 @@ class FbsSolution:
 def sensitive_blocks(f: PartialFunction, x: BitString | str) -> tuple[int, ...]:
     """Sensitive blocks at x as coordinate bitmasks, ascending.
 
-    Masks are LSB-first: bit j - 1 is set for position j.  This is the
-    mirror of the MSB-first integer codes of :class:`PartialFunction` and of
-    the pair keys of ``sabotage.enumerate_sabotaged``, where position j is
-    bit n - j.
+    The block of an opposite input y is ``x.code ^ y.code`` over the codes of
+    :class:`PartialFunction`, so position j is bit n - j, as in the marks of
+    ``sabotage.enumerate_sabotaged``'s pair keys.
     """
-    _, diff = _lp_data(f, BitString.coerce(x))
-    return tuple(np.unique(diff.astype(np.int64) @ (1 << np.arange(f.n))).tolist())
+    xb = BitString.coerce(x)
+    return tuple(np.unique(f.codes[f.arrays()[1] != f.value(xb)] ^ xb.code).tolist())
 
 
 def block_sensitivity(f: PartialFunction, x: BitString | str) -> int:
@@ -183,9 +182,7 @@ def _transform_coverage(f: PartialFunction, u: np.ndarray, start: int = 0) -> np
     differing coordinate once, so after n passes every distance is exact.
     O(n 2^n) per dual, in ``u.dtype``.
     """
-    bits, vals = f.arrays()
-    n = f.n
-    codes = bits @ (1 << np.arange(n - 1, -1, -1))
+    vals, codes, n = f.arrays()[1], f.codes, f.n
     d = np.full((2, 1 << n), u.sum() + 1, dtype=u.dtype)
     d[vals, codes] = 0
     for j, w in enumerate(u):

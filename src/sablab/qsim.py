@@ -25,11 +25,11 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequenc
 
 import numpy as np
 
-from .boolfn import BitString
+from .boolfn import MAX_ARITY, BitString
 from .sabotage import SabString, StrongInput
 
 DIM_CAP = 2**21
-BLOCK_CAP = 16
+BLOCK_CAP = MAX_ARITY  # gate dimension; an index register of any supported arity fits
 UNITARY_TOL = 1e-12
 NORM_TOL = 1e-10
 

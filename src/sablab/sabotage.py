@@ -131,11 +131,10 @@ def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], froze
     Each distinct string is built once, from its pair key (see ``_pair_keys``).
     """
     require_general_size(f, "enumerate_sabotaged", SabotageError)
-    bits, vals = f.arrays()
+    vals, n = f.arrays()[1], f.n
     if vals.min() == vals.max():
         raise SabotageError(f"{f.name} is constant on its domain; nothing to sabotage")
-    n = f.n
-    key = np.fromiter(_pair_keys(bits, vals), np.int64)[:, None]
+    key = np.fromiter(_pair_keys(f.codes, vals, n), np.int64)[:, None]
     shifts = np.arange(n - 1, -1, -1)  # column j - 1 reads bit n - j: MSB-first
     kept = (key >> shifts & 1).astype(np.uint8)
     marked = (key >> (shifts + n) & 1).astype(np.uint8)
@@ -151,17 +150,16 @@ def _sab_strings(symbols: np.ndarray) -> frozenset[SabString]:
     return frozenset(SabString(tuple(raw[i:i + n])) for i in range(0, len(raw), n))
 
 
-def _pair_keys(bits: np.ndarray, vals: np.ndarray) -> set[int]:
-    """Distinct keys ``(x ^ y) << n | x & y`` over pairs of a 0-row x and a 1-row y.
+def _pair_keys(codes: np.ndarray, vals: np.ndarray, n: int) -> set[int]:
+    """Distinct keys ``(x ^ y) << n | x & y`` over the codes of a 0-input x and a 1-input y.
 
-    Rows are read as MSB-first integer codes, as in :class:`PartialFunction`
-    (position j is bit n - j).  The high n bits of a key mark where x and y
-    differ; the low n bits, x & y, hold their common bit off the marks and 0
-    on them.  So distinct keys are distinct sabotaged strings.  The key is
-    symmetric in x and y, so the loop runs over the smaller side.
+    ``codes`` are :attr:`PartialFunction.codes` (position j is bit n - j).
+    The high n bits of a key, x ^ y, mark where x and y differ: the sensitive
+    block that ``measures.sensitive_blocks`` reports for the pair.  The low n
+    bits, x & y, hold their common bit off the marks and 0 on them.  So
+    distinct keys are distinct sabotaged strings.  The key is symmetric in x
+    and y, so the loop runs over the smaller side.
     """
-    n = bits.shape[1]
-    codes = bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
     small, large = sorted((codes[vals == 0], codes[vals == 1]), key=len)
     keys: set[int] = set()
     for x in small.tolist():

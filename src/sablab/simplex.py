@@ -177,10 +177,9 @@ def _solve(c, A, b, tol, num: type) -> LpSolution:
     z, rhs = T[0, :-1], T[1:, -1]
 
     pivots = 0
-    stall = 0
-    bland = False
+    stall = 0  # degenerate pivots in a row; Bland's rule from _STALL_LIMIT on
     while True:
-        enter = int(np.argmax(z < -tol) if bland else z.argmin())
+        enter = int(np.argmax(z < -tol) if stall >= _STALL_LIMIT else z.argmin())
         if not z[enter] < -tol:
             break
         col = T[1:, enter]
@@ -209,13 +208,7 @@ def _solve(c, A, b, tol, num: type) -> LpSolution:
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
-        if gain <= tol:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-            bland = False
+        stall = stall + 1 if gain <= tol else 0
 
     weights = _as_array(np.zeros(n_vars), num)
     structural = basis < n_vars

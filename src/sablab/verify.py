@@ -162,21 +162,21 @@ def _cert_functions():
     yield make_indexing(2)
 
 
-# (f, fbs(f), maximiser) for each certificate function, shared by checks 03
-# and 04.  Each base pass clears the cache first, so a second pass recomputes
-# everything.
+# (f, fbs(f, x)) at the maximiser x of fbs_global for each certificate
+# function, shared by checks 03 and 04.  Each base pass clears the cache
+# first, so a second pass recomputes everything.
 @functools.cache
-def _cert_global_optima() -> tuple[tuple[PartialFunction, float, BitString], ...]:
-    return tuple((f, *measures.fbs_global(f)) for f in _cert_functions())
+def _cert_global_optima() -> tuple[tuple[PartialFunction, measures.FbsSolution], ...]:
+    return tuple((f, measures.fbs(f, measures.fbs_global(f)[1])) for f in _cert_functions())
 
 
 def _check_fbs_certificates(seed: int) -> tuple[dict, bool]:
     ok = True
     worst_norm_err = 0.0
     worst_col = 0.0
-    for f, value, x in _cert_global_optima():
-        cert = adversary.build_fbs_adversary(f, measures.fbs(f, x))
-        err = abs(cert.norm_gamma**2 - float(value))
+    for f, sol in _cert_global_optima():
+        cert = adversary.build_fbs_adversary(f, sol)
+        err = abs(cert.norm_gamma**2 - float(sol.value))
         worst_norm_err = max(worst_norm_err, err)
         worst_col = max(worst_col, max(cert.column_norms))
         if err > 1e-7 or max(cert.column_norms) > 1 + 1e-9:
@@ -189,9 +189,9 @@ def _check_sabotage_certificates(seed: int) -> tuple[dict, bool]:
     worst_norm_err = 0.0
     worst_col_slack = -float("inf")
     min_value_margin = float("inf")
-    for f, value, x in _cert_global_optima():
-        value = float(value)
-        cert = adversary.build_sabotage_adversary(f, measures.fbs(f, x))
+    for f, sol in _cert_global_optima():
+        value = float(sol.value)
+        cert = adversary.build_sabotage_adversary(f, sol)
         err = abs(cert.norm_gamma - value)
         worst_norm_err = max(worst_norm_err, err)
         bound = 1 + math.sqrt(value) + 1e-9

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sablab import adversary
 from sablab.adversary import (
     AdversaryError,
     build_fbs_adversary,
@@ -128,6 +129,17 @@ def test_certificate_pattern_violation():
         evaluate_certificate(labels, np.zeros((2, 2)), arity=2, fvalue=f.value)
     with pytest.raises(AdversaryError):
         evaluate_certificate(labels, -np.eye(2), arity=2, fvalue=f.value)
+
+
+def test_certificate_refuses_too_many_labels_before_any_work(monkeypatch):
+    def never(label):
+        pytest.fail("fvalue called before the label count was refused")
+
+    monkeypatch.setattr(adversary, "DIM_CAP", 2)
+    labels = [BitString.from_text(t) for t in ("00", "01", "10")]
+    gamma = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(AdversaryError, match="dimension 3 exceeds cap 2"):
+        evaluate_certificate(labels, gamma, arity=2, fvalue=never)
 
 
 def test_certificate_never_beats_random_search():

@@ -182,6 +182,14 @@ def test_stored_arrays_are_read_only():
     with pytest.raises(ValueError):
         bits[0, 0] = 1
     assert vals.tolist() == [0] + [1] * 7 and f.value("001") == 1
+    with pytest.raises(ValueError):
+        f.codes[0] = 1
+
+
+@pytest.mark.parametrize("f", catalog(), ids=lambda f: f.name)
+def test_codes_are_the_domain_codes_row_for_row(f):
+    assert f.codes.dtype == np.int64
+    assert f.codes.tolist() == [x.code for x in f.domain()]
 
 
 @pytest.mark.parametrize("f", catalog(), ids=lambda f: f.name)
@@ -202,6 +210,7 @@ def test_bitstring_helpers():
     x = BitString.from_text("0101")
     assert str(x) == "0101" and len(x) == 4 and x[1] == 1
     assert str(x.flip([1, 4])) == "1100"
+    assert x.code == 0b0101 and BitString.from_text("1000").code == 8  # position j is bit n - j
     with pytest.raises(BoolFnError):
         BitString.from_text("")
     with pytest.raises(BoolFnError):

@@ -205,6 +205,12 @@ def test_protocol_grover_find(capsys):
     assert code == 0 and payload["position"] == 3 and payload["valid"]
 
 
+def test_protocol_grover_find_at_arity_20(capsys):
+    code, out, _ = run_cli(capsys, "protocol", "grover-find", "--z", "0" * 19 + "*")
+    payload = json.loads(out)
+    assert code == 0 and payload["position"] == 20 and payload["valid"]
+
+
 def test_protocol_index_find_repeat(capsys):
     code, out, _ = run_cli(
         capsys, "protocol", "index-find", "--alg", "deutsch",

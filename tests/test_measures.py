@@ -70,8 +70,11 @@ def test_bs_matches_bruteforce_on_catalog():
 
 
 def former_block_sensitivity(f, x):
+    return former_packing(sensitive_blocks(f, x), f.n)
+
+
+def former_packing(masks, n):
     """The packing as first written: O(m^2) minimal filter, branch on every fitting block."""
-    masks = sensitive_blocks(f, x)
     if not masks:
         return 0
     minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
@@ -88,7 +91,21 @@ def former_block_sensitivity(f, x):
         memo[avail] = out
         return out
 
-    return best((1 << f.n) - 1)
+    return best((1 << n) - 1)
+
+
+def lsb_first_blocks(f, x):
+    """Sensitive blocks with position j at bit j - 1, from the difference bits of the opposite inputs."""
+    bits, vals = f.arrays()
+    diff = bits[vals != f.value(x)] ^ np.array(x.bits, dtype=np.uint8)
+    return sorted(set((diff.astype(np.int64) @ (1 << np.arange(f.n))).tolist()))
+
+
+def test_bs_does_not_depend_on_the_block_bit_order():
+    """The packing over the MSB-first blocks equals the one over their LSB-first mirror."""
+    for f in catalog(max_arity=6):
+        for x in f.domain():
+            assert block_sensitivity(f, x) == former_packing(lsb_first_blocks(f, x), f.n), (f.name, str(x))
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
@@ -610,6 +627,17 @@ def test_sensitive_blocks_are_masks():
     f = make_named("OR", 2)
     masks = sensitive_blocks(f, "00")
     assert set(masks) == {0b01, 0b10, 0b11}
+    # IND_1 at 000: the opposite inputs 010, 011, 101 and 111 as codes, MSB-first (LSB-first: 2, 5, 6, 7).
+    assert sensitive_blocks(make_indexing(1), "000") == (2, 3, 5, 7)
+
+
+def test_sensitive_blocks_are_the_code_xors_on_catalog():
+    """Each block sets bit n - j for each position j where x and an opposite input differ."""
+    for f in catalog(max_arity=6):
+        for x in f.domain():
+            ys = f.opposite_inputs(x)
+            assert sensitive_blocks(f, x) == tuple(sorted({x.code ^ y.code for y in ys}))
+            assert {sum(1 << (f.n - j) for j in diff_positions(x, y)) for y in ys} == set(sensitive_blocks(f, x))
 
 
 def test_indexing_at_arity_20():

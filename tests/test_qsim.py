@@ -67,6 +67,9 @@ def test_gate_validation():
         Gate.block(np.array([[1.0, 0.0], [1.0, 1.0]]), (0,))  # not unitary
     with pytest.raises(SimulationError):
         Gate.block(np.eye(32), (0, 1))  # too large
+    assert Gate.block(np.eye(20), (0,)).matrix.shape == (20, 20)  # an index register at the arity cap
+    with pytest.raises(SimulationError, match="gate dimension 21 exceeds 20"):
+        Gate.block(np.eye(21), (0,))
     with pytest.raises(SimulationError):
         Gate.named("FOO", (0,))
     g = Gate.named("CPHASE", (1, 2), param=math.pi)
@@ -202,13 +205,16 @@ def test_algorithm_validation():
         )  # dim mismatch
 
 
-@pytest.mark.parametrize("n,m,k", [(4, 1, 1), (2, 1, 1), (1, 1, 0), (2, 2, 0), (9, 4, 2)])
+@pytest.mark.parametrize("n,m,k", [(4, 1, 1), (2, 1, 1), (1, 1, 0), (2, 2, 0), (9, 4, 2)]
+                         + [(n, m, k) for n in range(17, 21) for m in (1, 3) for k in range(4)])
 def test_grover_closed_form_spot(n, m, k):
     z = SabString(tuple([2] * m + [0] * (n - m)))
     res = grover_find_mark(z, k)
     theta = math.asin(math.sqrt(m / n))
     assert abs(res.success_mass - math.sin((2 * k + 1) * theta) ** 2) < 1e-12
     assert abs(sum(res.position_probs) - 1.0) < 1e-12
+    marked = run(grover_or(n, k), oracle_bit("0" * (n - m) + "1" * m)).distribution
+    assert abs(sum(marked[j] for j in range(n - m + 1, n + 1)) - math.sin((2 * k + 1) * theta) ** 2) < 1e-12
 
 
 def test_grover_single_mark_position():

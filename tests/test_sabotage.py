@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partial_functions
-from sablab.boolfn import BitString, PartialFunction, make_named
-from sablab.measures import fbs
+from sablab.boolfn import BitString, PartialFunction, catalog, make_named
+from sablab.measures import fbs, sensitive_blocks
 from sablab.sabotage import (
     DAGGER,
     STAR,
@@ -155,6 +155,16 @@ def test_enumerate_matches_pair_loop_at_certify_sizes(seed):
         assert stars == {sabotage_star(x, y) for x in f.d0 for y in f.d1}
         assert daggers == {SabString(tuple(DAGGER if s == STAR else s for s in z.symbols)) for z in stars}
         assert all(type(s) is int for z in stars for s in z.symbols)
+
+
+@pytest.mark.parametrize("f", catalog(max_arity=6), ids=lambda f: f.name)
+def test_enumerate_on_catalog_marks_the_sensitive_blocks(f):
+    """The pair loop's sets, whose marks are the sensitive blocks at the 0-inputs as codes."""
+    stars, daggers = enumerate_sabotaged(f)
+    assert stars == {sabotage_star(x, y) for x in f.d0 for y in f.d1}
+    assert daggers == {sabotage_dagger(x, y) for x in f.d0 for y in f.d1}
+    marks = {sum(1 << (f.n - j) for j in z.mark_positions) for z in stars}
+    assert marks == {m for x in f.d0 for m in sensitive_blocks(f, x)}
 
 
 @given(partial_functions(max_arity=4))

@@ -37,6 +37,22 @@ def test_certificate_checks_share_one_global_sweep_per_pass(monkeypatch):
     assert calls == functions * 2  # a second pass shares nothing with the first
 
 
+def test_certificate_checks_solve_each_maximiser_once(monkeypatch):
+    """Checks 03 and 04 read one fbs solve at each of the 18 maximisers."""
+    calls = []
+
+    def counting(f, x, *args, **kwargs):
+        calls.append((f.name, str(x)))
+        return fbs(f, x, *args, **kwargs)
+
+    fbs = measures.fbs
+    monkeypatch.setattr(measures, "fbs", counting)
+    results = verify._run_base_checks(0, only="certificate")
+    assert [r.name for r in results] == ["03-fbs-certificate", "04-sabotage-certificate"]
+    assert all(r.passed for r in results)
+    assert len(calls) == len(set(calls)) == 18
+
+
 def test_run_checks_refuses_a_negative_seed(monkeypatch):
     def no_check(name, seed):
         pytest.fail("a check ran with a negative seed")
