@@ -105,18 +105,14 @@ def _emit_json(args, payload) -> None:
 
 def _cmd_fbs(args) -> int:
     f = _resolve_function(args)
-    if args.x is not None:
-        x = BitString.coerce(args.x)
-    else:
-        x = measures.fbs_global(f)[1]
-    sol = measures.fbs(f, x)
+    sol = measures.fbs(f, args.x) if args.x is not None else measures._fbs_global_solution(f)
     sol.check_certificate(f)
     _emit_json(
         args,
         {
             "function": f.name,
             "value": float(sol.value),
-            "x": str(x),
+            "x": str(sol.x),
             "weights": [{"y": str(y), "w": float(w)} for y, w in sorted(sol.weights.items())],
             "dual": [float(u) for u in sol.dual],
         },
@@ -155,8 +151,7 @@ def _cmd_adv(args) -> int:
     if args.model is not None:
         raise CliError("--model applies only to --construction indexing-relation")
     f = _resolve_function(args)
-    x = BitString.coerce(args.x) if args.x is not None else measures.fbs_global(f)[1]
-    sol = measures.fbs(f, x)
+    sol = measures.fbs(f, args.x) if args.x is not None else measures._fbs_global_solution(f)
     if args.construction == "fbs":
         cert = adversary.build_fbs_adversary(f, sol)
     else:
@@ -167,7 +162,7 @@ def _cmd_adv(args) -> int:
         return 0
     payload = cert.to_json_dict()
     payload["function"] = f.name
-    payload["x"] = str(x)
+    payload["x"] = str(sol.x)
     _emit_json(args, payload)
     return 0
 

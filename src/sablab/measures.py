@@ -148,18 +148,24 @@ def _lp_data(f: PartialFunction, x: BitString) -> tuple[np.ndarray, np.ndarray]:
 def fbs(f: PartialFunction, x: BitString | str, exact: bool = False) -> FbsSolution:
     """Fractional block sensitivity at x, with weights and dual certificate."""
     xb = BitString.coerce(x)
-    opp, sol = _fbs_lp(f, xb, exact)
+    return _solution(f, xb, exact, *_fbs_lp(f, xb, exact))
+
+
+def _solution(
+    f: PartialFunction, x: BitString, exact: bool, opp: np.ndarray, sol: simplex.LpSolution | None
+) -> FbsSolution:
+    """The FbsSolution of ``_fbs_lp(f, x, exact)``'s result ``(opp, sol)``: positive weights by input, value, dual."""
     if sol is None:
         zeros = (Fraction(0),) * f.n if exact else (0.0,) * f.n
         return FbsSolution(
-            x=xb,
+            x=x,
             weights={},
             value=Fraction(0) if exact else 0.0,
             dual=zeros,
             exact=exact,
         )
     weights = {BitString(tuple(f.arrays()[0][i].tolist())): w for i, w in zip(opp, sol.weights) if w > 0}
-    return FbsSolution(x=xb, weights=weights, value=sol.value, dual=sol.dual, exact=exact)
+    return FbsSolution(x=x, weights=weights, value=sol.value, dual=sol.dual, exact=exact)
 
 
 def _fbs_lp(f: PartialFunction, x: BitString, exact: bool) -> tuple[np.ndarray, simplex.LpSolution | None]:
@@ -239,6 +245,18 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
     FEAS_TOL / 2, so x cannot beat the best by the tie rule's ``FEAS_TOL``
     margin, and the slack absorbs the kernels' rounding.
     """
+    x, _, sol = _global_sweep(f, exact)
+    return sol.value, x
+
+
+def _fbs_global_solution(f: PartialFunction, exact: bool = False) -> FbsSolution:
+    """``fbs(f, x)`` at ``x = fbs_global(f, exact)[1]``, built from the LP the sweep solved there."""
+    x, opp, sol = _global_sweep(f, exact)
+    return _solution(f, x, exact, opp, sol)
+
+
+def _global_sweep(f: PartialFunction, exact: bool) -> tuple[BitString, np.ndarray, simplex.LpSolution]:
+    """The sweep of :func:`fbs_global`: its maximiser x and ``_fbs_lp(f, x, exact)``, as solved there."""
     require_general_size(f, "fbs_global", MeasureError)
     bits, vals = f.arrays()
     if vals.min() == vals.max():
@@ -249,17 +267,16 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
     # Per point: the (sum(u), c) pair of its best dual so far; c = 0 means no bound yet.
     bound_s, bound_c = np.ones(vals.size, dtype), np.zeros(vals.size, dtype)
     pool: set[tuple] = set()  # distinct clipped duals
-    best_value: float | Fraction | None = None
-    best_x: BitString | None = None
+    best: tuple[BitString, np.ndarray, simplex.LpSolution] | None = None
     num, den = 0, 1  # the skip limit num / den: the best, plus FEAS_TOL / 2 in float mode
     for i in range(vals.size):
         c = bound_c.item(i)
         if c > 0 and bound_s.item(i) * den <= num * c:
             continue
         x = BitString(tuple(bits[i].tolist()))
-        sol = _fbs_lp(f, x, exact)[1]  # x has opposite inputs: f is not constant
-        if best_value is None or sol.value > best_value + (0 if exact else FEAS_TOL):
-            best_value, best_x = sol.value, x
+        opp, sol = _fbs_lp(f, x, exact)  # x has opposite inputs: f is not constant
+        if best is None or sol.value > best[2].value + (0 if exact else FEAS_TOL):
+            best = x, opp, sol
             num, den = (sol.value.numerator, sol.value.denominator) if exact else (sol.value + FEAS_TOL / 2, 1)
         dual = tuple(max(u, 0) for u in sol.dual)
         if exact:
@@ -275,5 +292,5 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
         tighter = total * bound_c[i + 1:] < bound_s[i + 1:] * cov
         bound_s[i + 1:][tighter] = total
         bound_c[i + 1:][tighter] = cov[tighter]
-    assert best_value is not None and best_x is not None
-    return best_value, best_x
+    assert best is not None
+    return best

@@ -680,22 +680,25 @@ def random_query_algorithm(
     if queries < 0:
         raise SimulationError(f"queries must be >= 0, got {queries}")
     layout = RegisterLayout(n=n, symbol="bit", workspace=workspace)
+    # Per layer: a 2n x 2n gate on wires (0, 1), then, when workspace > 1, a
+    # 4 x 4 one on (1, 2).  One draw takes every normal in the order a draw
+    # per gate would, its real then imaginary part; one QR per gate size.
+    sizes = [2 * n] + [4] * (workspace > 1)
+    normals = rng.standard_normal((queries + 1, 2 * sum(d * d for d in sizes)))
+    unitaries, offset = [], 0
+    for d in sizes:
+        parts = normals[:, offset:offset + 2 * d * d].reshape(queries + 1, 2, d, d)
+        offset += 2 * d * d
+        q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        unitaries.append(q * (diag / np.abs(diag))[:, None, :])
+    wires = [(0, 1), (1, 2)]
+    layers = [tuple(Gate.block(u[t], w) for u, w in zip(unitaries, wires)) for t in range(queries + 1)]
 
-    def haar(dim: int) -> np.ndarray:
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-    def layer() -> tuple[Gate, ...]:
-        gates = [Gate.block(haar(2 * n), (0, 1))]
-        if workspace > 1:
-            gates.append(Gate.block(haar(4), (1, 2)))
-        return tuple(gates)
-
-    steps: list[Step] = [layer()]
-    for _ in range(queries):
+    steps: list[Step] = [layers[0]]
+    for layer in layers[1:]:
         steps.append(QUERY)
-        steps.append(layer())
+        steps.append(layer)
     measure = Measurement(registers=("index",))
     return QueryAlgorithm(layout=layout, steps=tuple(steps), measure=measure)
 

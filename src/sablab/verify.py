@@ -25,7 +25,7 @@ import numpy as np
 
 from . import adversary, measures, protocols, qsim
 from .boolfn import BitString, PartialFunction, catalog, make_indexing, make_named
-from .sabotage import SabString, make_strong
+from .sabotage import SabString, StrongInput, make_strong
 
 HYBRID_SLACK = 1e-9
 
@@ -52,7 +52,22 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # Independent rational LP oracle: vertex enumeration, each basis solved on its
-# k <= n support, no simplex pivoting
+# k <= n support by Cramer's rule on integer minors, no simplex pivoting
+
+
+def _det(mat: list[list[int]]) -> int:
+    """Integer determinant by cofactor expansion along the first row, skipping its zeros."""
+    if len(mat) == 1:
+        return mat[0][0]
+    if len(mat) == 2:
+        (a, b), (c, d) = mat
+        return a * d - b * c
+    rest = mat[1:]
+    return sum(
+        (-a if i % 2 else a) * _det([row[:i] + row[i + 1:] for row in rest])
+        for i, a in enumerate(mat[0])
+        if a
+    )
 
 
 def fbs_vertex_exact(f: PartialFunction, x: BitString | str) -> Fraction:
@@ -62,42 +77,35 @@ def fbs_vertex_exact(f: PartialFunction, x: BitString | str) -> Fraction:
     A basis picks m of its n + m constraints: k coverage rows T and m - k
     unit rows, which only fix their weights to 0.  So each basis is solved
     on its support S, the k <= n weights no unit row fixes: A[T, S] w_S = 1
-    by Fraction Gaussian elimination, w = 0 off S, and a singular block is
-    no vertex.  Independent of the simplex route.
+    by Cramer's rule on integer 0/1 minors, w_c = det(M_c) / det(M) with
+    M = A[T, S] and M_c its column c set to ones, w = 0 off S.  A singular
+    block is no vertex.  Signs and loads are compared in integers, scaled by
+    |det M|, and a Fraction is built only for a feasible point's value.
+    Independent of the simplex route.
     """
     xb = BitString.coerce(x)
     ys = f.opposite_inputs(xb)
     if not ys:
         return Fraction(0)
     m, n = len(ys), f.n
-    cover = [[Fraction(int(y[j] != xb[j])) for y in ys] for j in range(n)]
-
-    def solve(rows, support):
-        mat = [[cover[r][c] for c in support] + [Fraction(1)] for r in rows]
-        for col in range(len(support)):
-            sel = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
-            if sel is None:
-                return None  # singular: not a vertex
-            mat[col], mat[sel] = mat[sel], mat[col]
-            inv = mat[col][col]
-            mat[col] = [v / inv for v in mat[col]]
-            for r in range(len(mat)):
-                if r != col and mat[r][col] != 0:
-                    factor = mat[r][col]
-                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-        return [row[-1] for row in mat]
+    cover = [[int(y[j] != xb[j]) for y in ys] for j in range(n)]
 
     best = Fraction(0)  # k = 0: the vertex w = 0
     for k in range(1, min(n, m) + 1):
         for rows in itertools.combinations(range(n), k):
             for support in itertools.combinations(range(m), k):
-                point = solve(rows, support)
-                if point is None:
+                mat = [[cover[r][c] for c in support] for r in rows]
+                det = _det(mat)
+                if det == 0:
+                    continue  # singular: not a vertex
+                sign = 1 if det > 0 else -1
+                # w_S = nums / (sign * det), so w >= 0 iff every num is.
+                nums = [sign * _det([row[:i] + [1] + row[i + 1:] for row in mat]) for i in range(k)]
+                if any(v < 0 for v in nums):
                     continue
-                if any(w < 0 for w in point):
-                    continue
-                if all(sum(cover[j][c] * w for c, w in zip(support, point)) <= 1 for j in range(n)):
-                    best = max(best, sum(point, Fraction(0)))
+                scale = sign * det
+                if all(sum(cover[j][c] * v for c, v in zip(support, nums)) <= scale for j in range(n)):
+                    best = max(best, Fraction(sum(nums), scale))
     return best
 
 
@@ -163,11 +171,12 @@ def _cert_functions():
 
 
 # (f, fbs(f, x)) at the maximiser x of fbs_global for each certificate
-# function, shared by checks 03 and 04.  Each base pass clears the cache
-# first, so a second pass recomputes everything.
+# function, read off the LP the sweep solved there, shared by checks 03 and
+# 04.  Each base pass clears the cache first, so a second pass recomputes
+# everything.
 @functools.cache
 def _cert_global_optima() -> tuple[tuple[PartialFunction, measures.FbsSolution], ...]:
-    return tuple((f, measures.fbs(f, measures.fbs_global(f)[1])) for f in _cert_functions())
+    return tuple((f, measures._fbs_global_solution(f)) for f in _cert_functions())
 
 
 def _check_fbs_certificates(seed: int) -> tuple[dict, bool]:
@@ -300,24 +309,36 @@ def _tv(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+def _wrapped_tv(conv: protocols.ConvertedAlgorithm, w: StrongInput, want: dict) -> float:
+    """TV from ``want`` of the wrapped algorithm simulated on the strong oracle of w."""
+    got = qsim.run(conv.wrapped, qsim.oracle_strong(w)).distribution
+    assert got is not None
+    return _tv(got, want)
+
+
 def _check_conversion(seed: int) -> tuple[dict, bool]:
+    # run_converted runs the source on the bit string the gadget reads off, so
+    # each input also simulates the wrapped algorithm itself on its strong oracle.
     ok = True
     xor2 = make_named("XOR2", 2)
-    conv = protocols.convert_strong(qsim.deutsch_parity())
+    source = qsim.deutsch_parity()
+    conv = protocols.convert_strong(source)
     worst_decide = 0.0
+    worst_tv = 0.0
     for x in xor2.d0:
         for y in xor2.d1:
             for marker in ("*", "+"):
                 w = make_strong(xor2, x, y, marker)
                 d = conv.decide(w)
                 worst_decide = max(worst_decide, abs(d.get(marker, 0.0) - 1.0))
+                want = qsim.run(source, qsim.oracle_bit(x if marker == "*" else y)).distribution
+                worst_tv = max(worst_tv, _wrapped_tv(conv, w, want))
     if worst_decide > 1e-12:
         ok = False
 
     or4 = make_named("OR", 4)
     source = qsim.grover_or(4, 1)
     cg = protocols.convert_strong(source)
-    worst_tv = 0.0
     for x in or4.d0:
         for y in or4.d1:
             for marker in ("*", "+"):
@@ -326,12 +347,29 @@ def _check_conversion(seed: int) -> tuple[dict, bool]:
                 base = x if marker == "*" else y
                 want = qsim.run(source, qsim.oracle_bit(base)).distribution
                 assert want is not None
-                worst_tv = max(worst_tv, _tv(got, want))
+                worst_tv = max(worst_tv, _tv(got, want), _wrapped_tv(cg, w, want))
     if worst_tv > 1e-10:
         ok = False
     if cg.wrapped.query_count != 2 * source.query_count:
         ok = False
     return {"max_decision_error": worst_decide, "max_tv": worst_tv}, ok
+
+
+def _grover_masses(z: SabString, iterations: int) -> list[float]:
+    """Mark-search success mass after k = 0..iterations iterations, from one run.
+
+    A run of ``iterations`` iterations yields the state before each query and
+    each inverse query, then its final state, so every other yield is the
+    state after k iterations: the final state of a k-iteration run, as
+    :func:`qsim.grover_find_mark` computes it.  Each mass is summed as it sums it.
+    """
+    n, marks = len(z), z.mark_positions
+    states = qsim.evolve(qsim._grover_marks(n, iterations), qsim.oracle_weak(z))
+    masses = []
+    for state in itertools.islice(states, None, None, 2):
+        probs = tuple(qsim.index_marginal(state, n).tolist())
+        masses.append(float(sum(probs[j - 1] for j in marks)))
+    return masses
 
 
 def _check_grover_closed_form(seed: int) -> tuple[dict, bool]:
@@ -341,13 +379,16 @@ def _check_grover_closed_form(seed: int) -> tuple[dict, bool]:
     for n in range(1, 17):
         for m in range(1, n + 1):
             z = SabString(tuple([2] * m + [0] * (n - m)))
-            for k in range(0, 6):
+            # One shared run gives every k; grover_find_mark must agree with it at k = 5.
+            masses = _grover_masses(z, 5)
+            if qsim.grover_find_mark(z, 5).success_mass != masses[5]:
+                ok = False
+            theta = math.asin(math.sqrt(m / n))
+            for k, mass in enumerate(masses):
                 cases += 1
-                res = qsim.grover_find_mark(z, k)
-                theta = math.asin(math.sqrt(m / n))
                 want = math.sin((2 * k + 1) * theta) ** 2
-                worst = max(worst, abs(res.success_mass - want))
-                if abs(res.success_mass - want) > 1e-10:
+                worst = max(worst, abs(mass - want))
+                if abs(mass - want) > 1e-10:
                     ok = False
     single = qsim.grover_find_mark(SabString.from_text("00*0"), 1)
     if abs(single.success_mass - 1.0) > 1e-10 or abs(single.position_probs[2] - 1.0) > 1e-10:

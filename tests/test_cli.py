@@ -38,13 +38,21 @@ def test_fbs_indexing(capsys):
 
 
 def test_fbs_global_prints_one_solve(capsys, monkeypatch):
-    # The printed value must come from the solve whose weights are printed,
-    # not from the sweep that chose x.
-    sweep = measures.fbs_global
-    monkeypatch.setattr(measures, "fbs_global", lambda f: (-1.0, sweep(f)[1]))
+    # The printed value and weights must come from one solve: the sweep's own
+    # LP at the x it chose, not a second solve there.
+    calls = []
+
+    def recording(f, x, exact):
+        calls.append(str(x))
+        return solve(f, x, exact)
+
+    solve = measures._fbs_lp
+    monkeypatch.setattr(measures, "_fbs_lp", recording)
+    monkeypatch.setattr(measures, "fbs", lambda *args, **kwargs: pytest.fail("fbs solved the maximiser again"))
     code, out, _ = run_cli(capsys, "fbs", "--fn", "MAJ", "--n", "5")
     payload = json.loads(out)
     assert code == 0 and payload["x"] == "00011"
+    assert calls.count("00011") == 1 and len(calls) == len(set(calls))
     assert abs(payload["value"] - sum(w["w"] for w in payload["weights"])) <= 1e-12
     assert abs(payload["value"] - 3.0) < 1e-9
 
@@ -540,7 +548,7 @@ def test_adv_at_point_skips_global_sweep(capsys, monkeypatch):
     def no_sweep(f, exact=False):
         pytest.fail("adv --x ran the fbs_global sweep")
 
-    monkeypatch.setattr(measures, "fbs_global", no_sweep)
+    monkeypatch.setattr(measures, "_global_sweep", no_sweep)
     code, out, _ = run_cli(
         capsys, "adv", "--construction", "fbs", "--fn", "OR", "--n", "2", "--x", "00"
     )

@@ -286,6 +286,36 @@ def test_hybrid_inequality_random_circuits(seed):
         assert drop <= rep.p_x[t] + rep.p_y[t] + 1e-9
 
 
+def _per_gate_haar_matrices(n, queries, rng, workspace):
+    """The gate matrices of random_query_algorithm as one Haar draw and one QR per gate would make them."""
+
+    def haar(dim):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    out = []
+    for _ in range(queries + 1):
+        out.append(haar(2 * n))
+        if workspace > 1:
+            out.append(haar(4))
+    return out
+
+
+@pytest.mark.parametrize("workspace", [1, 4])
+def test_random_query_algorithm_matches_per_gate_draws(workspace):
+    """The batched normal draw and stacked QR give every gate bit for bit, and leave the rng where they would."""
+    for seed in range(50):
+        for queries in range(4):
+            batched, per_gate = np.random.default_rng(seed), np.random.default_rng(seed)
+            alg = random_query_algorithm(3, queries, batched, workspace=workspace)
+            got = [g.matrix for step in alg.steps if step != QUERY for g in step]
+            want = _per_gate_haar_matrices(3, queries, per_gate, workspace)
+            assert len(got) == len(want) == (queries + 1) * (1 + (workspace > 1))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (seed, queries)
+            assert batched.bit_generator.state == per_gate.bit_generator.state
+
+
 def test_norm_preserved_along_runs():
     rng = np.random.default_rng(21)
     alg = random_query_algorithm(4, 3, rng)

@@ -4,23 +4,25 @@ from __future__ import annotations
 
 import json
 import subprocess
+from dataclasses import replace
 
 import pytest
 
-from sablab import measures, verify
+from sablab import measures, protocols, qsim, verify
 from sablab.cli import main
+from sablab.sabotage import SabString
 
 
 def test_certificate_checks_share_one_global_sweep_per_pass(monkeypatch):
-    """Checks 03 and 04 solve fbs_global once per function per base pass."""
+    """Checks 03 and 04 run the fbs_global sweep once per function per base pass."""
     calls = []
 
     def counting(f, *args, **kwargs):
         calls.append(f.name)
-        return fbs_global(f, *args, **kwargs)
+        return sweep(f, *args, **kwargs)
 
-    fbs_global = measures.fbs_global
-    monkeypatch.setattr(measures, "fbs_global", counting)
+    sweep = measures._global_sweep
+    monkeypatch.setattr(measures, "_global_sweep", counting)
     certificate_checks = {k: v for k, v in verify._CHECKS.items() if "certificate" in k}
     assert sorted(certificate_checks) == ["03-fbs-certificate", "04-sabotage-certificate"]
     monkeypatch.setattr(verify, "_CHECKS", certificate_checks)
@@ -38,19 +40,22 @@ def test_certificate_checks_share_one_global_sweep_per_pass(monkeypatch):
 
 
 def test_certificate_checks_solve_each_maximiser_once(monkeypatch):
-    """Checks 03 and 04 read one fbs solve at each of the 18 maximisers."""
+    """Checks 03 and 04 read the sweep's own LP at each of the 18 maximisers: no second solve there."""
     calls = []
 
-    def counting(f, x, *args, **kwargs):
+    def recording(f, x, exact):
         calls.append((f.name, str(x)))
-        return fbs(f, x, *args, **kwargs)
+        return solve(f, x, exact)
 
-    fbs = measures.fbs
-    monkeypatch.setattr(measures, "fbs", counting)
+    solve = measures._fbs_lp
+    monkeypatch.setattr(measures, "_fbs_lp", recording)
+    monkeypatch.setattr(measures, "fbs", lambda *args, **kwargs: pytest.fail("a maximiser was solved again"))
     results = verify._run_base_checks(0, only="certificate")
     assert [r.name for r in results] == ["03-fbs-certificate", "04-sabotage-certificate"]
     assert all(r.passed for r in results)
-    assert len(calls) == len(set(calls)) == 18
+    assert len(calls) == len(set(calls))  # each sweep solves each point at most once
+    maximisers = {(f.name, str(sol.x)) for f, sol in verify._cert_global_optima()}
+    assert len(maximisers) == 18 and maximisers <= set(calls)
 
 
 def test_run_checks_refuses_a_negative_seed(monkeypatch):
@@ -128,3 +133,33 @@ def test_a_filtered_run_starts_no_second_process(monkeypatch):
     started = _popen_spy(monkeypatch)
     results = verify.run_checks(seed=0, only="01")
     assert [r.name for r in results] == ["01-fbs-indexing"] and started == []
+
+
+def test_shared_grover_run_matches_grover_find_mark_exactly():
+    """Every other state of one 5-iteration run gives grover_find_mark's mass at k = 0..5, to the bit."""
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            z = SabString(tuple([2] * m + [0] * (n - m)))
+            masses = verify._grover_masses(z, 5)
+            assert masses == [qsim.grover_find_mark(z, k).success_mass for k in range(6)], (n, m)
+
+
+def test_check_08_fails_when_grover_find_mark_drifts(monkeypatch):
+    find = qsim.grover_find_mark
+
+    def drifting(z, iterations):
+        res = find(z, iterations)
+        return replace(res, success_mass=res.success_mass + 1e-6)
+
+    assert verify.run_checks(0, only="08")[0].passed
+    monkeypatch.setattr(qsim, "grover_find_mark", drifting)
+    assert not verify.run_checks(0, only="08")[0].passed
+
+
+def test_check_07_simulates_the_wrapped_algorithm(monkeypatch):
+    """A wrapping with no gadget between its queries leaves run_converted right, but check 07 must fail."""
+    wrap = protocols._wrap_strong
+    assert verify.run_checks(0, only="07")[0].passed
+    monkeypatch.setattr(protocols, "_wrap_strong", lambda alg, gadget: wrap(alg, ()))
+    result = verify.run_checks(0, only="07")[0]
+    assert not result.passed and result.computed["max_tv"] > 0.5
