@@ -5,6 +5,15 @@ subject to a unit load per coordinate: for every j, the weights of all y
 differing from x at j sum to at most 1.  Block sensitivity is the integral
 restriction, computed exactly by disjoint-block set packing.
 
+Both range over the minimal sensitive blocks only, those that contain no
+other sensitive block, found by one subset closure over the 2^n cube (or, for
+few blocks, by comparing every pair).  Some optimal weighting sits on them:
+weight moved from a block onto a sensitive block inside it keeps every load
+and the total.  The LP has one column per minimal block, and its dual covers
+every block, since a block covers at least what a block inside it does when
+the dual is >= 0.  ``FbsSolution``'s certificate check still covers all
+opposite inputs.
+
 ``fbs_global`` does not solve the LP at every point.  The dual of fbs(f, x)
 is a weight u >= 0 on coordinates covering every opposite y with weight at
 least 1.  Any u >= 0 whose worst coverage c at x is positive becomes a dual
@@ -38,6 +47,9 @@ DUALITY_TOL = 1e-7
 _INT64_SAFE = 1 << 31
 # Entries per temporary of the pairwise coverage kernel: 8 MB of 8-byte entries.
 _CHUNK_ENTRIES = 1 << 20
+# _minimal compares every pair of blocks up to this many pairs, or up to 2^n:
+# below that the pairs cost less than the passes over the cube.
+_MINIMAL_PAIRS = 1 << 14
 
 
 class MeasureError(BoolFnError):
@@ -109,15 +121,10 @@ def block_sensitivity(f: PartialFunction, x: BitString | str) -> int:
     require_general_size(f, "block sensitivity", MeasureError)
     # A packing over minimal sensitive blocks achieves the optimum: any block
     # in a packing can be replaced by a minimal sensitive block inside it.
-    # In popcount order, a block is minimal iff it contains no minimal block
-    # found before it.
-    minimal: list[int] = []
-    for m in sorted(sensitive_blocks(f, x), key=int.bit_count):
-        for k in minimal:
-            if k & ~m == 0:
-                break
-        else:
-            minimal.append(m)
+    # The fbs LP takes the same minimal blocks as its columns.
+    xb = BitString.coerce(x)
+    blocks = f.codes[f.arrays()[1] != f.value(xb)] ^ xb.code
+    minimal = blocks[_minimal(blocks, f.n)].tolist()
     by_low: dict[int, list[int]] = {}  # minimal blocks by their lowest position
     for m in minimal:
         by_low.setdefault(m & -m, []).append(m)
@@ -138,10 +145,39 @@ def block_sensitivity(f: PartialFunction, x: BitString | str) -> int:
     return best((1 << f.n) - 1)
 
 
-def _lp_data(f: PartialFunction, x: BitString) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of x's opposite inputs, and their (|opp|, n) uint8 difference bits from x."""
+def _minimal(blocks: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the blocks, distinct n-bit codes, that contain no other block.
+
+    A subset closure over the cube marks every S that contains a block: n
+    in-place passes of below[S | bit] |= below[S].  n more passes mark every
+    S that contains a block once one of its bits is removed, that is, every S
+    that strictly contains a block.  A block is minimal iff it is unmarked.
+    Both tables hold 2^n bools, and nothing holds |blocks| x n entries.  When
+    |blocks|^2 is at most 2^n or ``_MINIMAL_PAIRS``, as on a sparse domain at
+    arity 20 or any small one, each pair of blocks is compared instead.
+    """
+    if blocks.size ** 2 <= max(1 << n, _MINIMAL_PAIRS):
+        return ((blocks & ~blocks[:, None]) == 0).sum(axis=1) == 1  # row i: the blocks inside block i
+    below = np.zeros(1 << n, dtype=bool)
+    below[blocks] = True
+    for j in range(n):
+        halves = below.reshape(-1, 2, 1 << j)  # axis 1 is bit j
+        halves[:, 1] |= halves[:, 0]
+    strict = np.zeros_like(below)
+    for j in range(n):
+        strict.reshape(-1, 2, 1 << j)[:, 1] |= below.reshape(-1, 2, 1 << j)[:, 0]
+    return ~strict[blocks]
+
+
+def _lp_data(f: PartialFunction, x: BitString, minimal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x's opposite inputs in domain order, and their (|rows|, n) uint8 difference bits from x.
+
+    With ``minimal``, only the rows whose sensitive block is minimal.
+    """
     bits, vals = f.arrays()
     opp = np.flatnonzero(vals != f.value(x))
+    if minimal:
+        opp = opp[_minimal(f.codes[opp] ^ x.code, f.n)]
     return opp, bits[opp] ^ np.array(x.bits, dtype=np.uint8)
 
 
@@ -169,8 +205,8 @@ def _solution(
 
 
 def _fbs_lp(f: PartialFunction, x: BitString, exact: bool) -> tuple[np.ndarray, simplex.LpSolution | None]:
-    """The rows of x's opposite inputs and the fbs LP's solution at x (None when there are none)."""
-    opp, diff = _lp_data(f, x)
+    """The rows of x's minimal sensitive blocks and the fbs LP's solution over them (None when there are none)."""
+    opp, diff = _lp_data(f, x, minimal=True)
     if opp.size == 0:
         return opp, None
     c, A, b = np.ones(opp.size), diff.T.astype(np.float64), np.ones(f.n)  # row j: ys differing at j

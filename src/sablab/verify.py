@@ -28,6 +28,14 @@ from .boolfn import BitString, PartialFunction, catalog, make_indexing, make_nam
 from .sabotage import SabString, StrongInput, make_strong
 
 HYBRID_SLACK = 1e-9
+# Check 02: the slack of bs <= fbs <= n, and how far the float LP may sit from the vertex oracle.
+_SANDWICH_SLACK = 1e-9
+_FLOAT_VS_EXACT = 1e-9
+
+
+def _bound(tol: float) -> str:
+    """A power-of-ten bound as an ``expected`` string writes it: 1e-07 as "1e-7"."""
+    return f"{tol:.0e}".replace("e-0", "e-")
 
 
 class VerifyError(ValueError):
@@ -133,7 +141,7 @@ def _check_measures_catalog(seed: int) -> tuple[dict, bool]:
             points += 1
             bs = measures.block_sensitivity(f, x)
             sol = measures.fbs(f, x)
-            if not (bs <= sol.value + 1e-9 and sol.value <= f.n + 1e-9):
+            if not (bs <= sol.value + _SANDWICH_SLACK and sol.value <= f.n + _SANDWICH_SLACK):
                 ok = False
             try:
                 sol.check_certificate(f)
@@ -144,7 +152,7 @@ def _check_measures_catalog(seed: int) -> tuple[dict, bool]:
                 exact = fbs_vertex_exact(f, x)
                 diff = abs(sol.value - float(exact))
                 max_float_vs_exact = max(max_float_vs_exact, diff)
-                if diff > 1e-9:
+                if diff > _FLOAT_VS_EXACT:
                     ok = False
                 if measures.fbs(f, x, exact=True).value != exact:
                     ok = False
@@ -449,7 +457,7 @@ _CHECKS: dict[str, tuple[str, str, object]] = {
     ),
     "02-measures-catalog": (
         "bs <= fbs <= n at every domain point; LP value certified by its dual; float LP agrees with the rational vertex oracle for n <= 3",
-        "duality gap <= 1e-7; float-vs-exact <= 1e-9",
+        f"duality gap <= {_bound(measures.DUALITY_TOL)}; float-vs-exact <= {_bound(_FLOAT_VS_EXACT)}",
         _check_measures_catalog,
     ),
     "03-fbs-certificate": (

@@ -19,15 +19,15 @@ from sablab.cli import main
 
 # sha256 of `sablab verify-all --seed 0 --out FILE`.  A change that moves the
 # report's bytes on purpose updates this pin and says so in CHANGES.md.
-CANONICAL_REPORT_SHA256 = "c8c758b1b83abc52dcdb23cc4a9c3a75c8481641dca6e47cbb053a63f4bf4069"
+CANONICAL_REPORT_SHA256 = "098bd7ac52b5195f019c6672537d2e77076c10908c7099da702dea43949a0b56"
 
 # sha256 of `canonical_report(_run_base_checks(seed), seed)` at further seeds:
 # the seeded draws of checks 06 and 09 change with the seed, so these pins
 # guard the random algorithms and index finders beyond seed 0.
 BASE_REPORT_SHA256 = {
-    1: "a87b8d5270751439548657143a623da1b790acccf0727901847e93f29d32fa96",
-    2: "7c2c371212ed9f7c80f6384e57dbd68ca461250713086da00b54d1dc96aeb50a",
-    3: "bb55e26e3a8d8f48bd8182d809e7159b3355f863dc370ea92ad931330a3c7b17",
+    1: "3c7b233fb19bff56c4b73a1b686842b7a120f0796b80f1f0171fdcda8d79b2f4",
+    2: "9673052117c1dde79910900e5f4fc9dfada1e0e02738109b13b8f17c4db57ac2",
+    3: "f04fa56328c53280bdb4b0e8dfb8640b9ed17b43d5bfbd6b6e442c110de8ff70",
 }
 
 # (check name, human label, wall-clock budget in seconds)

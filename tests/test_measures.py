@@ -640,12 +640,85 @@ def test_sensitive_blocks_are_the_code_xors_on_catalog():
             assert {sum(1 << (f.n - j) for j in diff_positions(x, y)) for y in ys} == set(sensitive_blocks(f, x))
 
 
-def test_indexing_at_arity_20():
-    """make_indexing(4) against the textual rule at seeded points, and one certified solve."""
+def test_indexing_at_arity_20(monkeypatch):
+    """make_indexing(4) against the textual rule at seeded points, and certified solves over 16 columns.
+
+    At 0^20 and 1^20 the 16 minimal sensitive blocks are the selected data bit
+    alone and, for each of the 15 other addresses, the address bits to flip
+    with the data bit there.  The dense LP over all 2^19 opposite inputs reads
+    5.000000000000001 at 1^20.
+    """
     f = make_indexing(4)
     for row in np.random.default_rng(0).integers(0, 2, size=(256, 20)).tolist():
         address = int("".join(map(str, row[:4])), 2)
         assert f.value(BitString(tuple(row))) == row[4 + address]
-    sol = fbs(f, "0" * 20)
-    assert sol.value == 5
-    sol.check_certificate(f)
+    columns = []
+    solve = simplex.solve_float
+
+    def spy(c, A, b):
+        columns.append(A.shape[1])
+        return solve(c, A, b)
+
+    monkeypatch.setattr(simplex, "solve_float", spy)
+    for x in ("0" * 20, "1" * 20):
+        sol = fbs(f, x)
+        assert sol.value == 5
+        sol.check_certificate(f)
+    assert columns == [16, 16]
+
+
+def brute_minimal(blocks):
+    """The blocks that contain no other block, by the antichain definition."""
+    return [not any(o != b and o & ~b == 0 for o in blocks) for b in blocks]
+
+
+@pytest.mark.parametrize("pairs", [0, measures._MINIMAL_PAIRS])  # 0: the cube passes unless |blocks|^2 <= 2^n
+@pytest.mark.parametrize("seed", range(8))
+def test_minimal_mask_matches_the_antichain_definition(seed, pairs, monkeypatch):
+    monkeypatch.setattr(measures, "_MINIMAL_PAIRS", pairs)
+    rng = np.random.default_rng(seed)
+    n = 1 + seed
+    full = (1 << n) - 1  # every non-empty block
+    for size in sorted({1, max(1, full // 4), max(1, full // 2), full}):
+        blocks = rng.choice(np.arange(1, 1 << n), size=size, replace=False)
+        assert measures._minimal(blocks, n).tolist() == brute_minimal(blocks.tolist())
+
+
+def dense_lp(f, x, exact=False):
+    """The value of the fbs LP with one column per opposite input."""
+    opp, diff = measures._lp_data(f, x)
+    if opp.size == 0:
+        return Fraction(0) if exact else 0.0
+    c, A, b = np.ones(opp.size), diff.T.astype(np.float64), np.ones(f.n)
+    return (simplex.solve_exact if exact else simplex.solve_float)(c, A, b).value
+
+
+def _dense_oracle_points():
+    rng = np.random.default_rng(32)
+    for f in catalog(max_arity=6):
+        for x in f.domain():
+            yield f, x
+    for n, count in ((2, 24), (3, 12)):
+        f = make_indexing(n)
+        bits, _ = f.arrays()
+        for row in rng.choice(len(bits), size=count, replace=False):
+            yield f, BitString(tuple(bits[row].tolist()))
+    for n in (3, 5, 7, 9):
+        for points in (1 << (n - 1), 1 << n):
+            f = _random_function(rng, n, points)
+            for x in f.domain()[:8]:
+                yield f, x
+
+
+def test_fbs_matches_the_dense_lp():
+    """The LP over the minimal blocks has the dense LP's value, and its certificate covers every opposite input."""
+    for f, x in _dense_oracle_points():
+        sol = fbs(f, x)
+        assert abs(sol.value - dense_lp(f, x)) <= 1e-9, (f.name, str(x))
+        sol.check_certificate(f)
+
+
+def test_exact_fbs_equals_the_exact_dense_lp():
+    for f, x in _dense_oracle_points():
+        if f.n <= 4:
+            assert fbs(f, x, exact=True).value == dense_lp(f, x, exact=True), (f.name, str(x))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import subprocess
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sablab import measures, protocols, qsim, verify
@@ -163,3 +165,29 @@ def test_check_07_simulates_the_wrapped_algorithm(monkeypatch):
     monkeypatch.setattr(protocols, "_wrap_strong", lambda alg, gadget: wrap(alg, ()))
     result = verify.run_checks(0, only="07")[0]
     assert not result.passed and result.computed["max_tv"] > 0.5
+
+
+def test_check_02_fails_when_a_minimal_block_is_dropped(monkeypatch):
+    """Check 02 keeps its own oracles: a minimal-block mask missing one block must fail it."""
+    minimal = measures._minimal
+
+    def dropping(blocks, n):
+        keep = minimal(blocks, n)
+        keep[np.flatnonzero(keep)[:1]] = False
+        return keep
+
+    assert verify._check_measures_catalog(0)[1]
+    monkeypatch.setattr(measures, "_minimal", dropping)
+    assert not verify._check_measures_catalog(0)[1]
+
+
+def test_check_02_fails_when_fbs_values_are_scaled(monkeypatch):
+    solve = measures.fbs
+
+    def scaled(f, x, exact=False):
+        sol = solve(f, x, exact)
+        return replace(sol, value=sol.value * (1 + Fraction(1, 10**6)))
+
+    monkeypatch.setattr(measures, "fbs", scaled)
+    assert not verify._check_measures_catalog(0)[1]
+
