@@ -1,9 +1,12 @@
 """Named verification checks: every headline claim at desk scale.
 
-Each check computes its numbers fresh and compares them against the stated
-bound.  The canonical JSON report is a pure function of (seed, code);
-wall-clock timings stay out of it so two runs with the same seed serialize
-to identical bytes.  The determinism check (10) holds that claim across
+Each check computes its numbers fresh, and its pass is read from the
+numbers it reports, compared with named module bounds from which its
+``expected`` string is written; a flag is kept only for the conditions the
+report does not hold (certificates, exact equalities, query counts).  The
+canonical JSON report is a pure function of (seed, code); wall-clock
+timings stay out of it so two runs with the same seed serialize to
+identical bytes.  The determinism check (10) holds that claim across
 processes: a second Python interpreter, started before the base checks,
 runs them again concurrently, and its report must match byte for byte.
 """
@@ -27,10 +30,29 @@ from . import adversary, measures, protocols, qsim
 from .boolfn import BitString, PartialFunction, catalog, make_indexing, make_named
 from .sabotage import SabString, StrongInput, make_strong
 
-HYBRID_SLACK = 1e-9
-# Check 02: the slack of bs <= fbs <= n, and how far the float LP may sit from the vertex oracle.
+# The checks' bounds, each read by its check's decision and written into its
+# ``expected`` string by _bound.
+_FBS_TOL = 1e-6  # 01: fbs(indexing_n) against n + 1
+# 02: the slack of bs <= fbs <= n, and how far the float LP may sit from the vertex oracle.
 _SANDWICH_SLACK = 1e-9
 _FLOAT_VS_EXACT = 1e-9
+# 03 and 04: the certificate norm's error, and the slack on each per-position norm bound.
+_NORM_TOL = 1e-7
+_COLUMN_SLACK = 1e-9
+_MARGIN_SLACK = 1e-9  # 04: how far the value may fall below fbs / (1 + sqrt(fbs))
+_HYBRID_SLACK = 1e-9  # 06: the hybrid inequality and each step's overlap drop
+_HYBRID_RANDOM = 200  # 06: random instances beside the two fixed ones
+# 07: the strong decision's error, and the TV of the converted and wrapped runs from the source run.
+_DECISION_TOL = 1e-12
+_TV_TOL = 1e-10
+# 08: closed-form error for n <= _GROVER_N positions and k <= _GROVER_K iterations.
+_GROVER_TOL = 1e-10
+_GROVER_N = 16
+_GROVER_K = 5
+# 09: identity and zero-round errors, the base preparation's 1/4, the amplified mass 1.
+_IDENTITY_TOL = 1e-10
+_BASE_P_TOL = 1e-12
+_AMPLIFIED_TOL = 1e-9
 
 
 def _bound(tol: float) -> str:
@@ -122,13 +144,8 @@ def fbs_vertex_exact(f: PartialFunction, x: BitString | str) -> Fraction:
 
 
 def _check_fbs_indexing(seed: int) -> tuple[dict, bool]:
-    computed = {}
-    ok = True
-    for n in (2, 3):
-        value, _ = measures.fbs_global(make_indexing(n))
-        computed[f"fbs_ind_{n}"] = float(value)
-        ok = ok and abs(value - (n + 1)) <= 1e-6
-    return computed, ok
+    computed = {f"fbs_ind_{n}": float(measures.fbs_global(make_indexing(n))[0]) for n in (2, 3)}
+    return computed, all(abs(computed[f"fbs_ind_{n}"] - (n + 1)) <= _FBS_TOL for n in (2, 3))
 
 
 def _check_measures_catalog(seed: int) -> tuple[dict, bool]:
@@ -141,8 +158,7 @@ def _check_measures_catalog(seed: int) -> tuple[dict, bool]:
             points += 1
             bs = measures.block_sensitivity(f, x)
             sol = measures.fbs(f, x)
-            if not (bs <= sol.value + _SANDWICH_SLACK and sol.value <= f.n + _SANDWICH_SLACK):
-                ok = False
+            ok &= bs <= sol.value + _SANDWICH_SLACK and sol.value <= f.n + _SANDWICH_SLACK
             try:
                 sol.check_certificate(f)
             except measures.MeasureError:
@@ -150,18 +166,14 @@ def _check_measures_catalog(seed: int) -> tuple[dict, bool]:
             max_gap = max(max_gap, abs(sum(sol.dual) - sol.value))
             if f.n <= 3:
                 exact = fbs_vertex_exact(f, x)
-                diff = abs(sol.value - float(exact))
-                max_float_vs_exact = max(max_float_vs_exact, diff)
-                if diff > _FLOAT_VS_EXACT:
-                    ok = False
-                if measures.fbs(f, x, exact=True).value != exact:
-                    ok = False
+                max_float_vs_exact = max(max_float_vs_exact, abs(sol.value - float(exact)))
+                ok &= measures.fbs(f, x, exact=True).value == exact
     computed = {
         "points": points,
         "max_duality_gap": max_gap,
         "max_float_vs_exact": max_float_vs_exact,
     }
-    return computed, ok
+    return computed, ok and max_gap <= measures.DUALITY_TOL and max_float_vs_exact <= _FLOAT_VS_EXACT
 
 
 _CERT_CATALOG = (
@@ -188,40 +200,33 @@ def _cert_global_optima() -> tuple[tuple[PartialFunction, measures.FbsSolution],
 
 
 def _check_fbs_certificates(seed: int) -> tuple[dict, bool]:
-    ok = True
     worst_norm_err = 0.0
     worst_col = 0.0
     for f, sol in _cert_global_optima():
         cert = adversary.build_fbs_adversary(f, sol)
-        err = abs(cert.norm_gamma**2 - float(sol.value))
-        worst_norm_err = max(worst_norm_err, err)
+        worst_norm_err = max(worst_norm_err, abs(cert.norm_gamma**2 - float(sol.value)))
         worst_col = max(worst_col, max(cert.column_norms))
-        if err > 1e-7 or max(cert.column_norms) > 1 + 1e-9:
-            ok = False
+    ok = worst_norm_err <= _NORM_TOL and worst_col <= 1 + _COLUMN_SLACK
     return {"max_norm_sq_error": worst_norm_err, "max_column_norm": worst_col}, ok
 
 
 def _check_sabotage_certificates(seed: int) -> tuple[dict, bool]:
-    ok = True
     worst_norm_err = 0.0
     worst_col_slack = -float("inf")
     min_value_margin = float("inf")
     for f, sol in _cert_global_optima():
         value = float(sol.value)
         cert = adversary.build_sabotage_adversary(f, sol)
-        err = abs(cert.norm_gamma - value)
-        worst_norm_err = max(worst_norm_err, err)
-        bound = 1 + math.sqrt(value) + 1e-9
+        worst_norm_err = max(worst_norm_err, abs(cert.norm_gamma - value))
+        bound = 1 + math.sqrt(value) + _COLUMN_SLACK
         worst_col_slack = max(worst_col_slack, max(cert.column_norms) - bound)
-        margin = cert.value - value / (1 + math.sqrt(value))
-        min_value_margin = min(min_value_margin, margin)
-        if err > 1e-7 or max(cert.column_norms) > bound or margin < -1e-9:
-            ok = False
+        min_value_margin = min(min_value_margin, cert.value - value / (1 + math.sqrt(value)))
     computed = {
         "max_norm_error": worst_norm_err,
         "max_column_slack": worst_col_slack,
         "min_value_margin": min_value_margin,
     }
+    ok = worst_norm_err <= _NORM_TOL and worst_col_slack <= 0 and min_value_margin >= -_MARGIN_SLACK
     return computed, ok
 
 
@@ -270,12 +275,8 @@ def _check_indexing_relation(seed: int) -> tuple[dict, bool]:
                 "min_aggregate": min(max(addr), max(data)),
                 "max_aggregate": max(max(addr), max(data)),
             }
-            if not (rb.m_x == rb.m_y == want_m):
-                ok = False
-            if addr != {(n - 1) ** 2} or data != {want_m}:
-                ok = False
-            if _recount_relation(rel) != dict(rb.per_position):
-                ok = False
+            ok &= rb.m_x == rb.m_y == want_m and addr == {(n - 1) ** 2} and data == {want_m}
+            ok &= _recount_relation(rel) == dict(rb.per_position)
     return computed, ok
 
 
@@ -283,7 +284,7 @@ def _hybrid_instances(seed: int):
     yield qsim.deutsch_parity(), BitString.from_text("00"), (1, 2)
     yield qsim.grover_or(4, 1), BitString.from_text("0000"), (3,)
     rng = np.random.default_rng([seed, 6])
-    for _ in range(200):
+    for _ in range(_HYBRID_RANDOM):
         alg = qsim.random_query_algorithm(3, 2, rng)
         x = BitString(tuple(int(b) for b in rng.integers(0, 2, size=3)))
         size = int(rng.integers(1, 4))
@@ -292,23 +293,17 @@ def _hybrid_instances(seed: int):
 
 
 def _check_hybrid(seed: int) -> tuple[dict, bool]:
-    ok = True
     count = 0
     min_slack = float("inf")
     worst_step = -float("inf")
     for alg, x, block in _hybrid_instances(seed):
         rep = qsim.hybrid_sum(alg, x, block)
         count += 1
-        slack = rep.sum_x + rep.sum_y - (1 - rep.overlap)
-        min_slack = min(min_slack, slack)
-        if slack < -HYBRID_SLACK:
-            ok = False
+        min_slack = min(min_slack, rep.sum_x + rep.sum_y - (1 - rep.overlap))
         for t in range(len(rep.step_overlaps) - 1):
             drop = rep.step_overlaps[t] - rep.step_overlaps[t + 1]
-            excess = drop - (rep.p_x[t] + rep.p_y[t])
-            worst_step = max(worst_step, excess)
-            if excess > HYBRID_SLACK:
-                ok = False
+            worst_step = max(worst_step, drop - (rep.p_x[t] + rep.p_y[t]))
+    ok = min_slack >= -_HYBRID_SLACK and worst_step <= _HYBRID_SLACK
     return {"instances": count, "min_slack": min_slack, "max_step_excess": worst_step}, ok
 
 
@@ -327,7 +322,6 @@ def _wrapped_tv(conv: protocols.ConvertedAlgorithm, w: StrongInput, want: dict) 
 def _check_conversion(seed: int) -> tuple[dict, bool]:
     # run_converted runs the source on the bit string the gadget reads off, so
     # each input also simulates the wrapped algorithm itself on its strong oracle.
-    ok = True
     xor2 = make_named("XOR2", 2)
     source = qsim.deutsch_parity()
     conv = protocols.convert_strong(source)
@@ -341,8 +335,6 @@ def _check_conversion(seed: int) -> tuple[dict, bool]:
                 worst_decide = max(worst_decide, abs(d.get(marker, 0.0) - 1.0))
                 want = qsim.run(source, qsim.oracle_bit(x if marker == "*" else y)).distribution
                 worst_tv = max(worst_tv, _wrapped_tv(conv, w, want))
-    if worst_decide > 1e-12:
-        ok = False
 
     or4 = make_named("OR", 4)
     source = qsim.grover_or(4, 1)
@@ -356,11 +348,8 @@ def _check_conversion(seed: int) -> tuple[dict, bool]:
                 want = qsim.run(source, qsim.oracle_bit(base)).distribution
                 assert want is not None
                 worst_tv = max(worst_tv, _tv(got, want), _wrapped_tv(cg, w, want))
-    if worst_tv > 1e-10:
-        ok = False
-    if cg.wrapped.query_count != 2 * source.query_count:
-        ok = False
-    return {"max_decision_error": worst_decide, "max_tv": worst_tv}, ok
+    ok = cg.wrapped.query_count == 2 * source.query_count and worst_decide <= _DECISION_TOL
+    return {"max_decision_error": worst_decide, "max_tv": worst_tv}, ok and worst_tv <= _TV_TOL
 
 
 def _grover_masses(z: SabString, iterations: int) -> list[float]:
@@ -384,29 +373,23 @@ def _check_grover_closed_form(seed: int) -> tuple[dict, bool]:
     ok = True
     worst = 0.0
     cases = 0
-    for n in range(1, 17):
+    for n in range(1, _GROVER_N + 1):
         for m in range(1, n + 1):
             z = SabString(tuple([2] * m + [0] * (n - m)))
-            # One shared run gives every k; grover_find_mark must agree with it at k = 5.
-            masses = _grover_masses(z, 5)
-            if qsim.grover_find_mark(z, 5).success_mass != masses[5]:
-                ok = False
+            # One shared run gives every k; grover_find_mark must agree with it at the last k.
+            masses = _grover_masses(z, _GROVER_K)
+            ok &= qsim.grover_find_mark(z, _GROVER_K).success_mass == masses[-1]
             theta = math.asin(math.sqrt(m / n))
+            cases += len(masses)
             for k, mass in enumerate(masses):
-                cases += 1
-                want = math.sin((2 * k + 1) * theta) ** 2
-                worst = max(worst, abs(mass - want))
-                if abs(mass - want) > 1e-10:
-                    ok = False
+                worst = max(worst, abs(mass - math.sin((2 * k + 1) * theta) ** 2))
     single = qsim.grover_find_mark(SabString.from_text("00*0"), 1)
-    if abs(single.success_mass - 1.0) > 1e-10 or abs(single.position_probs[2] - 1.0) > 1e-10:
-        ok = False
+    ok &= abs(single.position_probs[2] - 1.0) <= _GROVER_TOL
     computed = {"cases": cases, "max_error": worst, "n4_single_mark_k1": single.success_mass}
-    return computed, ok
+    return computed, ok and worst <= _GROVER_TOL and abs(single.success_mass - 1.0) <= _GROVER_TOL
 
 
 def _check_index_finder(seed: int) -> tuple[dict, bool]:
-    ok = True
     xor2 = make_named("XOR2", 2)
     or4 = make_named("OR", 4)
     worst_identity = 0.0
@@ -420,12 +403,8 @@ def _check_index_finder(seed: int) -> tuple[dict, bool]:
         hb = qsim.hybrid_sum(alg, w.x, sorted(w.z.mark_positions))
         identity = (hb.sum_x + hb.sum_y) / (2.0 * alg.query_count)
         worst_identity = max(worst_identity, abs(rep.exact_success - identity))
-        if abs(rep.exact_success - identity) > 1e-10:
-            ok = False
         amp0 = protocols.find_index_amplified(alg, w, rounds=0, seed=seed)
         worst_aa0 = max(worst_aa0, abs(amp0.exact_success - rep.exact_success))
-        if abs(amp0.exact_success - rep.exact_success) > 1e-10:
-            ok = False
 
     # 1-query preparation with exactly 1/4 of the index mass on the block.
     layout = qsim.RegisterLayout(n=2, symbol="bit", workspace=1)
@@ -438,21 +417,20 @@ def _check_index_finder(seed: int) -> tuple[dict, bool]:
     w_base = make_strong(xor2, "00", "01", "*")
     base = protocols.sample_interrupt(base_alg, w_base, seed=seed)
     amp1 = protocols.find_index_amplified(base_alg, w_base, rounds=1, seed=seed)
-    if abs(base.exact_success - 0.25) > 1e-12 or abs(amp1.exact_success - 1.0) > 1e-9:
-        ok = False
     computed = {
         "max_identity_error": worst_identity,
         "max_aa0_error": worst_aa0,
         "base_p": base.exact_success,
         "amplified_once": amp1.exact_success,
     }
-    return computed, ok
+    ok = max(worst_identity, worst_aa0) <= _IDENTITY_TOL and abs(base.exact_success - 0.25) <= _BASE_P_TOL
+    return computed, ok and abs(amp1.exact_success - 1.0) <= _AMPLIFIED_TOL
 
 
 _CHECKS: dict[str, tuple[str, str, object]] = {
     "01-fbs-indexing": (
         "fbs(indexing_n) = n + 1 for n in {2, 3}",
-        "values 3 and 4 within 1e-6",
+        f"values 3 and 4 within {_bound(_FBS_TOL)}",
         _check_fbs_indexing,
     ),
     "02-measures-catalog": (
@@ -462,12 +440,12 @@ _CHECKS: dict[str, tuple[str, str, object]] = {
     ),
     "03-fbs-certificate": (
         "star certificate norm squares to fbs(f, x) with unit per-position norms",
-        "norm^2 error <= 1e-7; column norms <= 1 + 1e-9",
+        f"norm^2 error <= {_bound(_NORM_TOL)}; column norms <= 1 + {_bound(_COLUMN_SLACK)}",
         _check_fbs_certificates,
     ),
     "04-sabotage-certificate": (
         "sabotage certificate norm equals fbs(f); per-position norms at most 1 + sqrt(fbs); value at least fbs / (1 + sqrt(fbs))",
-        "norm error <= 1e-7; column slack <= 0; value margin >= -1e-9",
+        f"norm error <= {_bound(_NORM_TOL)}; column slack <= 0; value margin >= -{_bound(_MARGIN_SLACK)}",
         _check_sabotage_certificates,
     ),
     "05-indexing-relation": (
@@ -477,22 +455,22 @@ _CHECKS: dict[str, tuple[str, str, object]] = {
     ),
     "06-hybrid-argument": (
         "sum_t(p_t + p_t^B) >= 1 - |<psi_x|psi_{x_B}>| and each overlap drop is at most p_{x,t} + p_{y,t}",
-        "slack >= -1e-9 on 202 instances",
+        f"slack >= -{_bound(_HYBRID_SLACK)} on {_HYBRID_RANDOM + 2} instances",
         _check_hybrid,
     ),
     "07-strong-conversion": (
         "wrapped run equals the source run on x for star inputs and on y for dagger inputs; wrapped queries = 2x source",
-        "decision exact to 1e-12 on all 8 strong inputs; TV <= 1e-10 on all pairs",
+        f"decision exact to {_bound(_DECISION_TOL)} on all 8 strong inputs; TV <= {_bound(_TV_TOL)} on all pairs",
         _check_conversion,
     ),
     "08-grover-closed-form": (
         "mark-search success mass equals sin^2((2k+1) asin sqrt(m/n))",
-        "error <= 1e-10 for n <= 16, m <= n, k <= 5; single mark n=4, k=1 hits 1",
+        f"error <= {_bound(_GROVER_TOL)} for n <= {_GROVER_N}, m <= n, k <= {_GROVER_K}; single mark n=4, k=1 hits 1",
         _check_grover_closed_form,
     ),
     "09-index-finder": (
         "per-trial success = (sum p_t + sum p_t^B) / (2T); zero-round amplification reproduces it; one round lifts 1/4 to 1",
-        "identity and zero-round error <= 1e-10; amplified mass 1 within 1e-9",
+        f"identity and zero-round error <= {_bound(_IDENTITY_TOL)}; amplified mass 1 within {_bound(_AMPLIFIED_TOL)}",
         _check_index_finder,
     ),
 }

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import subprocess
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sablab import measures, protocols, qsim, verify
+from sablab import adversary, measures, protocols, qsim, verify
 from sablab.cli import main
 from sablab.sabotage import SabString
 
@@ -191,3 +194,104 @@ def test_check_02_fails_when_fbs_values_are_scaled(monkeypatch):
     monkeypatch.setattr(measures, "fbs", scaled)
     assert not verify._check_measures_catalog(0)[1]
 
+
+
+def _drifting(fn, change):
+    return lambda *args, **kwargs: change(fn(*args, **kwargs))
+
+
+def _scaled_norm(cert):
+    return replace(cert, norm_gamma=cert.norm_gamma * 1.001)
+
+
+def _one_more_at_position_1(rb):
+    return replace(rb, per_position={**rb.per_position, 1: rb.per_position[1] + 1})
+
+
+def _raised_first_overlap(rep):
+    """A larger drop at the first query only: the final overlap, and so the slack, stay as they were."""
+    return replace(rep, step_overlaps=(rep.step_overlaps[0] + 0.5, *rep.step_overlaps[1:]))
+
+
+@pytest.mark.parametrize(
+    "check, module, name, change",
+    [
+        ("01", measures, "fbs_global", lambda out: (out[0] + 1e-5, out[1])),
+        ("03", adversary, "build_fbs_adversary", _scaled_norm),
+        ("04", adversary, "build_sabotage_adversary", _scaled_norm),
+        ("05", adversary, "relation_bound", _one_more_at_position_1),
+        ("06", qsim, "hybrid_sum", lambda rep: replace(rep, p_x=(0.0,) * len(rep.p_x))),
+        ("06", qsim, "hybrid_sum", _raised_first_overlap),
+        ("09", protocols, "sample_interrupt", lambda rep: replace(rep, exact_success=rep.exact_success + 1e-6)),
+    ],
+    ids=[
+        "01-fbs_global",
+        "03-build_fbs_adversary",
+        "04-build_sabotage_adversary",
+        "05-relation_bound",
+        "06-hybrid_sum",
+        "06-step_overlaps",
+        "09-sample_interrupt",
+    ],
+)
+def test_check_fails_when_the_path_it_certifies_drifts(monkeypatch, check, module, name, change):
+    """Each check turns to FAIL when the library function it certifies returns a wrong answer."""
+    assert verify.run_checks(0, only=check)[0].passed
+    monkeypatch.setattr(module, name, _drifting(getattr(module, name), change))
+    assert not verify.run_checks(0, only=check)[0].passed
+
+
+# (check, bound, a value below the seed-0 figure that bound caps)
+_BOUNDS_BELOW_THE_REPORT = [
+    ("01", "_FBS_TOL", -1e-6),  # fbs_ind_n is exactly n + 1
+    ("03", "_NORM_TOL", 1e-16),  # max_norm_sq_error 1.8e-15
+    ("03", "_COLUMN_SLACK", -1e-6),  # max_column_norm 1.0
+    ("04", "_NORM_TOL", 1e-16),  # max_norm_error 8.9e-16
+    ("04", "_MARGIN_SLACK", -0.5),  # min_value_margin 0.40
+    ("06", "_HYBRID_SLACK", 1e-16),  # min_slack -2.2e-16
+    ("07", "_DECISION_TOL", 1e-16),  # max_decision_error 4.4e-16
+    ("07", "_TV_TOL", -1e-6),  # max_tv 0.0
+    ("08", "_GROVER_TOL", 1e-15),  # max_error 6.0e-15
+    ("09", "_IDENTITY_TOL", 1e-17),  # max_aa0_error 1.1e-16
+    ("09", "_BASE_P_TOL", -1e-6),  # base_p exactly 0.25
+    ("09", "_AMPLIFIED_TOL", 1e-16),  # amplified_once 1 - 2.2e-16
+]
+
+
+@pytest.mark.parametrize(
+    "check, bound, value", _BOUNDS_BELOW_THE_REPORT, ids=[f"{c}-{b}" for c, b, _ in _BOUNDS_BELOW_THE_REPORT]
+)
+def test_check_decides_from_its_named_bound(monkeypatch, check, bound, value):
+    """A bound moved below the number the check reports fails the check, and leaves the number as it was."""
+    before = verify.run_checks(0, only=check)[0]
+    monkeypatch.setattr(verify, bound, value)
+    after = verify.run_checks(0, only=check)[0]
+    assert before.passed and not after.passed
+    assert after.computed == before.computed
+
+
+def _written_by_hand(value) -> bool:
+    """A float literal such as 1e-9: a power of ten below 1."""
+    return isinstance(value, float) and f"{value:.0e}".startswith("1e-") and float(f"{value:.0e}") == value
+
+
+def test_no_check_writes_a_bound_by_hand():
+    """Check bodies compare with named bounds, and expected strings print them through _bound."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    literals = [
+        f"{fn.name}:{node.lineno}: {node.value!r}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_check_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and _written_by_hand(node.value)
+    ]
+    assert literals == []
+    (checks,) = [n.value for n in tree.body if isinstance(n, ast.AnnAssign) and n.target.id == "_CHECKS"]
+    assert len(checks.values) == len(verify._CHECKS)
+    typed = [
+        f"{name.value}: {node.value!r}"
+        for name, entry in zip(checks.keys, checks.values)
+        for node in ast.walk(entry.elts[1])
+        if isinstance(node, ast.Constant) and re.search(r"\de-\d", str(node.value))
+    ]
+    assert typed == []
