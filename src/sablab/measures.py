@@ -24,8 +24,12 @@ point at once: by a min-plus distance transform over the cube when
 n 2^n <= |D0| |D1|, otherwise by one pairwise product over the domain.  Each
 point keeps the tightest of these bounds, and the sweep skips it when that
 bound does not exceed the current best; float mode allows FEAS_TOL / 2 of
-slack there, which cannot change the tie rule's ``FEAS_TOL`` decision.  It
-returns exactly what a solve at every point would.
+slack there, which cannot change the tie rule's ``FEAS_TOL`` decision.  When
+f is symmetric on its domain (complete Hamming-weight layers, one value per
+layer), a coordinate permutation maps any point onto any other of its weight
+and preserves f, so fbs(f, x) depends only on |x|, and the sweep visits only
+the first point of each weight.  It returns exactly what a solve at every
+point would.
 """
 
 from __future__ import annotations
@@ -280,6 +284,11 @@ def fbs_global(f: PartialFunction, exact: bool = False) -> tuple[float | Fractio
     x when sum(u) <= (best + FEAS_TOL / 2) c: then fbs(f, x) <= best +
     FEAS_TOL / 2, so x cannot beat the best by the tie rule's ``FEAS_TOL``
     margin, and the slack absorbs the kernels' rounding.
+
+    When f is symmetric on its domain (complete Hamming-weight layers, one
+    value each), the sweep visits only the first point of each weight in
+    domain order: fbs(f, x) depends only on |x|, so the full sweep would not
+    replace the best at a later point of a weight either.
     """
     x, _, sol = _global_sweep(f, exact)
     return sol.value, x
@@ -289,6 +298,25 @@ def _fbs_global_solution(f: PartialFunction, exact: bool = False) -> FbsSolution
     """``fbs(f, x)`` at ``x = fbs_global(f, exact)[1]``, built from the LP the sweep solved there."""
     x, opp, sol = _global_sweep(f, exact)
     return _solution(f, x, exact, opp, sol)
+
+
+def _sweep_rows(f: PartialFunction) -> np.ndarray | range:
+    """The rows the sweep visits: the first of each Hamming weight when f is symmetric, else all.
+
+    f is symmetric on its domain when the domain is a union of complete weight
+    layers, C(n, w) points at each present weight w, and each layer holds one
+    value.  The first point of a complete layer w in domain order is
+    0^(n-w) 1^w, of code 2^w - 1.  O(|D| n), with arrays of n + 1 entries
+    beyond the domain's weights.
+    """
+    bits, vals = f.arrays()
+    weight = bits.sum(axis=1, dtype=np.int64)
+    count = np.bincount(weight, minlength=f.n + 1)
+    ones = np.bincount(weight, weights=vals, minlength=f.n + 1)
+    full = np.array([math.comb(f.n, w) for w in range(f.n + 1)])
+    if np.any((count != 0) & (count != full)) or np.any((ones != 0) & (ones != count)):
+        return range(vals.size)
+    return np.searchsorted(f.codes, (1 << np.flatnonzero(count)) - 1)
 
 
 def _global_sweep(f: PartialFunction, exact: bool) -> tuple[BitString, np.ndarray, simplex.LpSolution]:
@@ -305,7 +333,7 @@ def _global_sweep(f: PartialFunction, exact: bool) -> tuple[BitString, np.ndarra
     pool: set[tuple] = set()  # distinct clipped duals
     best: tuple[BitString, np.ndarray, simplex.LpSolution] | None = None
     num, den = 0, 1  # the skip limit num / den: the best, plus FEAS_TOL / 2 in float mode
-    for i in range(vals.size):
+    for i in _sweep_rows(f):
         c = bound_c.item(i)
         if c > 0 and bound_s.item(i) * den <= num * c:
             continue

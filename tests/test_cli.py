@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sablab import measures, protocols, qsim, sabotage, simplex, verify
-from sablab.boolfn import BitString, PartialFunction
+from sablab.boolfn import BitString, PartialFunction, make_named
 from sablab.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,6 +55,22 @@ def test_fbs_global_prints_one_solve(capsys, monkeypatch):
     assert calls.count("00011") == 1 and len(calls) == len(set(calls))
     assert abs(payload["value"] - sum(w["w"] for w in payload["weights"])) <= 1e-12
     assert abs(payload["value"] - 3.0) < 1e-9
+
+
+def test_fbs_global_of_a_symmetric_function_solves_one_point_per_weight(capsys, monkeypatch):
+    calls = []
+    solve = measures._fbs_lp
+    monkeypatch.setattr(measures, "_fbs_lp", lambda f, x, exact: (calls.append(x), solve(f, x, exact))[1])
+    code, out, _ = run_cli(capsys, "fbs", "--fn", "MAJ", "--n", "11")
+    payload = json.loads(out)
+    assert code == 0 and payload["x"] == "00000011111" and abs(payload["value"] - 6) < 1e-9
+    assert len(calls) <= 12
+    measures.FbsSolution(
+        x=BitString.coerce(payload["x"]),
+        weights={BitString.coerce(w["y"]): w["w"] for w in payload["weights"]},
+        value=payload["value"],
+        dual=tuple(payload["dual"]),
+    ).check_certificate(make_named("MAJ", 11))
 
 
 def test_fbs_at_point(capsys):
@@ -744,8 +760,6 @@ def test_bad_seed_flag_is_usage_error(capsys, argv):
 
 
 def test_function_file_input(capsys, tmp_path):
-    from sablab.boolfn import make_named
-
     path = tmp_path / "or2.json"
     path.write_text(make_named("OR", 2).serialize())
     code, out, _ = run_cli(capsys, "fbs", "--file", str(path), "--x", "00")

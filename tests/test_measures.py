@@ -249,6 +249,21 @@ def test_fbs_global_solves_where_the_bound_is_nearly_tight(k, exact, monkeypatch
     assert abs(value - Fraction(n - 1, k - 1)) < 1e-12 and str(x) == "0" * k + "1"
 
 
+@pytest.mark.parametrize("k, exact", [(7, False), (7, True), (19, False)])
+def test_fbs_global_solves_where_the_bound_is_nearly_tight_off_the_symmetric_path(k, exact, monkeypatch):
+    """THR_k is symmetric on its domain; one more value-0 point 110..0 makes it not.
+
+    The sweep then takes the general path, and the uniform dual 1/k of 0^n
+    still bounds 0..01 by n/(k-1), within k/(k-1) of the best n/k, so 0..01
+    is solved.  The new point has fbs (k-1)/(k-2) and is the maximiser.
+    """
+    n = k + 1
+    f = PartialFunction(f"THR_{k}+1", n, {**_threshold(k).entries, (1, 1) + (0,) * (n - 2): 0})
+    (value, x), calls = _check_against_full_sweep(f, exact, monkeypatch)
+    assert BitString((0,) * k + (1,)) in {y for y, _ in calls}
+    assert abs(value - Fraction(k - 1, k - 2)) < 1e-12 and str(x) == "11" + "0" * (n - 2)
+
+
 def test_fbs_global_indexing_solves_few_lps(monkeypatch):
     calls = _record_lp_solves(monkeypatch)
     f = make_indexing(3)
@@ -355,7 +370,134 @@ def test_fbs_global_pinned_results_and_lp_counts(monkeypatch):
     assert fbs_global(make_indexing(3))[1] == BitString((0,) * 11) and len(calls) <= 8
     calls.clear()
     value, x = fbs_global(make_named("MAJ", 9))
-    assert abs(value - 5) < 1e-9 and str(x) == "000001111" and len(calls) <= 137
+    assert abs(value - 5) < 1e-9 and str(x) == "000001111" and len(calls) <= 10
+    calls.clear()
+    value, x = fbs_global(make_named("MAJ", 11))
+    assert abs(value - 6) < 1e-9 and str(x) == "00000011111" and len(calls) <= 12
+
+
+def _check_solution_against_full_sweep(f, exact, monkeypatch):
+    """``_fbs_global_solution`` is, entry for entry, ``fbs`` at the full sweep's maximiser; returns the LP solves."""
+    calls = _record_lp_solves(monkeypatch)
+    got = measures._fbs_global_solution(f, exact)
+    calls = list(calls)  # the full sweep's own solves are not the sweep's
+    want = fbs(f, full_sweep(f, exact)[-1][1], exact=exact)
+    assert got == want, f.name
+    assert [repr(u) for u in got.dual] == [repr(u) for u in want.dual], f.name
+    return calls
+
+
+def _layered(name, n, values):
+    """The function with value ``values[w]`` on every weight-w point, over the weights ``values`` names."""
+    return PartialFunction(name, n, {x: values[sum(x.bits)] for x in all_bitstrings(n) if sum(x.bits) in values})
+
+
+def _weights_solved(calls):
+    return [sum(x.bits) for x, _ in calls]
+
+
+SYMMETRIC_CASES = (
+    [(f, exact) for f in catalog(max_arity=6) for exact in (False, True)]
+    + [(make_named("MAJ", 7), True), (make_named("MAJ", 9), False)]
+    + [(_layered("LAYERS_8", 8, {1: 0, 2: 1, 5: 0, 7: 1}), exact) for exact in (False, True)]
+)
+
+
+@pytest.mark.parametrize("f, exact", SYMMETRIC_CASES,
+                         ids=[f"{f.name}-{'exact' if e else 'float'}" for f, e in SYMMETRIC_CASES])
+def test_fbs_global_on_a_symmetric_function_solves_one_point_per_weight(f, exact, monkeypatch):
+    calls = _check_solution_against_full_sweep(f, exact, monkeypatch)
+    if f.entries != _layered(f.name, f.n, _weight_values(f)).entries:
+        return  # IND in the catalog: the entry-for-entry check above is all
+    weights = _weights_solved(calls)
+    assert len(weights) == len(set(weights)) <= f.n + 1, f.name
+    # Each solve is at the first point of its weight in domain order.
+    firsts = {}
+    for x in f.domain():
+        firsts.setdefault(sum(x.bits), x)
+    assert all(firsts[sum(x.bits)] == x for x, _ in calls), f.name
+
+
+def _flip_one(f):
+    """f with the value of its last weight-2 point flipped, so layer 2 holds both values."""
+    entries = dict(f.entries)
+    x = [x for x in f.domain() if sum(x.bits) == 2][-1]
+    entries[x] = 1 - entries[x]
+    return PartialFunction(f"{f.name}-flip", f.n, entries)
+
+
+def _drop_one(f):
+    """f without its last weight-3 point, so layer 3 is incomplete."""
+    x = [x for x in f.domain() if sum(x.bits) == 3][-1]
+    return PartialFunction(f"{f.name}-drop", f.n, {y: v for y, v in f.entries.items() if y != x})
+
+
+NEAR_MISSES = [(make(make_named("MAJ", n)), exact) for make in (_flip_one, _drop_one)
+               for n, exact in ((5, False), (5, True), (7, True), (9, False))]
+
+
+@pytest.mark.parametrize("f, exact", NEAR_MISSES,
+                         ids=[f"{f.name}-{'exact' if e else 'float'}" for f, e in NEAR_MISSES])
+def test_fbs_global_near_a_symmetric_function_takes_the_general_path(f, exact, monkeypatch):
+    """One flipped value or one missing point: the sweep solves two points of one weight."""
+    weights = _weights_solved(_check_solution_against_full_sweep(f, exact, monkeypatch))
+    assert len(weights) > len(set(weights)), f.name
+
+
+def symmetric_fbs(values, n, k):
+    """fbs at a weight-k point of the symmetric function with value ``values[w]`` at weight w.
+
+    The orbit LP: averaging an optimal weighting over the permutations fixing
+    x keeps it feasible and optimal, so one variable W_{a,b} per orbit (flip a
+    of the k ones and b of the n - k zeros, to a weight of the other value)
+    suffices, with the loads sum(W a / k) <= 1 and sum(W b / (n - k)) <= 1.
+    A 2-row LP has an optimal vertex with at most two non-zeros: one column
+    with its tighter row tight, or two with both rows tight.
+    """
+    cols = [(Fraction(a, k) if k else Fraction(0), Fraction(b, n - k) if k < n else Fraction(0))
+            for a in range(k + 1) for b in range(n - k + 1)
+            if values.get(k - a + b, values[k]) != values[k]]
+    best = max((1 / max(p, q) for p, q in cols), default=Fraction(0))
+    for (p1, q1), (p2, q2) in itertools.combinations(cols, 2):
+        det = p1 * q2 - p2 * q1
+        if det:
+            w1, w2 = (q2 - p2) / det, (p1 - q1) / det
+            if w1 >= 0 and w2 >= 0:
+                best = max(best, w1 + w2)
+    return best
+
+
+def symmetric_fbs_global(values, n):
+    """(max fbs, its least weight) over the weights of a symmetric function, by :func:`symmetric_fbs`."""
+    value, k = max((symmetric_fbs(values, n, k), -k) for k in values)
+    return value, -k
+
+
+def _weight_values(f):
+    return {sum(x.bits): v for x, v in f.entries.items()}
+
+
+ORBIT_CASES = (
+    [(make_named(name, n), True) for name in ("AND", "OR", "PARITY") for n in range(1, 8)]
+    + [(make_named("MAJ", n), True) for n in (1, 3, 5, 7)]
+    + [(_layered("LAYERS_8", 8, {1: 0, 2: 1, 5: 0, 7: 1}), True)]
+    + [(make_named(name, n), False) for name in ("AND", "OR", "PARITY") for n in range(8, 12)]
+    + [(make_named("MAJ", n), False) for n in (9, 11)]
+)
+
+
+@pytest.mark.parametrize("f, exact", ORBIT_CASES,
+                         ids=[f"{f.name}-{'exact' if e else 'float'}" for f, e in ORBIT_CASES])
+def test_fbs_global_matches_the_orbit_lp(f, exact, monkeypatch):
+    """Equal as Fractions, maximiser included, in exact mode; within 1e-9 in float mode."""
+    with monkeypatch.context() as patch:
+        for name in ("solve_float", "solve_exact"):
+            patch.setattr(simplex, name, lambda *args: pytest.fail("the orbit oracle called simplex"))
+        want, k = symmetric_fbs_global(_weight_values(f), f.n)
+    if exact:  # the first point of weight k in domain order is 0^(n-k) 1^k
+        assert fbs_global(f, exact=True) == (want, BitString((0,) * (f.n - k) + (1,) * k))
+    else:
+        assert abs(fbs_global(f)[0] - want) <= 1e-9
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
