@@ -10,7 +10,7 @@ optima.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -61,6 +61,20 @@ class AdversaryCertificate:
         }
 
 
+def _entry_codes(labels: Sequence[Hashable], arity: int) -> np.ndarray:
+    """One integer per distinct entry ``label[j - 1]``, j = 1..arity, as a (labels, arity) array.
+
+    Labels differ at position j where their codes in column j - 1 differ; tuple entries (strong
+    inputs) are compared whole.  Refuses a label with fewer than ``arity`` entries; later ones go unread.
+    """
+    for label in labels:
+        if len(label) < arity:
+            raise AdversaryError(f"label {label} has fewer than {arity} entries")
+    index: dict[Hashable, int] = {}
+    codes = [[index.setdefault(label[j], len(index)) for j in range(arity)] for label in labels]
+    return np.array(codes, dtype=np.int64).reshape(len(labels), arity)
+
+
 def evaluate_certificate(
     labels: Sequence[Hashable],
     gamma: np.ndarray,
@@ -68,15 +82,11 @@ def evaluate_certificate(
     arity: int,
     fvalue: Callable[[Hashable], int],
 ) -> AdversaryCertificate:
-    """Norms and value of an adversary matrix over the given labels.
-
-    Position j (1-based) of a label is ``label[j - 1]``; two labels differ
-    there when those entries differ, and tuple entries (strong inputs) are
-    compared whole.
-    """
+    """Norms and value of an adversary matrix over labels compared by :func:`_entry_codes`."""
     d = len(labels)
     if d > DIM_CAP:  # before any label is evaluated or any d x d copy is made
         raise AdversaryError(f"dimension {d} exceeds cap {DIM_CAP}")
+    codes = _entry_codes(labels, arity)
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (d, d):
         raise AdversaryError(f"gamma shape {gamma.shape} does not match {d} labels")
@@ -94,11 +104,6 @@ def evaluate_certificate(
             f"pattern violation: gamma[{labels[a]}, {labels[b]}] nonzero on equal values"
         )
 
-    # One integer code per distinct entry, so each position's mask is one comparison.
-    index: dict[Hashable, int] = {}
-    codes = np.array(
-        [[index.setdefault(label[j], len(index)) for j in range(arity)] for label in labels]
-    )
     column_norms = [
         spectral_norm(np.where(codes[:, None, j] != codes[None, :, j], gamma, 0.0))
         for j in range(arity)
@@ -160,19 +165,39 @@ def build_sabotage_adversary(f: PartialFunction, sol: FbsSolution) -> AdversaryC
 
 @dataclass(frozen=True)
 class Relation:
-    """Bipartite relation between inputs of different function value."""
+    """Bipartite relation between inputs of different function value.
+
+    Construction reads the labels once into read-only integer arrays, kept out of ``repr`` and ``==``:
+    the entry codes (:func:`_entry_codes`) of each side's distinct labels, each pair's two rows among
+    them, and the (pairs, arity) mask of positions where each pair differs.  It refuses an empty
+    relation, a pair not from an ``x_side`` to a ``y_side`` label, a label shorter than ``arity``
+    and a pair that differs nowhere.
+    """
 
     x_side: tuple[Hashable, ...]
     y_side: tuple[Hashable, ...]
     pairs: frozenset[tuple[Hashable, Hashable]]
     arity: int
+    _codes: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _differs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pairs:
             raise AdversaryError("relation is empty")
+        x_rows, y_rows = ({u: r for r, u in enumerate(dict.fromkeys(side))} for side in (self.x_side, self.y_side))
         for u, v in self.pairs:
-            if not any(u[i] != v[i] for i in range(self.arity)):
+            if u not in x_rows or v not in y_rows:
+                raise AdversaryError(f"pair ({u}, {v}) does not run from x_side to y_side")
+        x_codes, y_codes = np.split(_entry_codes([*x_rows, *y_rows], self.arity), [len(x_rows)])
+        us, vs = np.array([(x_rows[u], y_rows[v]) for u, v in self.pairs]).T
+        differs = x_codes[us] != y_codes[vs]
+        for (u, v), differ in zip(self.pairs, differs.any(axis=1)):
+            if not differ:
                 raise AdversaryError(f"pair ({u}, {v}) has no differing position")
+        for array in (x_codes, y_codes, us, vs, differs):
+            array.flags.writeable = False
+        vars(self).update(_codes=(x_codes, y_codes), _rows=(us, vs), _differs=differs)
 
 
 @dataclass(frozen=True)
@@ -190,44 +215,22 @@ class RelationBound:
 
 
 def relation_bound(rel: Relation) -> RelationBound:
-    """m_x, m_y, the max load product l_max, and the query lower bound.
+    """m_x, m_y, the max load product l_max, and the query lower bound, as sums over the integer view.
 
-    ``per_position`` maps each 1-based position to the largest product
-    l_{x,i} * l_{y,i} over relation pairs differing there.
+    The load l_{x,i} of a label counts its pairs differing at position i; ``per_position`` maps each
+    1-based position to the largest l_{x,i} * l_{y,i} over pairs differing there.  m_x and m_y are
+    the fewest pairs on any distinct label of each side.
     """
-    nx: dict[Hashable, list[Hashable]] = {u: [] for u in rel.x_side}
-    ny: dict[Hashable, list[Hashable]] = {v: [] for v in rel.y_side}
-    for u, v in rel.pairs:
-        nx[u].append(v)
-        ny[v].append(u)
-    m_x = min(len(vs) for vs in nx.values())
-    m_y = min(len(us) for us in ny.values())
-
-    lx: dict[tuple[Hashable, int], int] = {}
-    ly: dict[tuple[Hashable, int], int] = {}
-    for u, vs in nx.items():
-        for i in range(rel.arity):
-            lx[(u, i)] = sum(1 for v in vs if u[i] != v[i])
-    for v, us in ny.items():
-        for i in range(rel.arity):
-            ly[(v, i)] = sum(1 for u in us if u[i] != v[i])
-
-    per_position: dict[int, int] = {}
-    for u, v in rel.pairs:
-        for i in range(rel.arity):
-            if u[i] != v[i]:
-                product = lx[(u, i)] * ly[(v, i)]
-                j = i + 1
-                if product > per_position.get(j, 0):
-                    per_position[j] = product
+    (x_codes, y_codes), (us, vs), differs = rel._codes, rel._rows, rel._differs
+    l_x, l_y = np.zeros(x_codes.shape, dtype=np.int64), np.zeros(y_codes.shape, dtype=np.int64)
+    np.add.at(l_x, us, differs)
+    np.add.at(l_y, vs, differs)
+    products = (l_x[us] * l_y[vs] * differs).max(axis=0).tolist()
+    per_position = {j + 1: product for j, product in enumerate(products) if product}
+    m_x = int(np.bincount(us, minlength=len(x_codes)).min())
+    m_y = int(np.bincount(vs, minlength=len(y_codes)).min())
     l_max = max(per_position.values())
-    return RelationBound(
-        m_x=m_x,
-        m_y=m_y,
-        l_max=l_max,
-        bound=math.sqrt(m_x * m_y / l_max),
-        per_position=per_position,
-    )
+    return RelationBound(m_x, m_y, l_max, math.sqrt(m_x * m_y / l_max), per_position)
 
 
 def build_indexing_relation(n: int, strong: bool = False) -> Relation:
@@ -258,12 +261,8 @@ def build_indexing_relation(n: int, strong: bool = False) -> Relation:
     make = strong_label if strong else weak_label
     x_side = tuple(make(a, k, STAR) for k, a in enumerate(addresses))
     y_side = tuple(make(a, k, DAGGER) for k, a in enumerate(addresses))
-    pairs = frozenset(
-        (x_side[i], y_side[k])
-        for i, a in enumerate(addresses)
-        for k, b in enumerate(addresses)
-        if sum(p != q for p, q in zip(a, b)) == 2
-    )
+    near = [(i, k) for i in range(size) for k in range(size) if (i ^ k).bit_count() == 2]
+    pairs = frozenset((x_side[i], y_side[k]) for i, k in near)
     if not pairs:
         raise AdversaryError(f"indexing relation is empty at n = {n}")
     return Relation(x_side=x_side, y_side=y_side, pairs=pairs, arity=n + size)

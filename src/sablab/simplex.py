@@ -8,7 +8,8 @@ tolerance and ``fractions.Fraction`` with tolerance 0:
   verification, with a ``Fraction`` pivot-loop fallback.  The optimal basis
   B of the float loop is re-solved from the exact inputs (B·w_B = b and
   yᵀB = c_B, two m×m systems in Fractions) and accepted only if w_B >= 0,
-  y >= 0, Aᵀy >= c and c·w = b·y hold exactly, which proves it optimal.
+  y >= 0 and Aᵀy >= c hold exactly; c·w = b·y then holds by construction,
+  which proves it optimal.
   Otherwise the pivot loop runs again in Fractions from the all-slack basis.
   This is the approach of QSopt_ex (Applegate, Cook, Dash and Espinoza 2007).
 
@@ -96,9 +97,8 @@ def _verify_basis(c, A, b, guess: LpSolution) -> LpSolution | None:
         return None
     if not _dual_feasible(c, A, y):
         return None
+    # c_B·w_B = yᵀB·w_B = yᵀb holds exactly, since B·w_B = b and Bᵀy = c_B are solved in Fractions.
     value = sum((ci * wi for ci, wi in zip(c_basis, w_basis)), zero)
-    if value != sum((yi * bi for yi, bi in zip(y, b_exact)), zero):
-        return None
     weights = [zero] * n_vars
     for k, w in zip(guess.basis, w_basis):
         if k < n_vars:

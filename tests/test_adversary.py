@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sablab import adversary
+from sablab import adversary, verify
 from sablab.adversary import (
     AdversaryError,
     build_fbs_adversary,
@@ -22,7 +24,7 @@ from sablab.adversary import (
 )
 from sablab.boolfn import BitString, catalog, make_indexing, make_named
 from sablab.measures import fbs, fbs_global
-from sablab.sabotage import STAR
+from sablab.sabotage import DAGGER, STAR, StrongInput
 
 
 def eig_norm(m):
@@ -142,6 +144,16 @@ def test_certificate_refuses_too_many_labels_before_any_work(monkeypatch):
         evaluate_certificate(labels, gamma, arity=2, fvalue=never)
 
 
+def test_certificate_refuses_a_label_shorter_than_its_arity():
+    gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(AdversaryError, match=re.escape("label 1 has fewer than 2 entries")):
+        evaluate_certificate(["00", "1"], gamma, arity=2, fvalue=lambda lab: int(lab[0]))
+    # A longer label is read at positions 1..arity only.
+    short = evaluate_certificate(["00", "11"], gamma, arity=2, fvalue=lambda lab: int(lab[0]))
+    long = evaluate_certificate(["000", "111"], gamma, arity=2, fvalue=lambda lab: int(lab[0]))
+    assert long.column_norms == short.column_norms and long.value == short.value
+
+
 def test_certificate_never_beats_random_search():
     """Sanity, not optimality: 10^4 random feasible matrices on the same
     support approach the certificate's value from below and never beat the
@@ -252,6 +264,86 @@ def test_relation_rejects_empty_and_equal():
             pairs=frozenset({("00", "00")}),
             arity=2,
         )
+
+
+@pytest.mark.parametrize(
+    "pair", [("1*", "0+"), ("0*", "1+"), ("0+", "0*")], ids=["first-off-x_side", "second-off-y_side", "reversed"]
+)
+def test_relation_refuses_a_pair_off_its_sides(pair):
+    with pytest.raises(AdversaryError, match=re.escape(f"pair ({pair[0]}, {pair[1]}) does not run from x_side to y_side")):
+        Relation(x_side=("0*",), y_side=("0+",), pairs=frozenset({pair}), arity=2)
+
+
+def test_relation_refuses_a_label_shorter_than_its_arity():
+    # Position 1 already differs, so only the length check stands in the way.
+    with pytest.raises(AdversaryError, match=re.escape("label 0* has fewer than 3 entries")):
+        Relation(x_side=("0*",), y_side=("1+1",), pairs=frozenset({("0*", "1+1")}), arity=3)
+
+
+def test_relation_keeps_its_integer_view_out_of_repr_and_equality():
+    rel = build_indexing_relation(2, strong=True)
+    again = Relation(x_side=rel.x_side, y_side=rel.y_side, pairs=rel.pairs, arity=rel.arity)
+    assert rel == again and hash(rel) == hash(again) and repr(rel) == repr(again)
+    assert "_codes" not in repr(rel) and rel._differs.shape == (len(rel.pairs), rel.arity)
+    with pytest.raises(ValueError, match="read-only"):
+        rel._differs[0, 0] = False
+
+
+def _random_relation(rng, strong):
+    """A small relation over a pool of labels: sides drawn with repeats, so a label may sit on both."""
+    arity = int(rng.integers(2, 5))
+    if strong:
+        pool = []
+        while len(pool) < 5:
+            x, y = (BitString(tuple(int(b) for b in rng.integers(0, 2, arity))) for _ in range(2))
+            if x != y:
+                pool.append(StrongInput(x, y, (STAR, DAGGER)[int(rng.integers(2))]))
+    else:  # some labels run past the arity; only positions 1..arity count
+        pool = ["".join(rng.choice(list("01*+"), arity + int(rng.integers(2)))) for _ in range(5)]
+    x_side = tuple(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(2, 5))))
+    y_side = tuple(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(2, 5))))
+    pairs = frozenset(
+        (u, v) for u in x_side for v in y_side
+        if any(u[i] != v[i] for i in range(arity)) and rng.random() < 0.6
+    )
+    return Relation(x_side=x_side, y_side=y_side, pairs=pairs, arity=arity) if pairs else None
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["strings", "strong-inputs"])
+def test_relation_bound_matches_the_recount_on_random_relations(strong):
+    """per_position against check 05's recount, m_x and m_y against a count over the raw pairs."""
+    rng = np.random.default_rng([35, strong])
+    seen = {"unpaired": 0, "repeat": 0, "both sides": 0}
+    for _ in range(60):
+        rel = _random_relation(rng, strong)
+        if rel is None:
+            continue
+        rb = relation_bound(rel)
+        assert rb.per_position == verify._recount_relation(rel)
+        assert list(rb.per_position) == sorted(rb.per_position)
+        on = {side: [sum(1 for pair in rel.pairs if pair[k] == label) for label in set(labels)]
+              for k, (side, labels) in enumerate((("x", rel.x_side), ("y", rel.y_side)))}
+        assert (rb.m_x, rb.m_y) == (min(on["x"]), min(on["y"]))
+        assert rb.l_max == max(rb.per_position.values())
+        assert rb.bound == math.sqrt(rb.m_x * rb.m_y / rb.l_max)
+        assert all(type(v) is int for v in (rb.m_x, rb.m_y, rb.l_max, *rb.per_position, *rb.per_position.values()))
+        assert type(rb.bound) is float and json.dumps(rb.to_json_dict())
+        if rb.m_x == 0 or rb.m_y == 0:
+            seen["unpaired"] += 1
+            assert rb.bound == 0.0
+        seen["repeat"] += len(set(rel.x_side)) < len(rel.x_side) or len(set(rel.y_side)) < len(rel.y_side)
+        seen["both sides"] += bool(set(rel.x_side) & set(rel.y_side))
+    assert min(seen.values()) >= 3, seen
+
+
+def test_relation_bound_skips_a_pair_that_agrees_at_a_position():
+    # (0a, 0b) agrees at position 1, where each of its labels has load 3: their product 9
+    # does not count, and the largest product over the pairs differing there is 3 * 1.
+    u, v, us, vs = "0a", "0b", ("1c", "1d", "1e"), ("1f", "1g", "1h")
+    pairs = frozenset({(u, v), *((u, b) for b in vs), *((a, v) for a in us)})
+    rel = Relation(x_side=(u, *us), y_side=(v, *vs), pairs=pairs, arity=2)
+    rb = relation_bound(rel)
+    assert rb.per_position == verify._recount_relation(rel) == {1: 3, 2: 16}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -710,6 +710,24 @@ README_STDOUT_SHA256 = {
 }
 
 
+# sha256 of `sablab adv --construction indexing-relation --n N --model M` stdout.
+INDEXING_RELATION_STDOUT_SHA256 = {
+    (2, "weak"): "7548139d82b88918f827103471b64807302033ff12f6b159dccdb6dc05dd2918",
+    (2, "strong"): "48488270605ae110b0271bc8915513fb9396ca878e4f02b1192c5571c9f6c8e0",
+    (3, "weak"): "5db9aab4ccd7873d22a0a5411b7e3a5bdaa5fe7ecd035ba3b237da4bba3d7407",
+    (3, "strong"): "7a5fbddd5753f6c92b99e497a73e9c0a4a2cbfb53c802d789b6ac2ff3802b273",
+    (4, "weak"): "83cdfaac119126df7d49768d5c7782fc748ff46d1a617246c937b24d3d13d758",
+    (4, "strong"): "c016488654a098f8d1856b2ae3cc779ac0f31f0fb8e4498bc1f116eaf70a293a",
+}
+
+
+@pytest.mark.parametrize("n, model", list(INDEXING_RELATION_STDOUT_SHA256))
+def test_indexing_relation_stdout_is_pinned(capsys, n, model):
+    code, out, _ = run_cli(capsys, "adv", "--construction", "indexing-relation", "--n", str(n), "--model", model)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INDEXING_RELATION_STDOUT_SHA256[(n, model)]
+
+
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # verify-all --out writes report.json here
     pinned = []
