@@ -21,6 +21,9 @@ from .sabotage import DAGGER, STAR, SabString, StrongInput, hard_distribution, w
 
 DIM_CAP = 5000
 SYMMETRY_TOL = 1e-12
+# Entries per stack of masked copies in evaluate_certificate: 512 KB of float64, or one d x d copy
+# when that is larger.  The builders' certificates (at most 2n labels at arity n <= 20) fit in one stack.
+_STACK_ENTRIES = 1 << 16
 
 
 class AdversaryError(ValueError):
@@ -75,6 +78,29 @@ def _entry_codes(labels: Sequence[Hashable], arity: int) -> np.ndarray:
     return np.array(codes, dtype=np.int64).reshape(len(labels), arity)
 
 
+def _masked_norms(codes: np.ndarray, gamma: np.ndarray) -> list[float]:
+    """The norm of each masked copy ``gamma o D_j``, by one stacked SVD per chunk of positions.
+
+    A chunk of k positions is a (k, d, d) stack of the copies, with k * d * d at most
+    ``_STACK_ENTRIES`` or k = 1.  Each copy must be symmetric within :func:`spectral_norm`'s
+    tolerance, ``SYMMETRY_TOL * max(1, its largest entry)``, checked for the whole stack at once,
+    and its norm is the largest singular value of one LAPACK SVD, as :func:`spectral_norm` computes it.
+    """
+    d, arity = codes.shape
+    skew = np.abs(gamma - gamma.T)  # |m - m.T| of a copy: skew where D_j is 1, else 0
+    step = max(1, _STACK_ENTRIES // (d * d))
+    norms: list[float] = []
+    for start in range(0, arity, step):
+        chunk = codes.T[start:start + step]
+        differs = chunk[:, :, None] != chunk[:, None, :]
+        stack = np.where(differs, gamma, 0.0)
+        scale = stack.max(axis=(1, 2))  # entries are non-negative
+        if (np.where(differs, skew, 0.0).max(axis=(1, 2)) > SYMMETRY_TOL * np.maximum(1.0, scale)).any():
+            raise AdversaryError("matrix is not symmetric")
+        norms += np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+    return norms
+
+
 def evaluate_certificate(
     labels: Sequence[Hashable],
     gamma: np.ndarray,
@@ -82,7 +108,15 @@ def evaluate_certificate(
     arity: int,
     fvalue: Callable[[Hashable], int],
 ) -> AdversaryCertificate:
-    """Norms and value of an adversary matrix over labels compared by :func:`_entry_codes`."""
+    """Norms and value of an adversary matrix over labels compared by :func:`_entry_codes`.
+
+    Refuses, in this order: more than ``DIM_CAP`` labels (before any label is read), a label
+    shorter than ``arity``, a gamma of the wrong shape, with a negative entry, not symmetric, or
+    zero, a nonzero entry between labels of equal value, a masked copy that is not symmetric, and
+    per-position norms that all vanish.  ``norm_gamma`` is :func:`spectral_norm` of gamma; the
+    masked copies are checked and normed in stacks of positions by :func:`_masked_norms`, which
+    holds no temporary larger than ``_STACK_ENTRIES`` entries or one d x d copy.
+    """
     d = len(labels)
     if d > DIM_CAP:  # before any label is evaluated or any d x d copy is made
         raise AdversaryError(f"dimension {d} exceeds cap {DIM_CAP}")
@@ -104,10 +138,7 @@ def evaluate_certificate(
             f"pattern violation: gamma[{labels[a]}, {labels[b]}] nonzero on equal values"
         )
 
-    column_norms = [
-        spectral_norm(np.where(codes[:, None, j] != codes[None, :, j], gamma, 0.0))
-        for j in range(arity)
-    ]
+    column_norms = _masked_norms(codes, gamma)
     norm_gamma = spectral_norm(gamma)
     worst = max(column_norms)
     if worst == 0.0:

@@ -142,12 +142,24 @@ def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], froze
 
 
 def _sab_strings(symbols: np.ndarray) -> frozenset[SabString]:
-    """One SabString per row of a uint8 symbol matrix.
+    """One SabString per row of a uint8 symbol matrix, the rows checked at once.
 
-    A row's bytes iterate as Python ints, so no list per row is built.
+    The matrix is checked for :class:`SabString`'s rules in numpy: every entry in 0..3, a
+    star/dagger in every row, no row with both.  The first row that breaks one goes to the
+    constructor, which raises its own message; otherwise each string is made without the
+    constructor, its ``symbols`` the row's bytes, which iterate as Python ints.
     """
+    bad = ((symbols > DAGGER).any(axis=1) | ~(symbols >= STAR).any(axis=1)
+           | (symbols == STAR).any(axis=1) & (symbols == DAGGER).any(axis=1))
+    for row in symbols[bad]:
+        SabString(tuple(row.tolist()))
     raw, n = symbols.tobytes(), symbols.shape[1]
-    return frozenset(SabString(tuple(raw[i:i + n])) for i in range(0, len(raw), n))
+    strings = []
+    for i in range(0, len(raw), n):
+        z = object.__new__(SabString)
+        object.__setattr__(z, "symbols", tuple(raw[i:i + n]))
+        strings.append(z)
+    return frozenset(strings)
 
 
 def _pair_keys(codes: np.ndarray, vals: np.ndarray, n: int) -> set[int]:

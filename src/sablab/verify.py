@@ -233,8 +233,9 @@ def _check_sabotage_certificates(seed: int) -> tuple[dict, bool]:
 def _recount_relation(rel: adversary.Relation) -> dict[int, int]:
     """Exhaustive per-position recount of the worst load product.
 
-    Works over integer coordinate codes and a flat pair list, independent of
-    the neighbor-map computation in :func:`adversary.relation_bound`.
+    Works over its own coordinate codes and a flat pair list, read from the
+    relation's labels and pairs, independent of the integer arrays that
+    :class:`adversary.Relation` builds and :func:`adversary.relation_bound` sums.
     """
     labels = list(rel.x_side) + list(rel.y_side)
     ids = {label: i for i, label in enumerate(labels)}

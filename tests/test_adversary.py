@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,109 @@ def test_masked_norms_on_parity_certificate():
     for j in range(10):
         want = eig_norm(g * (bits[:, None, j] != bits[None, :, j]))
         assert abs(cert.column_norms[j] - want) <= 1e-9 * want
+
+
+def _per_position_reference(labels, gamma, arity):
+    """(norm_gamma, column_norms, value) from one :func:`spectral_norm` call per masked copy."""
+    codes = adversary._entry_codes(labels, arity)
+    column_norms = tuple(
+        spectral_norm(np.where(codes[:, None, j] != codes[None, :, j], gamma, 0.0)) for j in range(arity)
+    )
+    norm_gamma = spectral_norm(gamma)
+    return norm_gamma, column_norms, norm_gamma / max(column_norms)
+
+
+def _triple(cert):
+    return cert.norm_gamma, cert.column_norms, cert.value
+
+
+@pytest.mark.parametrize("f", catalog(max_arity=6), ids=lambda f: f.name)
+def test_stacked_norms_equal_the_per_position_norms_on_the_catalog(f):
+    """Both builders at every point of positive fbs: the stacked SVD gives the same floats, bit for bit."""
+    for x in f.domain():
+        sol = fbs(f, x)
+        if sol.value <= 0:
+            continue
+        for build in (build_fbs_adversary, build_sabotage_adversary):
+            cert = build(f, sol)
+            assert _triple(cert) == _per_position_reference(cert.labels, cert.gamma, f.n), (build.__name__, str(x))
+
+
+def _random_labels(rng, d, arity, strong):
+    """d distinct labels: quaternary strings, or strong inputs; position 1 is the same on every label."""
+    labels: dict = {}
+    while len(labels) < d:
+        if strong:
+            x, y = (BitString((0, *(int(b) for b in rng.integers(0, 2, arity - 1)))) for _ in range(2))
+            if x == y:
+                continue
+            label = StrongInput(x, y, (STAR, DAGGER)[int(rng.integers(2))])
+        else:
+            label = "0" + "".join(rng.choice(list("01*+"), arity - 1))
+        labels.setdefault(label, None)
+    return list(labels)
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["strings", "strong-inputs"])
+def test_stacked_norms_equal_the_per_position_norms_on_random_matrices(strong, monkeypatch):
+    """Seeded non-negative symmetric matrices; position 1's masked copy is all zero.
+
+    Stacks of one, a few and all positions (``_STACK_ENTRIES``) give the same floats.
+    """
+    rng = np.random.default_rng([36, strong])
+    for trial in range(40):
+        d, arity = int(rng.integers(2, 24)), int(rng.integers(4, 9))
+        labels = _random_labels(rng, d, arity, strong)
+        side = {label: int(rng.integers(2)) for label in labels}
+        values = np.array([side[label] for label in labels])
+        g = rng.random((d, d)) * 10.0 ** int(rng.integers(-6, 7))
+        g = (g + g.T) * (values[:, None] != values[None, :]) * (rng.random((d, d)) < 0.7)
+        g = np.maximum(g, g.T)
+        if not g.any():
+            continue
+        want = _per_position_reference(labels, g, arity)
+        assert want[1][0] == 0.0
+        for entries in (1, 3 * d * d, adversary._STACK_ENTRIES):
+            with monkeypatch.context() as patch:
+                patch.setattr(adversary, "_STACK_ENTRIES", entries)
+                cert = evaluate_certificate(labels, g, arity=arity, fvalue=side.__getitem__)
+            assert _triple(cert) == want, (trial, entries)
+
+
+def test_masked_copy_must_be_symmetric_at_its_own_scale():
+    """Gamma passes as a whole (max entry 10, asymmetry 5e-12 <= 1e-12 * 10), but the copy
+    masked at position 1 holds only the entries 1 and 1 + 5e-12, so its tolerance is 1e-12."""
+    labels = ["00", "10", "01"]
+    gamma = np.array([[0.0, 1.0, 10.0], [1.0 + 5e-12, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    assert np.allclose(gamma, gamma.T, atol=adversary.SYMMETRY_TOL * 10.0, rtol=0.0)
+    with pytest.raises(AdversaryError, match="^matrix is not symmetric$"):
+        evaluate_certificate(labels, gamma, arity=2, fvalue=lambda lab: int(lab != "00"))
+    with pytest.raises(AdversaryError, match="^matrix is not symmetric$"):
+        spectral_norm(np.where([[0, 1, 0], [1, 0, 0], [0, 0, 0]], gamma, 0.0))
+    gamma[1, 0] = 1.0 + 5e-13  # within 1e-12 of its copy: accepted
+    cert = evaluate_certificate(labels, gamma, arity=2, fvalue=lambda lab: int(lab != "00"))
+    assert _triple(cert) == _per_position_reference(labels, gamma, 2)
+
+
+def test_masked_norms_hold_one_chunk_of_copies_at_a_time():
+    """256 labels of arity 20: the tracemalloc peak stays within 5 d x d float64 copies.
+
+    The call peaks near 3.2 copies; a stack of all 20 masked copies at once would take over 40.
+    """
+    rng = np.random.default_rng(36)
+    d, arity = 256, 20
+    labels = [format(int(c), f"0{arity}b") for c in rng.choice(1 << arity, size=d, replace=False)]
+    side = {label: label.count("1") % 2 for label in labels}
+    values = np.array([side[label] for label in labels])
+    g = rng.random((d, d))
+    g = (g + g.T) * (values[:, None] != values[None, :])
+    tracemalloc.start()
+    try:
+        evaluate_certificate(labels, g, arity=arity, fvalue=side.__getitem__)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * g.nbytes, peak / g.nbytes
 
 
 def _or2_cert():

@@ -8,6 +8,7 @@ of ``enumerate_sabotaged`` and ``StrongInput``.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sablab.sabotage import (
     SabString,
     SabotageError,
     StrongInput,
+    _sab_strings,
     enumerate_sabotaged,
     hard_distribution,
     make_strong,
@@ -155,6 +157,39 @@ def test_enumerate_matches_pair_loop_at_certify_sizes(seed):
         assert stars == {sabotage_star(x, y) for x in f.d0 for y in f.d1}
         assert daggers == {SabString(tuple(DAGGER if s == STAR else s for s in z.symbols)) for z in stars}
         assert all(type(s) is int for z in stars for s in z.symbols)
+        _assert_constructor_built(stars | daggers)
+
+
+def _assert_constructor_built(strings):
+    """Each string equals, hashes and prints as the constructor's string of its symbols."""
+    for z in strings:
+        again = SabString(z.symbols)
+        assert z == again and hash(z) == hash(again) and str(z) == str(again) and repr(z) == repr(again)
+        assert type(z.symbols) is tuple and z.marker == again.marker
+
+
+@pytest.mark.parametrize("row, message", [
+    ((0, 1, 1), "sabotaged string needs at least one */dagger symbol"),
+    ((STAR, 1, DAGGER), "sabotaged string cannot mix * and dagger symbols"),
+    ((STAR, 4, 0), "symbols must be in 0..3, got (2, 4, 0)"),
+], ids=["no-mark", "mixed", "entry-4"])
+def test_sab_strings_refuses_a_bad_row_with_the_constructors_message(row, message):
+    """The batched check refuses what ``SabString`` refuses, with its message, wherever the row sits."""
+    good = [(0, STAR, 1), (STAR, STAR, 0), (1, 1, STAR)]
+    for at in (0, 2, 3):
+        symbols = np.array(good[:at] + [row] + good[at:], dtype=np.uint8)
+        with pytest.raises(SabotageError, match=f"^{re.escape(message)}$"):
+            _sab_strings(symbols)
+    with pytest.raises(SabotageError, match=f"^{re.escape(message)}$"):
+        SabString(row)
+
+
+def test_sab_strings_builds_the_constructors_strings():
+    symbols = np.array([(0, STAR, 1), (STAR, STAR, 0), (DAGGER, 1, 0), (0, 0, DAGGER)], dtype=np.uint8)
+    strings = _sab_strings(symbols)
+    assert strings == {SabString(tuple(int(s) for s in row)) for row in symbols}
+    assert {str(z) for z in strings} == {"0*1", "**0", "+10", "00+"}
+    _assert_constructor_built(strings)
 
 
 @pytest.mark.parametrize("f", catalog(max_arity=6), ids=lambda f: f.name)
