@@ -113,9 +113,10 @@ def evaluate_certificate(
     Refuses, in this order: more than ``DIM_CAP`` labels (before any label is read), a label
     shorter than ``arity``, a gamma of the wrong shape, with a negative entry, not symmetric, or
     zero, a nonzero entry between labels of equal value, a masked copy that is not symmetric, and
-    per-position norms that all vanish.  ``norm_gamma`` is :func:`spectral_norm` of gamma; the
-    masked copies are checked and normed in stacks of positions by :func:`_masked_norms`, which
-    holds no temporary larger than ``_STACK_ENTRIES`` entries or one d x d copy.
+    per-position norms that all vanish.  ``norm_gamma`` is :func:`spectral_norm` of gamma: gamma
+    has passed that function's checks by then, so only its SVD runs.  The masked copies are
+    checked and normed in stacks of positions by :func:`_masked_norms`, which holds no temporary
+    larger than ``_STACK_ENTRIES`` entries or one d x d copy.
     """
     d = len(labels)
     if d > DIM_CAP:  # before any label is evaluated or any d x d copy is made
@@ -139,7 +140,8 @@ def evaluate_certificate(
         )
 
     column_norms = _masked_norms(codes, gamma)
-    norm_gamma = spectral_norm(gamma)
+    # spectral_norm(gamma) without its second symmetry check: gamma passed the same one above.
+    norm_gamma = float(np.linalg.norm(gamma, 2))
     worst = max(column_norms)
     if worst == 0.0:
         raise AdversaryError("all per-position norms vanish")

@@ -357,9 +357,12 @@ def find_index_amplified(
     qubit set by one strong query checking for a star/dagger at the measured
     index.  Branch c runs the source on x (c = 0) or y (c = 1) through the bit
     oracle: that is the wrapped run with its symbol registers uncomputed, so
-    each interrupt state fills the bx = by = bz = 0 slice.  The dilation keeps
-    the wrapped shape and the T+1 clock slots, on which the size refusal
-    rests, until the benchmark's oversized request is resized.
+    each interrupt state fills the bx = by = bz = 0 slice.  A branch's T
+    interrupt states are held at once, under 1/64 of the dilation's size, and
+    written into its clock slots with one whole-slice write per flag value.
+    The dilation keeps the wrapped shape and the T+1 clock slots, on which
+    the size refusal rests, until the benchmark's oversized request is
+    resized; that refusal comes before any source run or allocation.
     Reported query cost is (2 rounds + 1) * (2 T + 1) strong queries.
     """
     _check_distinguisher(alg, w)
@@ -383,11 +386,12 @@ def find_index_amplified(
     prep = np.zeros(dims, dtype=np.complex128)
     # (branch, clock, index, bx by bz, answer and workspace, flag): the zero-symbol slice.
     slots = prep.reshape(2, t_count + 1, n, 16, row // 16, 2)[:, :, :, 0]
+    on_block = in_block[:, None]
     for c, x in enumerate((w.x, w.y)):
-        for t, state in enumerate(_interrupt_states(alg, x), start=1):
-            rows = amp * state.reshape(n, -1)
-            slots[c, t, in_block, :, 1] = rows[in_block]
-            slots[c, t, ~in_block, :, 0] = rows[~in_block]
+        # Clock slots 1..T of the branch, each the state before that query, in two whole-slice writes.
+        rows = amp * np.stack(list(_interrupt_states(alg, x))).reshape(t_count, n, -1)
+        slots[c, 1:, :, :, 1] = np.where(on_block, rows, 0.0)
+        slots[c, 1:, :, :, 0] = np.where(on_block, 0.0, rows)
     prep = prep.reshape(-1)
 
     good = np.zeros(dims, dtype=bool)
@@ -421,7 +425,10 @@ def grover_baseline(z: SabString, seed: int = 0) -> IndexFinderReport:
     """Mark search with iteration counts 1, 2, 4, ... capped at ceil(pi/4 sqrt n).
 
     Every measured position is verified with one extra query before being
-    reported.  A length-1 input is its own answer.
+    reported.  A length-1 input is its own answer.  A run at k iterations is
+    deterministic, so each distinct k is run once per call and a phase that
+    repeats k reuses its distribution; every phase still draws its own
+    position and pays its queries.
     """
     _check_seed(seed)
     n = len(z)
@@ -439,13 +446,16 @@ def grover_baseline(z: SabString, seed: int = 0) -> IndexFinderReport:
     k = 1
     miss_mass = 1.0
     position, trials = None, _MAX_BASELINE_PHASES
+    runs = {}  # k: its GroverResult and normalised distribution
     for phase in range(_MAX_BASELINE_PHASES):
-        result = grover_find_mark(z, k)
+        if k not in runs:
+            result = grover_find_mark(z, k)
+            probs = np.array(result.position_probs)
+            runs[k] = result, probs / probs.sum()
+        result, probs = runs[k]
         queries += result.queries_used + 1
         miss_mass *= 1.0 - result.success_mass
         rng = np.random.default_rng([seed, phase])
-        probs = np.array(result.position_probs)
-        probs = probs / probs.sum()
         measured = int(rng.choice(n, p=probs)) + 1
         if measured in z.mark_positions:  # the one-query verification
             position, trials = measured, phase + 1

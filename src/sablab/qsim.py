@@ -32,6 +32,10 @@ DIM_CAP = 2**21
 BLOCK_CAP = MAX_ARITY  # gate dimension; an index register of any supported arity fits
 UNITARY_TOL = 1e-12
 NORM_TOL = 1e-10
+# Iterations of a catalog Grover circuit, refused above this before any step list is built.
+# _grover_marks caches up to 256 circuits of 4 * iterations + 2 steps: at most
+# 256 * (4 * 1024 + 2) step references, about 8 MB, whatever the callers ask.
+GROVER_ITERATION_CAP = 1024
 
 QUERY = "QUERY"
 QUERY_INV = "QUERY_INV"
@@ -154,7 +158,7 @@ def permute_rows(state: np.ndarray, perm: np.ndarray, row_size: int) -> np.ndarr
 
 def _gather(state: np.ndarray, pre: int, src: np.ndarray, post: int) -> np.ndarray:
     """Over the ``(pre, len(src), post)`` view, ``out[p, s, q] = in[p, src[s], q]``; a fresh flat state."""
-    return np.take(state.reshape(pre, len(src), post), src, axis=1).reshape(-1)
+    return state.reshape(pre, len(src), post).take(src, axis=1).reshape(-1)  # np.take without its wrapper
 
 
 def apply_gate(state: np.ndarray, dims: tuple[int, ...], gate: "Gate") -> np.ndarray:
@@ -644,11 +648,21 @@ _PHASE_MARK = Gate.block(np.diag([1.0, 1.0, -1.0, -1.0]), (1,))  # weak symbols 
 def _grover(
     symbol: str, n: int, iterations: int, prep: tuple[Gate, ...], query: tuple[Step, ...]
 ) -> QueryAlgorithm:
-    """Prepare, then ``iterations`` times the query steps and a diffusion; measure the index."""
+    """Prepare, then ``iterations`` times the query steps and a diffusion; measure the index.
+
+    ``iterations`` must be an integer in 0..``GROVER_ITERATION_CAP``; any other count is
+    refused before a step is listed.
+    """
     if not 1 <= n <= BLOCK_CAP:
         raise SimulationError(f"index dimension {n} outside 1..{BLOCK_CAP}")
+    if not isinstance(iterations, numbers.Integral):
+        raise SimulationError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 0:
         raise SimulationError(f"iterations must be >= 0, got {iterations}")
+    if iterations > GROVER_ITERATION_CAP:
+        raise SimulationError(
+            f"iterations {iterations} exceed GROVER_ITERATION_CAP = {GROVER_ITERATION_CAP}"
+        )
     uniform, diffuse, measure = _index_gates(n)
     steps = [(*prep, uniform)] + [*query, (diffuse,)] * iterations  # the same gates every iteration
     if iterations == 0:
@@ -664,11 +678,16 @@ def grover_or(n: int, iterations: int) -> QueryAlgorithm:
     return _grover("bit", n, iterations, (_TARGET_X, _TARGET_H), (QUERY,))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def _grover_marks(n: int, iterations: int) -> QueryAlgorithm:
     """Grover search for star/dagger symbols through the weak oracle.
 
     Each iteration queries, phase-flips symbol values 2 and 3, then
-    uncomputes with an inverse query before the diffusion step.
+    uncomputes with an inverse query before the diffusion step.  Built once
+    per (n, iterations) and shared: the circuit is frozen and its gates hold
+    read-only matrices.  Typed, so ``2.0`` or ``True`` is never answered from
+    the entry of ``2`` or ``1``; a refused count raises every time, since
+    exceptions are not cached.
     """
     return _grover("weak", n, iterations, (), (QUERY, (_PHASE_MARK,), QUERY_INV))
 
@@ -718,7 +737,11 @@ class GroverResult:
 
 
 def grover_find_mark(z: SabString, iterations: int) -> GroverResult:
-    """Run mark search on a sabotaged input; distribution is exact."""
+    """Run mark search on a sabotaged input; distribution is exact.
+
+    Every call of one size (n, iterations) runs the same circuit object,
+    built once by :func:`_grover_marks`.
+    """
     n = len(z)
     for state in evolve(_grover_marks(n, iterations), oracle_weak(z)):
         pass

@@ -291,6 +291,14 @@ def test_protocol_errors_exit_2(capsys):
         assert err.startswith("sablab: ") and "Traceback" not in err
 
 
+def test_index_find_refuses_a_grover_count_over_the_cap(capsys):
+    cap = qsim.GROVER_ITERATION_CAP
+    code, out, err = run_cli(capsys, "protocol", "index-find", "--alg", f"grover-or-4-{cap + 1}",
+                             "--pair", "0000,0010")
+    assert code == 2 and out == ""
+    assert err.startswith("sablab: ") and f"GROVER_ITERATION_CAP = {cap}" in err
+
+
 @pytest.mark.parametrize(
     "text, field",
     [

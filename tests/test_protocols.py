@@ -34,6 +34,7 @@ from sablab.qsim import (
     xor_controlled_block,
 )
 from sablab.protocols import (
+    IndexFinderReport,
     ProtocolError,
     convert_strong,
     find_index_amplified,
@@ -739,3 +740,48 @@ def test_grover_baseline_deterministic():
     a = grover_baseline(SabString.from_text("00*0*"), seed=42)
     b = grover_baseline(SabString.from_text("00*0*"), seed=42)
     assert a == b
+
+
+def _baseline_per_phase(z, seed):
+    """The baseline as one mark search per phase, its distribution normalised in the phase."""
+    n = len(z)
+    if n == 1:
+        return IndexFinderReport("grover-baseline", 1, 1, True, 1.0, seed)
+    cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(n)))
+    queries, k, miss_mass = 0, 1, 1.0
+    position, trials = None, protocols._MAX_BASELINE_PHASES
+    for phase in range(protocols._MAX_BASELINE_PHASES):
+        result = qsim.grover_find_mark(z, k)
+        queries += result.queries_used + 1
+        miss_mass *= 1.0 - result.success_mass
+        rng = np.random.default_rng([seed, phase])
+        probs = np.array(result.position_probs)
+        probs = probs / probs.sum()
+        measured = int(rng.choice(n, p=probs)) + 1
+        if measured in z.mark_positions:
+            position, trials = measured, phase + 1
+            break
+        k = min(2 * k, cap)
+    return IndexFinderReport("grover-baseline", queries, position, position is not None,
+                             1.0 - miss_mass, seed, trials)
+
+
+def test_grover_baseline_equals_one_run_per_phase(monkeypatch):
+    """Field for field, with each distinct k run once per call; one input exhausts all 32 phases."""
+    rng = np.random.default_rng(37)
+    cases = [(SabString.from_text("01*"), 3161509852)]
+    for n in range(1, 17):
+        for marker in (STAR, DAGGER):
+            symbols = [int(b) for b in rng.integers(0, 2, n)]
+            for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+                symbols[j] = marker
+            cases.append((SabString(tuple(symbols)), int(rng.integers(1 << 32))))
+    runs = []
+    monkeypatch.setattr(protocols, "grover_find_mark", lambda z, k: runs.append(k) or qsim.grover_find_mark(z, k))
+    for z, seed in cases:
+        runs.clear()
+        got = grover_baseline(z, seed=seed)
+        assert got == _baseline_per_phase(z, seed), (str(z), seed)
+        assert runs == sorted(set(runs))  # 1, 2, 4, ... each once
+    exhausted = grover_baseline(*cases[0])
+    assert exhausted.trials == protocols._MAX_BASELINE_PHASES and exhausted.position is None

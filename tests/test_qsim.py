@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -953,6 +954,60 @@ def test_grover_builders_refuse_negative_iterations():
             build(4, -3)
     with pytest.raises(SimulationError, match="queries must be >= 0, got -1"):
         random_query_algorithm(3, -1, np.random.default_rng(0))
+
+
+def _refusal_cost(call):
+    """Seconds and tracemalloc peak (bytes) of a call that must raise SimulationError."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(SimulationError) as refused:
+            call()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak, str(refused.value)
+
+
+def test_grover_builders_refuse_counts_over_the_cap_before_any_work():
+    cap = qsim.GROVER_ITERATION_CAP
+    z = SabString.from_text("0*00")
+    calls = (lambda: grover_or(4, cap + 1), lambda: qsim._grover_marks(4, cap + 1),
+             lambda: grover_find_mark(z, cap + 1))
+    for call in calls:
+        seconds, peak, message = _refusal_cost(call)
+        assert f"GROVER_ITERATION_CAP = {cap}" in message
+        # Building grover_or(4, cap) peaks near 70 KB under tracemalloc.
+        assert seconds < 0.05 and peak < 8192, (seconds, peak)
+    assert grover_or(4, cap).query_count == cap
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, "2", None])
+def test_grover_builders_refuse_a_non_integer_count(count):
+    for build in (grover_or, qsim._grover_marks):
+        with pytest.raises(SimulationError, match="iterations must be an integer"):
+            build(4, count)
+
+
+def test_mark_search_circuit_is_built_once_per_typed_size():
+    assert qsim._grover_marks(4, 2) is qsim._grover_marks(4, 2)
+    with pytest.raises(SimulationError, match="iterations must be an integer, got 2.0"):
+        qsim._grover_marks(4, 2.0)  # not answered from the (4, 2) entry
+    one = qsim._grover_marks(4, 1)
+    flag = qsim._grover_marks(4, True)
+    assert flag is not one and flag == one
+
+
+def test_gather_is_np_take_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for pre, span, post in itertools.product((1, 2, 5), (1, 3, 8), (1, 4, 7)):
+        state = rng.standard_normal(pre * span * post) + 1j * rng.standard_normal(pre * span * post)
+        for src in (rng.permutation(span), rng.integers(0, span, span)):
+            out = qsim._gather(state, pre, src, post)
+            want = np.take(state.reshape(pre, span, post), src, axis=1).reshape(-1)
+            assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+            assert not np.shares_memory(out, state)
 
 
 def test_repeated_measured_register_is_refused():
