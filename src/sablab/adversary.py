@@ -276,24 +276,17 @@ def build_indexing_relation(n: int, strong: bool = False) -> Relation:
     if not 1 <= n <= 4:
         raise AdversaryError(f"indexing arity {n} outside 1..4")
     size = 1 << n
-    addresses = [tuple((k >> (n - 1 - i)) & 1 for i in range(n)) for k in range(size)]
 
-    def weak_label(addr: tuple[int, ...], data_pos: int, marker: int) -> SabString:
-        data = [0] * size
-        data[data_pos] = marker
-        return SabString(tuple(addr) + tuple(data))
+    def label(k: int, marker: int) -> SabString | StrongInput:
+        # Address k, MSB first, reads data position k.  The strong label is its unique preimage pair,
+        # x = (address, all-zero data) and y = x with that data bit set, so f(x) = 0 and f(y) = 1.
+        x = BitString.from_text(format(k, f"0{n}b") + "0" * size)
+        if strong:
+            return StrongInput(x, x.flip([n + k + 1]), marker)
+        return SabString(tuple(marker if j == n + k else b for j, b in enumerate(x)))  # a lone marker there
 
-    def strong_label(addr: tuple[int, ...], data_pos: int, marker: int) -> StrongInput:
-        # Unique preimage pair: x = (addr, all-zero data), y = x with the
-        # addressed data bit set, so f(x) = 0 and f(y) = 1.
-        x = BitString(tuple(addr) + tuple(0 for _ in range(size)))
-        y = x.flip([n + data_pos + 1])
-        return StrongInput(x, y, marker)
-
-    # Address k reads data position k: addresses run in binary order.
-    make = strong_label if strong else weak_label
-    x_side = tuple(make(a, k, STAR) for k, a in enumerate(addresses))
-    y_side = tuple(make(a, k, DAGGER) for k, a in enumerate(addresses))
+    x_side = tuple(label(k, STAR) for k in range(size))
+    y_side = tuple(label(k, DAGGER) for k in range(size))
     near = [(i, k) for i in range(size) for k in range(size) if (i ^ k).bit_count() == 2]
     pairs = frozenset((x_side[i], y_side[k]) for i, k in near)
     if not pairs:

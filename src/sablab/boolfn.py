@@ -1,8 +1,8 @@
 """Partial Boolean functions on small domains, plus the named-function catalog.
 
-A :class:`PartialFunction` stores its truth table as read-only numpy arrays,
-with :class:`BitString` objects only at the API edge.  The catalog functions
-are filled in by numpy; outside input is validated entry by entry.
+A :class:`BitString` is its length and its code.  A :class:`PartialFunction` stores its truth
+table as read-only numpy arrays of codes, and makes BitStrings from them only at the API edge.
+The catalog functions are filled in by numpy; outside input is validated entry by entry.
 
 Position convention: coordinates ``j`` in public APIs are 1-based (``1..n``);
 Python-level sequence indexing of :class:`BitString` is 0-based.
@@ -41,23 +41,49 @@ class FunctionFormatError(BoolFnError):
     """Malformed function file."""
 
 
-@dataclass(frozen=True, order=True)
+# Translate tables: text to bits as bytes 0/1, and back, with any other byte sent to "x", which int(_, 2) refuses.
+_TEXT_TO_BITS, _BITS_TO_TEXT = bytes.maketrans(b"01", b"\x00\x01"), b"01" + b"x" * 254
+_INT = frozenset((int,))
+
+
+@dataclass(order=True, unsafe_hash=True, slots=True, init=False, repr=False)  # fields are set once, when built
 class BitString:
-    """Fixed-length sequence of bits."""
+    """Fixed-length sequence of bits, held as its length n and its :attr:`code`, from which the rest derives.
 
-    bits: tuple[int, ...]
+    Equality, hash and order read (n, code): equal-length strings order as their bit tuples, shorter
+    before longer (no caller sorts mixed lengths).  The constructor checks each entry once: a bit is a
+    Python or numpy integer equal to 0 or 1, not a bool, float or str.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.bits) == 0:
-            raise BoolFnError("empty bit string")
-        if any(b not in (0, 1) for b in self.bits):
-            raise BoolFnError(f"bits must be 0/1, got {self.bits!r}")
+    _n: int
+    _code: int
+
+    def __init__(self, bits: Iterable[int]) -> None:
+        bits = tuple(bits)
+        try:  # bytes() takes integers in 0..255, bool too; int() refuses an empty string and the "x" of a byte past 1
+            code = int(bytes(bits).translate(_BITS_TO_TEXT), 2)
+        except (TypeError, ValueError):
+            code = -1
+        if code < 0 or not _INT.issuperset(map(type, bits)):  # numpy integers land here too
+            bad = [(j, b) for j, b in enumerate(bits, 1)
+                   if not (type(b) is int or isinstance(b, np.integer)) or b not in (0, 1)]
+            if bad or not bits:
+                raise BoolFnError(f"position {bad[0][0]} of {bits!r} holds {bad[0][1]!r}, not the integer 0 or 1"
+                                  if bad else "empty bit string")
+        self._n, self._code = len(bits), code
+
+    @classmethod
+    def _from_code(cls, n: int, code: int) -> "BitString":
+        """The length-n string of ``code``, unchecked: for codes read from a truth table."""
+        x = object.__new__(cls)
+        x._n, x._code = n, code
+        return x
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        if not text or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or text.strip("01"):
             raise BoolFnError(f"invalid bit string {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls._from_code(len(text), int(text, 2))
 
     @classmethod
     def coerce(cls, value: "BitString | str | Iterable[int]") -> "BitString":
@@ -65,33 +91,40 @@ class BitString:
             return value
         if isinstance(value, str):
             return cls.from_text(value)
-        return cls(tuple(int(v) for v in value))
+        return cls(value)
 
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(format(self._code, "b").zfill(self._n).encode().translate(_TEXT_TO_BITS))
 
     @property
     def code(self) -> int:
         """The string read MSB-first as an integer (position j is bit n - j): a truth-table key."""
-        return int(str(self), 2)
+        return self._code
+
+    def __str__(self) -> str:
+        return format(self._code, "b").zfill(self._n)
+
+    def __repr__(self) -> str:
+        return f"BitString(bits={self.bits!r})"
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> int:  # a negative or out-of-range i goes through the tuple
+        return self._code >> self._n - 1 - i & 1 if -1 < i < self._n else self.bits[i]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.bits)
 
     def flip(self, block: Iterable[int]) -> "BitString":
         """Flip the (1-based) positions in ``block``."""
-        out = list(self.bits)
+        n, mask = self._n, 0
         for j in block:
-            if not 1 <= j <= len(out):
-                raise BoolFnError(f"position {j} out of range 1..{len(out)}")
-            out[j - 1] ^= 1
-        return BitString(tuple(out))
+            if not 1 <= j <= n:
+                raise BoolFnError(f"position {j} out of range 1..{n}")
+            mask ^= 1 << (n - j)
+        return BitString._from_code(n, self._code ^ mask)
 
 
 class PartialFunction:
@@ -99,7 +132,7 @@ class PartialFunction:
 
     Three read-only arrays in lexicographic order of ``D``: int64 codes
     (:attr:`BitString.code` of each string), uint8 values and the (|D|, n)
-    uint8 bit matrix.  The views returning BitStrings build them on each call.
+    uint8 bit matrix.  The views returning BitStrings build them from the codes on each call.
     """
 
     __slots__ = ("name", "n", "total", "_codes", "_vals", "_bits")
@@ -166,11 +199,11 @@ class PartialFunction:
 
     @property
     def d0(self) -> tuple[BitString, ...]:
-        return _strings(self._bits[self._vals == 0])
+        return _strings(self.n, self._codes[self._vals == 0])
 
     @property
     def d1(self) -> tuple[BitString, ...]:
-        return _strings(self._bits[self._vals == 1])
+        return _strings(self.n, self._codes[self._vals == 1])
 
     def value(self, x: BitString | str) -> int:
         bs = BitString.coerce(x)
@@ -179,7 +212,7 @@ class PartialFunction:
         return int(self._vals[i])
 
     def domain(self) -> tuple[BitString, ...]:
-        return _strings(self._bits)
+        return _strings(self.n, self._codes)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Domain as a read-only (m, n) uint8 bit matrix and (m,) value vector."""
@@ -192,16 +225,7 @@ class PartialFunction:
 
     def opposite_inputs(self, x: BitString | str) -> tuple[BitString, ...]:
         """All domain points with function value different from f(x)."""
-        return _strings(self._bits[self._vals != self.value(x)])
-
-    def serialize(self) -> str:
-        payload = {
-            "name": self.name,
-            "n": self.n,
-            "total": self.total,
-            "entries": [[f"{c:0{self.n}b}", v] for c, v in zip(self._codes.tolist(), self._vals.tolist())],
-        }
-        return json.dumps(payload, sort_keys=True)
+        return _strings(self.n, self._codes[self._vals != self.value(x)])
 
     def _key(self) -> tuple:
         return (self.name, self.n, self.total, self._codes.tobytes(), self._vals.tobytes())
@@ -218,8 +242,8 @@ class PartialFunction:
         return f"PartialFunction({self.name!r}, n={self.n}, |D|={self._codes.size})"
 
 
-def _strings(bits: np.ndarray) -> tuple[BitString, ...]:
-    return tuple(BitString(tuple(row)) for row in bits.tolist())
+def _strings(n: int, codes: np.ndarray) -> tuple[BitString, ...]:
+    return tuple([BitString._from_code(n, c) for c in codes.tolist()])
 
 
 def require_general_size(f: PartialFunction, work: str, error: type[Exception]) -> None:

@@ -125,7 +125,7 @@ def _cmd_bs(args) -> int:
     if args.x is None:
         require_general_size(f, "bs", measures.MeasureError)
     points = f.domain() if args.x is None else [BitString.coerce(args.x)]
-    value, x = max(((measures.block_sensitivity(f, p), p) for p in points), key=lambda t: (t[0], [-b for b in t[1].bits]))
+    value, x = max(((measures.block_sensitivity(f, p), p) for p in points), key=lambda t: (t[0], -t[1].code))
     _emit_json(args, {"function": f.name, "value": int(value), "x": str(x)})
     return 0
 

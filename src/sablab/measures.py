@@ -101,7 +101,7 @@ class FbsSolution:
         coverage = diff.astype(num) @ dual
         short = np.flatnonzero(coverage < scale * (1 - feas_tol))
         if short.size:
-            y = BitString(tuple(f.arrays()[0][opp[short[0]]].tolist()))
+            y = BitString._from_code(f.n, f.codes.item(opp[short[0]]))
             raise MeasureError(f"dual infeasible at {y}: coverage {coverage[short[0]] / scale}")
         if abs(sum(self.dual) - self.value) > duality_tol:
             raise MeasureError(
@@ -204,7 +204,7 @@ def _solution(
             dual=zeros,
             exact=exact,
         )
-    weights = {BitString(tuple(f.arrays()[0][i].tolist())): w for i, w in zip(opp, sol.weights) if w > 0}
+    weights = {BitString._from_code(f.n, c): w for c, w in zip(f.codes[opp].tolist(), sol.weights) if w > 0}
     return FbsSolution(x=x, weights=weights, value=sol.value, dual=sol.dual, exact=exact)
 
 
@@ -322,7 +322,7 @@ def _sweep_rows(f: PartialFunction) -> np.ndarray | range:
 def _global_sweep(f: PartialFunction, exact: bool) -> tuple[BitString, np.ndarray, simplex.LpSolution]:
     """The sweep of :func:`fbs_global`: its maximiser x and ``_fbs_lp(f, x, exact)``, as solved there."""
     require_general_size(f, "fbs_global", MeasureError)
-    bits, vals = f.arrays()
+    vals = f.arrays()[1]
     if vals.min() == vals.max():
         raise MeasureError(f"{f.name} is constant on its domain")
     sizes = np.bincount(vals, minlength=2)
@@ -337,7 +337,7 @@ def _global_sweep(f: PartialFunction, exact: bool) -> tuple[BitString, np.ndarra
         c = bound_c.item(i)
         if c > 0 and bound_s.item(i) * den <= num * c:
             continue
-        x = BitString(tuple(bits[i].tolist()))
+        x = BitString._from_code(f.n, f.codes.item(i))
         opp, sol = _fbs_lp(f, x, exact)  # x has opposite inputs: f is not constant
         if best is None or sol.value > best[2].value + (0 if exact else FEAS_TOL):
             best = x, opp, sol

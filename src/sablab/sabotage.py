@@ -90,9 +90,14 @@ class StrongInput:
         for name in ("x", "y"):
             if not isinstance(getattr(self, name), BitString):
                 raise SabotageError(f"strong input {name} must be a BitString, got {getattr(self, name)!r}")
-        object.__setattr__(self, "marker", _coerce_marker(self.marker))
-        object.__setattr__(self, "z", _sabotage(self.x, self.y, self.marker))
-        object.__setattr__(self, "tuples", tuple(zip(self.x.bits, self.y.bits, self.z.symbols)))
+        marker = _coerce_marker(self.marker)
+        xs, ys = self.x.bits, self.y.bits  # each string's bits, derived once
+        if len(xs) != len(ys) or xs == ys:
+            raise SabotageError("length mismatch" if len(xs) != len(ys) else "x and y must differ somewhere")
+        z = _sab_string(tuple([a if a == b else marker for a, b in zip(xs, ys)]))  # a mark where they differ
+        object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "tuples", tuple(zip(xs, ys, z.symbols)))
 
     from_pair = classmethod(lambda cls, x, y, marker: cls(x, y, marker))  # the constructor, by the name sabbench calls
 
@@ -115,14 +120,6 @@ def _coerce_marker(marker: int | str) -> int:
     if marker in ("*", "+"):
         return _CHAR_SYMBOLS[str(marker)]
     raise SabotageError(f"marker must be one of *, + (got {marker!r})")
-
-
-def _sabotage(x: BitString, y: BitString, marker: int) -> SabString:
-    if len(x) != len(y):
-        raise SabotageError("length mismatch")
-    if x == y:
-        raise SabotageError("x and y must differ somewhere")
-    return SabString(tuple(a if a == b else marker for a, b in zip(x, y)))
 
 
 def enumerate_sabotaged(f: PartialFunction) -> tuple[frozenset[SabString], frozenset[SabString]]:
@@ -154,12 +151,14 @@ def _sab_strings(symbols: np.ndarray) -> frozenset[SabString]:
     for row in symbols[bad]:
         SabString(tuple(row.tolist()))
     raw, n = symbols.tobytes(), symbols.shape[1]
-    strings = []
-    for i in range(0, len(raw), n):
-        z = object.__new__(SabString)
-        object.__setattr__(z, "symbols", tuple(raw[i:i + n]))
-        strings.append(z)
-    return frozenset(strings)
+    return frozenset([_sab_string(tuple(raw[i:i + n])) for i in range(0, len(raw), n)])
+
+
+def _sab_string(symbols: tuple[int, ...]) -> SabString:
+    """The SabString of symbols that keep its rules by construction, made without the constructor's check."""
+    z = object.__new__(SabString)
+    object.__setattr__(z, "symbols", symbols)
+    return z
 
 
 def _pair_keys(codes: np.ndarray, vals: np.ndarray, n: int) -> set[int]:

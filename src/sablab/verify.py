@@ -118,7 +118,7 @@ def fbs_vertex_exact(f: PartialFunction, x: BitString | str) -> Fraction:
     if not ys:
         return Fraction(0)
     m, n = len(ys), f.n
-    cover = [[int(y[j] != xb[j]) for y in ys] for j in range(n)]
+    cover = [[(y.code ^ xb.code) >> (n - 1 - j) & 1 for y in ys] for j in range(n)]  # y differs from x at j + 1
 
     best = Fraction(0)  # k = 0: the vertex w = 0
     for k in range(1, min(n, m) + 1):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ from sablab.qsim import Gate
 def all_bitstrings(n: int) -> list[BitString]:
     """All length-n bit strings in lexicographic (MSB-first) order."""
     return [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
+
+
+def function_file(f: PartialFunction) -> str:
+    """The JSON function-file text of f, written from the README's format with f's public views."""
+    entries = [[str(x), v] for x, v in f.entries.items()]
+    return json.dumps({"name": f.name, "n": f.n, "total": f.total, "entries": entries})
 
 
 def diff_positions(x: BitString, y: BitString) -> tuple[int, ...]:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import all_bitstrings, partial_functions
+from conftest import all_bitstrings, function_file, partial_functions
 from sablab.boolfn import (
     ArityError,
     BitString,
@@ -21,6 +23,8 @@ from sablab.boolfn import (
     make_indexing,
     make_named,
 )
+from sablab.measures import fbs
+from sablab.qsim import oracle_bit
 
 # Brute-force re-implementations of the textual definitions.
 _RULES = {
@@ -122,7 +126,7 @@ def test_load_rejects_malformed():
                                   "entries": [["00", 0], ["01", 1], ["10", 1]]}))
     with pytest.raises(FunctionFormatError):
         load_function(json.dumps({"name": "f", "n": 2, "total": False, "entries": [["00", 2]]}))
-    # Such a file once loaded with n = True; its serialize() then raised on a format specifier.
+    # Such a file once loaded with n = True; writing it back then raised on a format specifier.
     with pytest.raises(ArityError, match="arity n = True"):
         load_function('{"name": "f", "n": true, "total": true, "entries": [["0", 0], ["1", true]]}')
     with pytest.raises(FunctionFormatError, match="no field 'total'"):
@@ -159,17 +163,17 @@ def test_partial_function_refuses_a_non_bool_total():
 
 def test_partial_function_takes_numpy_integer_values():
     f = PartialFunction("f", 2, {"00": np.int64(0), "11": np.uint8(1)})
-    assert f.value("11") == 1 and f == load_function(f.serialize())
+    assert f.value("11") == 1 and f == load_function(function_file(f))
 
 
 def test_or2_file_roundtrip():
     f = make_named("OR", 2)
-    assert len(load_function(f.serialize()).entries) == 4
+    assert len(load_function(function_file(f)).entries) == 4
 
 
 @pytest.mark.parametrize("f", catalog(max_arity=5), ids=lambda f: f.name)
 def test_catalog_serialize_roundtrip(f):
-    again = load_function(f.serialize())
+    again = load_function(function_file(f))
     assert again == f
     assert dict(again.entries) == dict(f.entries)
 
@@ -196,14 +200,14 @@ def test_codes_are_the_domain_codes_row_for_row(f):
 def test_constructors_agree(f):
     """The numpy-filled catalog equals, and hashes as, its validated rebuilds."""
     rebuilt = PartialFunction(f.name, f.n, f.entries, total=True)
-    loaded = load_function(f.serialize())
+    loaded = load_function(function_file(f))
     assert f == rebuilt == loaded
     assert hash(f) == hash(rebuilt) == hash(loaded)
 
 
 @given(partial_functions())
 def test_random_function_roundtrip(f):
-    assert load_function(f.serialize()) == f
+    assert load_function(function_file(f)) == f
 
 
 def test_bitstring_helpers():
@@ -217,3 +221,121 @@ def test_bitstring_helpers():
         BitString.from_text("012")
     with pytest.raises(BoolFnError):
         x.flip([5])
+
+
+def _every_string(n_max: int = 8, seed: int = 38, wide: int = 200) -> list[tuple[int, ...]]:
+    """Every bit tuple of length 1..n_max, then ``wide`` seeded tuples of length 20."""
+    out = [bits for n in range(1, n_max + 1) for bits in itertools.product((0, 1), repeat=n)]
+    rng = np.random.default_rng(seed)
+    return out + [tuple(int(b) for b in rng.integers(0, 2, size=20)) for _ in range(wide)]
+
+
+def test_bitstring_constructors_agree_with_the_bit_tuple():
+    for bits in _every_string():
+        n, text = len(bits), "".join(map(str, bits))
+        code = int(text, 2)
+        built = (BitString(bits), BitString(list(bits)), BitString.from_text(text), BitString.coerce(bits),
+                 BitString.coerce(text), BitString._from_code(n, code))
+        for x in built:
+            assert x == built[0] and hash(x) == hash(built[0])
+            assert str(x) == text and repr(x) == f"BitString(bits={bits!r})"
+            assert x.bits == bits and x.code == code and len(x) == n and list(x) == list(bits)
+
+
+def test_bitstring_indexing_matches_the_bit_tuple():
+    for bits in _every_string():
+        x, n = BitString(bits), len(bits)
+        assert [x[i] for i in range(-n, n)] == [bits[i] for i in range(-n, n)]
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                x[i]
+
+
+def test_bitstring_flip_matches_a_tuple_flip():
+    rng = np.random.default_rng(3801)
+    for bits in _every_string():
+        n = len(bits)
+        block = [int(j) for j in rng.integers(1, n + 1, size=int(rng.integers(0, 4)))]  # repeats flip back
+        want = list(bits)
+        for j in block:
+            want[j - 1] ^= 1
+        assert BitString(bits).flip(block) == BitString(tuple(want))
+
+
+def test_bitstring_order_is_tuple_order_within_a_length():
+    strings = _every_string()
+    for n in (1, 5, 8, 20):
+        same = [bits for bits in strings if len(bits) == n][::-1]
+        assert [x.bits for x in sorted(BitString(bits) for bits in same)] == sorted(same)
+    short, long = BitString.from_text("11"), BitString.from_text("000")
+    assert short < long and long > short and short <= short and not long <= short  # shorter first
+
+
+def _seeded_partial(seed: int) -> PartialFunction:
+    """A seeded partial function: arity 2..9, a random domain of at least two points, both values present."""
+    rng = np.random.default_rng([38, seed])
+    n = 2 + seed % 8
+    codes = rng.choice(1 << n, size=int(rng.integers(2, (1 << n) + 1)), replace=False)
+    vals = [i % 2 for i in range(codes.size)]
+    return PartialFunction(f"seeded{seed}", n, {format(int(c), f"0{n}b"): v for c, v in zip(codes, vals)})
+
+
+def _row_strings(rows: np.ndarray) -> tuple[BitString, ...]:
+    return tuple(BitString(tuple(row)) for row in rows.tolist())
+
+
+@pytest.mark.parametrize(
+    "f", [*catalog(), *(_seeded_partial(seed) for seed in range(6))], ids=lambda f: f"{f.name}-{f.codes.size}"
+)
+def test_string_views_equal_the_strings_of_the_bit_rows(f):
+    bits, vals = f.arrays()
+    assert f.domain() == _row_strings(bits)
+    assert f.d0 == _row_strings(bits[vals == 0]) and f.d1 == _row_strings(bits[vals == 1])
+    assert dict(f.entries) == dict(zip(_row_strings(bits), vals.tolist()))
+    for i in (0, vals.size // 2, vals.size - 1):
+        x = BitString(tuple(bits[i].tolist()))
+        assert f.opposite_inputs(x) == _row_strings(bits[vals != vals[i]])
+
+
+_NOT_BITS = {
+    "float": 0.7,
+    "integral-float": 1.0,
+    "bool": True,
+    "numpy-bool": np.bool_(False),
+    "numpy-float": np.float64(0.0),
+    "str": "1",
+    "two": 2,
+    "minus-one": -1,
+    "numpy-two": np.int64(2),
+    "none": None,
+    "list": [1],
+}
+
+
+def _refusal_routes():
+    f = make_named("OR", 2)
+    return {
+        "BitString": BitString,
+        "coerce": BitString.coerce,
+        "value": f.value,
+        "oracle_bit": oracle_bit,
+        "fbs": lambda x: fbs(f, x),
+    }
+
+
+@pytest.mark.parametrize("route", sorted(_refusal_routes()))
+@pytest.mark.parametrize("kind", list(_NOT_BITS))
+def test_a_bit_is_an_integer_zero_or_one(kind, route):
+    """Each entry is checked once, by the constructor: nothing is cast, so 0.7 is not read as 0."""
+    bad = _NOT_BITS[kind]
+    with pytest.raises(BoolFnError, match=rf"^position 2 of .* holds {re.escape(repr(bad))}, not the integer 0 or 1$"):
+        _refusal_routes()[route]((1, bad))
+
+
+@pytest.mark.parametrize("bits", [(1, 0), [np.int64(1), np.uint8(0)], np.array([1, 0], dtype=np.int8), (1, np.int32(0))])
+def test_python_and_numpy_integers_are_bits(bits):
+    x = BitString(bits)
+    assert x == BitString.coerce(bits) == BitString.from_text("10") and x.bits == (1, 0)
+    assert all(type(b) is int for b in x.bits) and make_named("OR", 2).value(bits) == 1
+    with pytest.raises(BoolFnError, match="empty bit string"):
+        BitString(())

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import function_file
 from sablab import measures, protocols, qsim, sabotage, simplex, verify
 from sablab.boolfn import BitString, PartialFunction, make_named
 from sablab.cli import build_parser, main
@@ -116,7 +117,7 @@ def test_sab_enum(capsys):
 def test_sab_enum_reads_positions_msb_first(capsys, tmp_path):
     """Only the pair (0101, 0110): the marks sit on positions 3 and 4, not on their mirror."""
     path = tmp_path / "asym.json"
-    path.write_text(PartialFunction("asym", 4, {"0101": 0, "0110": 1}).serialize(), encoding="utf-8")
+    path.write_text(function_file(PartialFunction("asym", 4, {"0101": 0, "0110": 1})), encoding="utf-8")
     code, out, _ = run_cli(capsys, "sab-enum", "--file", str(path))
     payload = json.loads(out)
     assert code == 0
@@ -787,7 +788,7 @@ def test_bad_seed_flag_is_usage_error(capsys, argv):
 
 def test_function_file_input(capsys, tmp_path):
     path = tmp_path / "or2.json"
-    path.write_text(make_named("OR", 2).serialize())
+    path.write_text(function_file(make_named("OR", 2)))
     code, out, _ = run_cli(capsys, "fbs", "--file", str(path), "--x", "00")
     assert code == 0 and abs(json.loads(out)["value"] - 2.0) < 1e-9
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_bitstrings, diff_positions, partial_functions
+from conftest import all_bitstrings, diff_positions, function_file, partial_functions
 from sablab import measures, simplex
 from sablab.boolfn import (
     BitString,
@@ -620,7 +620,7 @@ def test_vertex_oracle_matches_full_basis_enumeration_random():
         f = _random_partial_function(rng, n=1 + i % 3)
         for x in f.domain():
             points += 1
-            assert fbs_vertex_exact(f, x) == full_basis_vertex_oracle(f, x), (f.serialize(), str(x))
+            assert fbs_vertex_exact(f, x) == full_basis_vertex_oracle(f, x), (function_file(f), str(x))
     assert points >= 600
 
 
